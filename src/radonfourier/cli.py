@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .functions import function_from_json
-from .geometry import space_X
+from .geometry import as_matrix, as_scalar, space_X
 from .hilbert import inner_X
 from .suite import (
     CHECKS,
@@ -79,16 +79,8 @@ def _emit(payload: str, out: str | None):
 
 
 def _parse_matrix(obj, fd, rows, cols):
-    if fd.is_archimedean:
-        arr = np.asarray(
-            [[_parse_scalar(x, fd) for x in row] for row in obj],
-            dtype=complex if fd.kind == "complex" else float,
-        )
-        if arr.shape != (rows, cols):
-            raise ValueError(f"matrix must be {rows}x{cols}")
-        return arr
-    m = tuple(tuple(Fraction(x) for x in row) for row in obj)
-    if len(m) != rows or any(len(r) != cols for r in m):
+    m = as_matrix([[_parse_scalar(x, fd) for x in row] for row in obj], fd)
+    if np.shape(m) != (rows, cols):
         raise ValueError(f"matrix must be {rows}x{cols}")
     return m
 
@@ -96,9 +88,7 @@ def _parse_matrix(obj, fd, rows, cols):
 def _parse_scalar(x, fd):
     if isinstance(x, (list, tuple)):
         return complex(float(x[0]), float(x[1]))
-    if isinstance(x, str):
-        return float(Fraction(x))
-    return float(x)
+    return as_scalar(Fraction(x) if isinstance(x, str) else x, fd)
 
 
 def cmd_verify(args) -> int:
@@ -158,43 +148,40 @@ def cmd_verify(args) -> int:
 
 def cmd_compute(args) -> int:
     try:
-        spec = _load_json(args.input)
-        fd = field_from_spec(spec.get("field", "r"), spec.get("p"))
-        n = int(spec.get("n", 1))
-        X = space_X(n, fd)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        result = _compute(args.operation, _load_json(args.input))
+    except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
+        msg = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        print(f"config error: {msg}", file=sys.stderr)
         return EXIT_CONFIG
+    _emit(report_to_json(result), args.out)
+    return EXIT_PASS
 
-    if args.operation == "fourier":
-        f = function_from_json(spec["f"], X)
-        fhat = fourier(f)
+
+def _compute(operation: str, spec: dict) -> dict:
+    if not isinstance(spec, dict):
+        raise ValueError("input specification must be a JSON object")
+    fd = field_from_spec(spec.get("field", "r"), spec.get("p"))
+    n = int(spec.get("n", 1))
+    X = space_X(n, fd)
+
+    # complex and exact values, matrices and rationals are written by
+    # report_to_json's serializer
+    if operation == "fourier":
+        fhat = fourier(function_from_json(spec["f"], X))
         result = {}
         if hasattr(fhat, "to_json"):  # quadrature-backed results are value-only
             result["transform"] = fhat.to_json()
         if "points" in spec:
-            Y = X.transpose_space()
-            vals = []
-            for pt in spec["points"]:
-                y = _parse_matrix(pt, fd, n, n + 1)
-                v = fhat.value(y)
-                vals.append(v if fd.is_archimedean else v.to_json())
             result["values"] = [
-                [v.real, v.imag] if isinstance(v, complex) else v for v in vals
+                fhat.value(_parse_matrix(pt, fd, n, n + 1)) for pt in spec["points"]
             ]
-        _emit(report_to_json(result), args.out)
-        return EXIT_PASS
+        return result
 
-    if args.operation == "intertwine":
+    if operation == "intertwine":
         f = function_from_json(spec["f"], X)
         y = _parse_matrix(spec["y"], fd, n, n + 1)
         val, err = intertwine_I(f, y, with_error=True)
-        if fd.is_archimedean:
-            result = {"value": [val.real, val.imag], "error_estimate": float(err)}
-        else:
-            result = {"value": val.to_json(), "error_estimate": "0"}
-        _emit(report_to_json(result), args.out)
-        return EXIT_PASS
+        return {"value": val, "error_estimate": _error_json(err, fd)}
 
     # inner-product: two function specs and an a-grid
     f = function_from_json(spec["f"], X)
@@ -204,24 +191,13 @@ def cmd_compute(args) -> int:
     for a_obj in spec["a_grid"]:
         a = _parse_matrix(a_obj, fd, n, n)
         val, err = pairing.with_error(a)
-        if fd.is_archimedean:
-            rows.append(
-                {
-                    "a": np.asarray(a).tolist(),
-                    "value": [val.real, val.imag],
-                    "error_estimate": float(err),
-                }
-            )
-        else:
-            rows.append(
-                {
-                    "a": [[f"{x.numerator}/{x.denominator}" for x in row] for row in a],
-                    "value": val.to_json(),
-                    "error_estimate": "0",
-                }
-            )
-    _emit(report_to_json({"rows": rows, "provenance": pairing.provenance}), args.out)
-    return EXIT_PASS
+        rows.append({"a": a, "value": val, "error_estimate": _error_json(err, fd)})
+    return {"rows": rows, "provenance": pairing.provenance}
+
+
+def _error_json(err, fd):
+    """A quadrature error estimate; exact paths have none and write "0"."""
+    return float(err) if fd.is_archimedean else "0"
 
 
 def cmd_explain(args) -> int:

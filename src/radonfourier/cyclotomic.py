@@ -321,13 +321,6 @@ def cyclo_eq(v: CyclotomicValue, w: CyclotomicValue) -> bool:
     return _coerce(v) == _coerce(w)
 
 
-def cyclo_sum(values) -> CyclotomicValue:
-    total = CyclotomicValue.zero()
-    for v in values:
-        total = total + v
-    return total
-
-
 class ExactValue:
     """q**e * c with e a rational exponent and c a cyclotomic value.
 
@@ -418,6 +411,8 @@ class ExactValue:
 
     def to_complex(self) -> complex:
         return float(self.p) ** float(self.qexp) * self.cyc.to_complex()
+
+    __complex__ = to_complex
 
     def to_json(self) -> dict:
         return {

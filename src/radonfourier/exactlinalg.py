@@ -45,10 +45,6 @@ def mat_add(A, B):
     return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
-def mat_sub(A, B):
-    return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
 def mat_scale(c, A):
     c = Fraction(c)
     return tuple(tuple(c * a for a in row) for row in A)

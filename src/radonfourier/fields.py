@@ -172,11 +172,3 @@ def add_char(s, fd: FieldDescriptor):
     # frac = r / p^m in lowest terms with m >= 1
     pm = frac.denominator
     return CyclotomicValue.root_of_unity(fd.p, pm, frac.numerator)
-
-
-def char_conductor_exponent(s: Fraction, p: int) -> int:
-    """Smallest m >= 0 with chi trivial on p^m * (s-span); i.e. max(0, -v_p(s))."""
-    s = Fraction(s)
-    if s == 0:
-        return 0
-    return max(0, -padic_valuation(s, p))

@@ -32,7 +32,7 @@ from . import exactlinalg as xl
 from . import quadrature as quad
 from .cyclotomic import CyclotomicValue, ExactValue
 from .fields import FieldDescriptor, add_char
-from .geometry import MatrixSpace, flatten_linear, mmul
+from .geometry import MatrixSpace, entry_dim, flatten_linear, mmul
 from .lattices import Coset, Lattice
 
 
@@ -101,11 +101,6 @@ class GaussianForm:
             complex(-np.pi * (x0 @ self.Q @ x0) + 2j * np.pi * (self.ell @ x0))
         )
         return GaussianForm(space, (Qp + Qp.T) / 2, kp, ellp)
-
-    def with_space(self, space: MatrixSpace) -> "GaussianForm":
-        if space.dim != self.space.dim:
-            raise ValueError("coordinate dimension mismatch")
-        return GaussianForm(space, self.Q, self.kappa, self.ell)
 
     def conjugate(self) -> "GaussianForm":
         return GaussianForm(self.space, self.Q, self.kappa.conjugate(), -self.ell.conj())
@@ -182,7 +177,7 @@ class GaussianForm:
 
 def _coords_space(fd: FieldDescriptor, dim: int) -> MatrixSpace:
     """A flat stand-in space when a pullback leaves matrix shape behind."""
-    per = fd.d_F if fd.is_archimedean else 1
+    per = entry_dim(fd)
     if dim % per:
         raise ValueError("dimension incompatible with the field")
     return MatrixSpace(fd, 1, dim // per)
@@ -588,12 +583,8 @@ def cutoff_chi(m: int, space: MatrixSpace) -> Evaluable:
 def evaluate(f, x):
     """Pointwise value; complex for archimedean classes, exact for SB."""
     space = f.space
-    shape = (
-        np.asarray(x).shape
-        if space.fd.is_archimedean
-        else (len(x), len(x[0]) if len(x) else 0)
-    )
-    if tuple(shape) != space.shape:
+    shape = np.shape(x)
+    if shape != space.shape:
         raise ValueError(f"point of shape {shape} does not live on {space.shape}")
     return f.value(x)
 
@@ -611,7 +602,7 @@ def translate_group(f, m, side: str = "right"):
     """Right translate f^m : x -> f(x m), or left translate x -> f(m x)."""
     space = f.space
     fd = space.fd
-    msize = len(m) if not fd.is_archimedean else np.asarray(m).shape[0]
+    msize = len(m)
     if side == "right":
         mapper = lambda x: mmul(x, m, fd)
         domain = MatrixSpace(fd, space.rows, msize)
@@ -695,12 +686,8 @@ def fiber_restrict(f, fiber):
 
 
 def _cz(fiber, z, fd):
-    if fd.is_archimedean:
-        c = np.asarray(fiber.c).reshape(-1, 1)
-        return c @ np.asarray(z).reshape(1, -1)
-    return tuple(
-        tuple(fiber.c[i][0] * z[0][j] for j in range(fiber.n)) for i in range(fiber.n + 1)
-    )
+    """The fiber direction c z for a row z (shared by the slice routines)."""
+    return mmul(fiber.c, z, fd)
 
 
 def integrate(f, with_error: bool = False, order: int = None):

@@ -8,7 +8,9 @@ single G-orbit and the quotient maps are realized by block extraction.
 
 Archimedean matrices are numpy arrays, p-adic matrices are nested tuples of
 Fractions; the small dispatch helpers below keep the two representations
-behind one interface.  Real coordinates of a matrix space flatten row-major,
+behind one interface.  Other modules branch on the field only to choose an
+algorithm (closed form or exact sum, tolerance or exact equality, a sampling
+law), never to spell a matrix or scalar operation.  Real coordinates of a matrix space flatten row-major,
 with complex entries split into (re, im) pairs, so every linear action has a
 concrete coordinate matrix obtained by pushing basis matrices through it.
 """
@@ -21,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exactlinalg as xl
+from .cyclotomic import ExactValue
 from .fields import FieldDescriptor, abs_norm, padic_valuation
 
 
@@ -61,23 +64,32 @@ def mtrace(a, fd: FieldDescriptor):
     return xl.trace(a)
 
 
-def mtranspose(a, fd: FieldDescriptor):
-    if fd.is_archimedean:
-        return np.asarray(a).T
-    return xl.transpose(a)
-
-
 def meye(n: int, fd: FieldDescriptor):
-    if fd.is_archimedean:
-        dtype = complex if fd.kind == "complex" else float
-        return np.eye(n, dtype=dtype)
-    return xl.identity(n)
+    return as_matrix([[int(i == j) for j in range(n)] for i in range(n)], fd)
 
 
 def mat_close(a, b, fd: FieldDescriptor, tol: float = 1e-10) -> bool:
     if fd.is_archimedean:
         return bool(np.allclose(np.asarray(a), np.asarray(b), atol=tol, rtol=tol))
     return xl.mat(a) == xl.mat(b)
+
+
+def det_power(a, s, fd: FieldDescriptor):
+    """|det a|^s: a float archimedean, the exact q-power q^(-v_p(det a) s) p-adic."""
+    d = mdet(a, fd)
+    if fd.is_archimedean:
+        return float(abs_norm(d, fd)) ** float(s)
+    return ExactValue(fd.p, -padic_valuation(d, fd.p) * Fraction(s), 1)
+
+
+def as_scalar(c, fd: FieldDescriptor):
+    """A real scalar in the field's representation: float, or exact Fraction."""
+    return float(c) if fd.is_archimedean else Fraction(c)
+
+
+def entry_dim(fd: FieldDescriptor) -> int:
+    """Flat coordinates per matrix entry: 2 over C, 1 over R and Q_p."""
+    return fd.d_F if fd.is_archimedean else 1
 
 
 def matrix_rank(x, fd: FieldDescriptor, tol: float = 1e-10) -> int:
@@ -89,9 +101,8 @@ def matrix_rank(x, fd: FieldDescriptor, tol: float = 1e-10) -> int:
 
 def is_regular(x, fd: FieldDescriptor, tol: float = 1e-10) -> bool:
     """Full rank test: exact for p-adic, smallest singular value for R/C."""
-    x_ = np.asarray(x) if fd.is_archimedean else xl.mat(x)
-    r = min(len(x_), len(x_[0])) if not fd.is_archimedean else min(x_.shape)
-    return matrix_rank(x_, fd, tol) == r
+    x = as_matrix(x, fd)
+    return matrix_rank(x, fd, tol) == min(len(x), len(x[0]))
 
 
 # ---------------------------------------------------------------------
@@ -110,8 +121,7 @@ class MatrixSpace:
     @property
     def dim(self) -> int:
         """Real coordinate dimension (d_F per entry archimedean, 1 p-adic)."""
-        per = self.fd.d_F if self.fd.is_archimedean else 1
-        return self.rows * self.cols * per
+        return self.rows * self.cols * entry_dim(self.fd)
 
     @property
     def shape(self):
@@ -167,11 +177,6 @@ def space_L(n: int, fd: FieldDescriptor) -> MatrixSpace:
     return MatrixSpace(fd, n, n)
 
 
-def space_fiber(n: int, fd: FieldDescriptor) -> MatrixSpace:
-    """Row vectors z in F^n parametrizing intertwining fibers."""
-    return MatrixSpace(fd, 1, n)
-
-
 def flatten_linear(fn, domain: MatrixSpace, target: MatrixSpace):
     """Coordinate matrix of a linear map between matrix spaces.
 
@@ -211,17 +216,12 @@ def act_y_a(y, a, fd: FieldDescriptor):
 
 def b_map(g, n: int, fd: FieldDescriptor):
     """Quotient map to X: the left (n+1) x n block of g."""
-    if fd.is_archimedean:
-        return np.asarray(g)[:, :n].copy()
-    return tuple(row[:n] for row in xl.mat(g))
+    return as_matrix([row[:n] for row in g], fd)
 
 
 def bbar_map(g, n: int, fd: FieldDescriptor):
     """Quotient map to Xbar: the top n rows of g^(-1)."""
-    gi = minv(g, fd)
-    if fd.is_archimedean:
-        return np.asarray(gi)[:n, :].copy()
-    return gi[:n]
+    return minv(g, fd)[:n]
 
 
 def base_point_x(n: int, fd: FieldDescriptor):
@@ -257,29 +257,17 @@ def nbar_element(u, n: int, fd: FieldDescriptor):
 
 def embed_l(a, fd: FieldDescriptor):
     """Embedding of GL(n) into G as [[a, 0], [0, det(a)^(-1)]]."""
-    if fd.is_archimedean:
-        a = np.asarray(a)
-        n = a.shape[0]
-        g = np.zeros((n + 1, n + 1), dtype=a.dtype if a.dtype == complex else float)
-        g[:n, :n] = a
-        g[n, n] = 1.0 / np.linalg.det(a)
-        return g
-    a = xl.mat(a)
+    a = as_matrix(a, fd)
     n = len(a)
-    d = xl.det(a)
-    rows = [list(row) + [Fraction(0)] for row in a]
-    rows.append([Fraction(0)] * n + [1 / d])
-    return xl.mat(rows)
+    rows = [list(row) + [0] for row in a]
+    rows.append([0] * n + [1 / mdet(a, fd)])
+    return as_matrix(rows, fd)
 
 
 def in_unipotent(m, n: int, fd: FieldDescriptor, tol: float = 1e-10) -> bool:
     """Membership test for the upper unipotent radical."""
     m_ = as_matrix(m, fd)
-    expect = n_element(
-        [m_[i][n] if not fd.is_archimedean else np.asarray(m_)[i, n] for i in range(n)],
-        n,
-        fd,
-    )
+    expect = n_element([m_[i][n] for i in range(n)], n, fd)
     return mat_close(m_, expect, fd, tol)
 
 
@@ -386,14 +374,8 @@ class Fiber:
 def fiber_param(y, n: int, fd: FieldDescriptor, rng=None, tol: float = 1e-10) -> Fiber:
     """Fiber of the intertwining kernel over a regular y."""
     g = unimodular_completion(y, n, fd, rng=rng, tol=tol)
-    if fd.is_archimedean:
-        g = np.asarray(g)
-        A = g[:, :n].copy()
-        c = g[:, n].copy().reshape(-1, 1)
-    else:
-        A = tuple(row[:n] for row in g)
-        c = tuple((row[n],) for row in g)
-    return Fiber(y=y, A=A, c=c, n=n, fd=fd)
+    c = as_matrix([row[n:] for row in g], fd)
+    return Fiber(y=y, A=b_map(g, n, fd), c=c, n=n, fd=fd)
 
 
 # ---------------------------------------------------------------------
@@ -430,8 +412,7 @@ class KAKFactors:
 def kak(a, fd: FieldDescriptor, tol: float = 1e-12) -> KAKFactors:
     """Cartan decomposition of an invertible n x n matrix."""
     if fd.is_archimedean:
-        a_ = np.asarray(a, dtype=complex if fd.kind == "complex" else float)
-        u, s, vh = np.linalg.svd(a_)
+        u, s, vh = np.linalg.svd(as_matrix(a, fd))
         if s[-1] <= tol:
             raise ValueError("singular input")
         return KAKFactors(k1=u, diag=tuple(float(x) for x in s), k2=vh, fd=fd)
@@ -481,12 +462,9 @@ def rho_weight_exponents(log_sizes, n: int):
 
 
 def measure_scale(a, fd: FieldDescriptor):
-    """Haar scaling |det a|^-(n+1) of the X measure under x -> x a."""
-    n = len(a) if not fd.is_archimedean else np.asarray(a).shape[0]
-    d = mdet(a, fd)
-    if fd.is_archimedean:
-        return float(abs_norm(d, fd)) ** (-(n + 1))
-    return abs_norm(d, fd) ** (-(n + 1))
+    """Haar scaling |det a|^-(n+1) of the X measure under x -> x a (a float
+    archimedean, an exact Fraction p-adic)."""
+    return abs_norm(mdet(a, fd), fd) ** (-(len(a) + 1))
 
 
 def hc_majorant(diag, p_exponent: float, C_p: float, n: int, fd: FieldDescriptor) -> float:

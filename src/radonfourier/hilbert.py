@@ -38,22 +38,15 @@ from .functions import (
     translate_group,
 )
 from .geometry import (
+    KAKFactors,
     MatrixSpace,
+    det_power,
+    entry_dim,
     flatten_linear,
     hc_majorant,
-    mdet,
     minv,
     mmul,
 )
-
-
-def _half_power_scale(a, n: int, fd: FieldDescriptor, sign: int):
-    """|det a|^(sign*(n+1)/2) as a float or exact q-power."""
-    d = mdet(a, fd)
-    if fd.is_archimedean:
-        return float(abs_norm(d, fd)) ** (sign * (n + 1) / 2.0)
-    v = padic_valuation(d, fd.p)
-    return ExactValue(fd.p, Fraction(-v * sign * (n + 1), 2), 1)
 
 
 @dataclass
@@ -76,9 +69,6 @@ class LFunction:
     def with_error(self, a):
         return self._eval(a, True)
 
-    def on_grid(self, grid):
-        return [(a, *self._eval(a, True)) for a in grid]
-
 
 def inner_X(f, h) -> LFunction:
     """The X-side pairing <f,h>_X as a function on GL(n)."""
@@ -90,10 +80,9 @@ def inner_X(f, h) -> LFunction:
         ha = translate_group(h, a, side="right")
         prod = pointwise_mul(conjugate(f), ha)
         val, err = integrate(prod, with_error=True)
-        scale = _half_power_scale(a, n, fd, +1)
-        if fd.is_archimedean:
-            return scale * val, scale * err
-        return scale * val, Fraction(0)
+        scale = det_power(a, Fraction(n + 1, 2), fd)
+        # a zero error (closed-form and exact paths) is passed through as is
+        return scale * val, (scale * err if err else err)
 
     return LFunction(fd, n, ev, provenance=f"inner_X({_label(f)},{_label(h)})")
 
@@ -108,10 +97,8 @@ def inner_Xbar(f, h) -> LFunction:
         ha = translate_group(h, minv(a, fd), side="left")
         prod = pointwise_mul(conjugate(f), ha)
         val, err = integrate(prod, with_error=True)
-        scale = _half_power_scale(a, n, fd, -1)
-        if fd.is_archimedean:
-            return scale * val, scale * err
-        return scale * val, Fraction(0)
+        scale = det_power(a, Fraction(-(n + 1), 2), fd)
+        return scale * val, (scale * err if err else err)
 
     return LFunction(fd, n, ev, provenance=f"inner_Xbar({_label(f)},{_label(h)})")
 
@@ -130,7 +117,7 @@ def act_module_X(f, a):
     fd = f.space.fd
     n = f.space.cols
     g = translate_group(f, minv(a, fd), side="right")
-    return g.scale(_half_power_scale(a, n, fd, -1))
+    return g.scale(det_power(a, Fraction(-(n + 1), 2), fd))
 
 
 def act_module_Xbar(f, a):
@@ -138,7 +125,7 @@ def act_module_Xbar(f, a):
     fd = f.space.fd
     n = f.space.rows
     g = translate_group(f, a, side="left")
-    return g.scale(_half_power_scale(a, n, fd, +1))
+    return g.scale(det_power(a, Fraction(n + 1, 2), fd))
 
 
 def act_g(f, g, side: str):
@@ -305,9 +292,7 @@ def column_product_constant(f):
     origin coset whose lattice splits as a direct sum across columns.
     """
     space = f.space
-    fd = space.fd
-    rows, cols = space.shape
-    per = (fd.d_F if fd.is_archimedean else 1) * rows
+    cols = space.cols
     if isinstance(f, GaussianForm):
         if np.any(f.ell):
             raise ValueError("phase factors break the column product envelope")
@@ -346,8 +331,7 @@ def column_product_constant(f):
 
 def _column_coord_indices(space: MatrixSpace, j: int):
     """Flat coordinate indices of the j-th matrix column."""
-    fd = space.fd
-    per = fd.d_F if fd.is_archimedean else 1
+    per = entry_dim(space.fd)
     idx = []
     for r in range(space.rows):
         base = (r * space.cols + j) * per
@@ -390,21 +374,15 @@ def decay_bound_check(f, samples, rng=None, tol: float = 1e-9) -> dict:
     rows = []
     ok = True
     for k1, diag, k2 in samples:
+        val = pairing(KAKFactors(k1, diag, k2, fd).reconstruct())
         if fd.is_archimedean:
-            a = np.asarray(k1) @ np.diag(diag) @ np.asarray(k2)
-            val = abs(pairing(a))
+            val = abs(val)
             bound = C
             for ai in diag:
                 s = float(abs_norm(ai, fd))
                 bound *= min(s, 1.0 / s) ** ((n + 1) / 2.0)
             good = val <= bound * (1.0 + tol) + 1e-300
         else:
-            D = tuple(
-                tuple(diag[i] if i == j else Fraction(0) for j in range(n))
-                for i in range(n)
-            )
-            a = xl.matmul(xl.matmul(k1, D), k2)
-            val = pairing(a)
             expo = Fraction(0)
             for ai in diag:
                 v = padic_valuation(ai, fd.p)
@@ -444,16 +422,7 @@ def hc_dominance_report(f, p_exponent: float, grids) -> dict:
     for grid in grids:
         cmax = 0.0
         for k1, diag, k2 in grid:
-            if fd.is_archimedean:
-                a = np.asarray(k1) @ np.diag(diag) @ np.asarray(k2)
-                val = abs(pairing(a))
-            else:
-                D = tuple(
-                    tuple(diag[i] if i == j else Fraction(0) for j in range(n))
-                    for i in range(n)
-                )
-                a = xl.matmul(xl.matmul(k1, D), k2)
-                val = abs(pairing(a).to_complex())
+            val = abs(complex(pairing(KAKFactors(k1, diag, k2, fd).reconstruct())))
             m = hc_majorant(diag, p_exponent, 1.0, n, fd)
             cmax = max(cmax, val / m)
         fits.append(cmax)

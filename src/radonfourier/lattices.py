@@ -71,11 +71,6 @@ class Lattice:
         d = xl.det(self.basis)
         return Fraction(self.p) ** (-padic_valuation(d, self.p))
 
-    def pivot_exponents(self):
-        return tuple(
-            padic_valuation(self.basis[i][i], self.p) for i in range(self.dim)
-        )
-
     # -- membership ----------------------------------------------------
 
     def coords(self, vec):

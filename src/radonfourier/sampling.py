@@ -15,12 +15,8 @@ import numpy as np
 from . import exactlinalg as xl
 from .fields import FieldDescriptor
 from .functions import GaussianForm, SBFunction
-from .geometry import MatrixSpace, is_regular
+from .geometry import MatrixSpace, as_matrix, is_regular, mdet
 from .lattices import Coset, Lattice
-
-
-def rng_from_seed(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
 
 
 # -- scalars ------------------------------------------------------------
@@ -42,14 +38,6 @@ def rand_fraction(rng, p: int, vmin: int = -2, vmax: int = 2) -> Fraction:
     """A random rational with p-adic valuation in [vmin, vmax]."""
     v = int(rng.integers(vmin, vmax + 1))
     return rand_unit_fraction(rng, p) * Fraction(p) ** v
-
-
-def rand_scalar(rng, fd: FieldDescriptor):
-    if fd.kind == "real":
-        return float(rng.standard_normal())
-    if fd.kind == "complex":
-        return complex(rng.standard_normal(), rng.standard_normal())
-    return rand_fraction(rng, fd.p)
 
 
 # -- matrices -----------------------------------------------------------
@@ -77,24 +65,17 @@ def rand_gl(rng, n: int, fd: FieldDescriptor, min_abs_det: float = 0.2):
     """A random invertible n x n matrix."""
     while True:
         a = rand_matrix(rng, n, n, fd)
-        d = np.linalg.det(a) if fd.is_archimedean else xl.det(a)
-        if fd.is_archimedean:
-            if abs(d) > min_abs_det:
-                return a
-        elif d != 0:
+        d = mdet(a, fd)
+        if (abs(d) > min_abs_det) if fd.is_archimedean else (d != 0):
             return a
 
 
 def rand_sl(rng, size: int, fd: FieldDescriptor):
     """A random determinant-one matrix (first column rescaled by 1/det)."""
     a = rand_gl(rng, size, fd)
-    if fd.is_archimedean:
-        a = np.array(a, copy=True)
-        a[:, 0] = a[:, 0] / np.linalg.det(a)
-        return a
-    d = xl.det(a)
-    return tuple(
-        tuple(x / d if j == 0 else x for j, x in enumerate(row)) for row in a
+    d = mdet(a, fd)
+    return as_matrix(
+        [[x / d if j == 0 else x for j, x in enumerate(row)] for row in a], fd
     )
 
 

@@ -1,11 +1,11 @@
 """Batch verification harness: configs, check registry, reports.
 
 A suite config fixes the field, the size n, tolerances, a seed and the list
-of checks; ``run_suite`` executes the checks (concurrently, thread count from
-the RADONFOURIER_THREADS environment variable) and assembles a Report whose
-JSON form is stable: keys sorted, rationals as strings, check records ordered
-by name.  Fixed seed means identical sample sets, and the p-adic sections are
-byte-identical across runs since every p-adic value serializes exactly.
+of checks; ``run_suite`` executes the checks one after another and assembles
+a Report whose JSON form is stable: keys sorted, rationals as strings, check
+records ordered by name.  Fixed seed means identical sample sets, and the
+p-adic sections are byte-identical across runs since every p-adic value
+serializes exactly.
 
 The ``perturb`` block deliberately mis-wires one constant at a time (the
 gamma exponent, the fiber measure, the equivariance exponent sign) so the
@@ -15,7 +15,6 @@ negative controls can demonstrate that each check discriminates.
 from __future__ import annotations
 
 import json
-import os
 import time
 import zlib
 from dataclasses import dataclass, field as dc_field
@@ -68,6 +67,12 @@ class SuiteConfig:
     checks: tuple = ()
     functions: tuple = ()  # optional JSON function specs
     perturb: dict = dc_field(default_factory=dict)
+
+    def __post_init__(self):
+        for key in ("n", "samples", "k_max", "m_max"):
+            value = getattr(self, key)
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
 
     @property
     def fd(self) -> FieldDescriptor:
@@ -308,15 +313,16 @@ def _check_rho_chain(cfg: SuiteConfig) -> dict:
             diag = tuple(
                 float(2.0 ** float(e / fd.d_F)) for e in exps
             )
+            base = 2.0
         else:
             exps = sorted(
                 (Fraction(-int(rng.integers(-4, 5))) for _ in range(n)), reverse=True
             )
             diag = tuple(Fraction(fd.p) ** int(-e) for e in exps)
+            base = float(fd.p)
         rho, mid, low = rho_weight_exponents(exps, n)
         chain_ok = rho >= mid >= low
         w = rho_weight(diag, n, fd)
-        base = 2.0 if fd.is_archimedean else float(fd.p)
         float_ok = abs(w - base ** float(rho)) <= 1e-9 * max(1.0, abs(w))
         good = chain_ok and float_ok
         rows.append(
@@ -370,21 +376,17 @@ def _check_fiber(cfg: SuiteConfig) -> dict:
     for _ in range(count):
         y = sampling.rand_regular_point(rng, X.transpose_space())
         base = intertwine_I(f, y, fiber=fiber_param(y, cfg.n, fd), measure_factor=factor)
-        worst = 0.0
-        exact = True
-        for _ in range(5):
-            fib = fiber_param(y, cfg.n, fd, rng=rng)
-            val = intertwine_I(f, y, fiber=fib, measure_factor=factor)
-            if fd.is_archimedean:
-                worst = max(worst, abs(val - base))
-            else:
-                exact = exact and (val == base)
+        vals = [
+            intertwine_I(f, y, fiber=fiber_param(y, cfg.n, fd, rng=rng), measure_factor=factor)
+            for _ in range(5)
+        ]
         if fd.is_archimedean:
+            worst = max(abs(val - base) for val in vals)
             good = worst <= 1e-10
             rows.append({"max_dev": worst})
         else:
-            good = exact
-            rows.append({"exact_equal": exact})
+            good = all(val == base for val in vals)
+            rows.append({"exact_equal": good})
         ok = ok and good
     return {"check": "fiber", "field": str(fd), "n": cfg.n, "pass": ok, "samples": rows}
 
@@ -478,19 +480,7 @@ def run_suite(cfg: SuiteConfig) -> dict:
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; available: {sorted(CHECKS)}")
     t0 = time.time()
-    results = {}
-    workers = int(os.environ.get("RADONFOURIER_THREADS", "1") or "1")
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {name: pool.submit(_run_one, cfg, name) for name in names}
-            for name, fut in futures.items():
-                results[name] = fut.result()
-    else:
-        for name in names:
-            results[name] = _run_one(cfg, name)
-    checks = [results[name] for name in sorted(results)]
+    checks = [_run_one(cfg, name) for name in sorted(set(names))]
     report = {
         "suite": cfg.to_json(),
         "checks": checks,

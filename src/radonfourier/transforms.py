@@ -47,6 +47,7 @@ from .functions import (
     Evaluable,
     GaussianForm,
     SBFunction,
+    _cz,
     _with_space,
     fiber_restrict,
     integrate,
@@ -55,16 +56,18 @@ from .functions import (
 from .geometry import (
     Fiber,
     MatrixSpace,
+    as_scalar,
+    det_power,
     fiber_param,
     flatten_linear,
     is_regular,
-    mdet,
+    meye,
     minv,
     mmul,
     mtrace,
     space_L,
 )
-from .hilbert import act_g, act_module_X, act_module_Xbar, inner_X, inner_Xbar
+from .hilbert import _mat_json, act_g, act_module_X, act_module_Xbar, inner_X, inner_Xbar
 
 
 # ---------------------------------------------------------------------
@@ -83,24 +86,16 @@ def pairing_matrix(yspace: MatrixSpace, xspace: MatrixSpace):
     fd = yspace.fd
     if yspace.cols != xspace.rows or yspace.rows != xspace.cols:
         raise ValueError("spaces do not pair")
-    ybasis = yspace.basis_matrices()
     xbasis = xspace.basis_matrices()
-    if fd.is_archimedean:
-        P = np.zeros((yspace.dim, xspace.dim))
-        for i, yb in enumerate(ybasis):
-            for j, xb in enumerate(xbasis):
-                P[i, j] = float(np.real(np.trace(np.asarray(yb) @ np.asarray(xb))))
-        return P
     return tuple(
-        tuple(xl.trace(xl.matmul(yb, xb)) for xb in xbasis) for yb in ybasis
+        tuple(mtrace(mmul(yb, xb, fd), fd).real for xb in xbasis)
+        for yb in yspace.basis_matrices()
     )
 
 
-def _pairing_dual(P, fd: FieldDescriptor):
+def _pairing_dual(P):
     """The pairing matrix for the conjugate-kernel (inverse) transform."""
-    if fd.is_archimedean:
-        return -np.asarray(P).T
-    return tuple(tuple(-x for x in row) for row in xl.transpose(P))
+    return tuple(tuple(-x for x in col) for col in zip(*P))
 
 
 # ---------------------------------------------------------------------
@@ -117,11 +112,10 @@ def fourier(f, inverse: bool = False):
     be integrated again).
     """
     space = f.space
-    fd = space.fd
     target = space.transpose_space()
     P = pairing_matrix(target, space)
     if inverse:
-        P = _pairing_dual(pairing_matrix(space, target), fd)
+        P = _pairing_dual(pairing_matrix(space, target))
     if isinstance(f, (GaussianForm, SBFunction)):
         return f.fourier(P, target)
     if isinstance(f, Evaluable):
@@ -153,12 +147,6 @@ def _fourier_evaluable(f: Evaluable, P, target: MatrixSpace):
     return Evaluable(target, fn, Envelope(C=float(mass)), label=f"F({f.label})")
 
 
-def fourier_at(f, y):
-    """Value of the transform at a single point of the opposite space."""
-    g = fourier(f)
-    return g.value(y)
-
-
 # ---------------------------------------------------------------------
 # Normalizing weight and the kernel identity
 # ---------------------------------------------------------------------
@@ -171,17 +159,8 @@ def gamma_n(a, fd: FieldDescriptor, exponent_shift: Fraction = Fraction(0)):
     the negative controls.  Archimedean values are complex; p-adic values are
     exact (a formal q-power times a root of unity).
     """
-    n = len(a) if not fd.is_archimedean else np.asarray(a).shape[0]
-    ai = minv(a, fd)
-    tr = mtrace(ai, fd)
-    if fd.is_archimedean:
-        mag = float(abs_norm(mdet(a, fd), fd)) ** (
-            float(Fraction(1 - n, 2) + exponent_shift)
-        )
-        return mag * add_char(tr, fd)
-    v = padic_valuation(mdet(a, fd), fd.p)
-    qexp = -v * (Fraction(1 - n, 2) + exponent_shift)
-    return ExactValue(fd.p, qexp, add_char(tr, fd))
+    mag = det_power(a, Fraction(1 - len(a), 2) + exponent_shift, fd)
+    return mag * add_char(mtrace(minv(a, fd), fd), fd)
 
 
 def kernel_identity_check(
@@ -222,12 +201,9 @@ def kernel_identity_check(
         for i in range(len(samples)):
             if good[i] and len(rows) >= max_rows:
                 continue
-            a = samples[i]
             rows.append(
                 {
-                    "input": np.asarray(a).tolist()
-                    if fd.kind == "real"
-                    else [[z.real, z.imag] for z in np.asarray(a).reshape(-1)],
+                    "input": _mat_json(samples[i], fd),
                     "lhs": [lhs[i].real, lhs[i].imag],
                     "rhs": [rhs[i].real, rhs[i].imag],
                     "abs_err": float(abs(lhs[i] - rhs[i])),
@@ -236,25 +212,15 @@ def kernel_identity_check(
             )
     else:
         for a in samples:
-            ai = xl.inv(a)
-            v = padic_valuation(xl.det(a), fd.p)
-            lhs = ExactValue(fd.p, -v * Fraction(1 - n, 2), 1) * gamma_n(
-                ai, fd, exponent_shift
+            lhs = det_power(a, Fraction(1 - n, 2), fd) * gamma_n(
+                xl.inv(a), fd, exponent_shift
             )
             rhs = ExactValue.from_cyclo(fd.p, add_char(xl.trace(a), fd))
             good = lhs == rhs
-            if good and len(rows) >= max_rows:
-                ok = ok and good
-                continue
-            rows.append(
-                {
-                    "input": [[str(x) for x in row] for row in a],
-                    "lhs": lhs.to_json(),
-                    "rhs": rhs.to_json(),
-                    "exact_equal": bool(good),
-                }
-            )
             ok = ok and good
+            if good and len(rows) >= max_rows:
+                continue
+            rows.append(_exact_row(a, lhs, rhs, good))
     return {"check": "gamma-kernel", "field": str(fd), "n": n, "pass": ok, "samples": rows}
 
 
@@ -280,15 +246,9 @@ def slice_transform(f, y, a, fiber: Fiber = None, measure_factor=1):
     shifted = Fiber(y=y, A=Aa, c=fiber.c, n=n, fd=fd)
     g = fiber_restrict(f, shifted)
     val = integrate(g)
-    return _rescale(val, measure_factor, fd)
-
-
-def _rescale(val, factor, fd: FieldDescriptor):
-    if factor == 1:
-        return val
-    if fd.is_archimedean:
-        return val * float(factor)
-    return val * Fraction(factor)
+    if measure_factor != 1:
+        val = val * as_scalar(measure_factor, fd)
+    return val
 
 
 def intertwine_I(f, y, fiber: Fiber = None, measure_factor=1, with_error: bool = False):
@@ -306,7 +266,8 @@ def intertwine_I(f, y, fiber: Fiber = None, measure_factor=1, with_error: bool =
     if isinstance(g, Evaluable) and not g.env.integrable():
         raise ValueError("fiber integral diverges: restricted function has no decay")
     val, err = integrate(g, with_error=True)
-    val = _rescale(val, measure_factor, fd)
+    if measure_factor != 1:
+        val = val * as_scalar(measure_factor, fd)
     return (val, err) if with_error else val
 
 
@@ -327,13 +288,8 @@ def slice_family(f, y, fiber: Fiber = None, measure_factor=1):
     wsp = MatrixSpace(fd, 1, n)
     da = Lsp.dim
     MA = flatten_linear(lambda a: mmul(fiber.A, a, fd), Lsp, space)
-    Mc = flatten_linear(
-        lambda z: _cz_block(fiber, z, fd), wsp, space
-    )
-    if fd.is_archimedean:
-        M = np.hstack([np.asarray(MA), np.asarray(Mc)])
-    else:
-        M = tuple(ra + rb for ra, rb in zip(MA, Mc))
+    Mc = flatten_linear(lambda z: _cz(fiber, z, fd), wsp, space)
+    M = tuple(tuple(ra) + tuple(rb) for ra, rb in zip(MA, Mc))
     g = f.pullback_affine(M)
     keep = list(range(da))
     if isinstance(g, GaussianForm):
@@ -344,34 +300,15 @@ def slice_family(f, y, fiber: Fiber = None, measure_factor=1):
         raise TypeError("slice family needs a Gaussian or Schwartz-Bruhat input")
     out = _with_space(out, Lsp)
     if measure_factor != 1:
-        out = out.scale(
-            float(measure_factor) if fd.is_archimedean else Fraction(measure_factor)
-        )
+        out = out.scale(as_scalar(measure_factor, fd))
     return out
-
-
-def _cz_block(fiber: Fiber, z, fd: FieldDescriptor):
-    if fd.is_archimedean:
-        c = np.asarray(fiber.c).reshape(-1, 1)
-        return c @ np.asarray(z).reshape(1, -1)
-    return tuple(
-        tuple(fiber.c[i][0] * z[0][j] for j in range(fiber.n)) for i in range(fiber.n + 1)
-    )
 
 
 def trace_form_coords(n: int, fd: FieldDescriptor):
     """Vector lam with <lam, coords(a)> = Re Tr(a) on the n x n space."""
     Lsp = space_L(n, fd)
     P = pairing_matrix(Lsp, Lsp)
-    eye = (
-        np.eye(n, dtype=complex if fd.kind == "complex" else float)
-        if fd.is_archimedean
-        else xl.identity(n)
-    )
-    cI = Lsp.coords(eye)
-    if fd.is_archimedean:
-        return np.asarray(P).T @ np.asarray(cI)
-    return xl.matvec(xl.transpose(P), cI)
+    return xl.matvec(xl.transpose(P), Lsp.coords(meye(n, fd)))
 
 
 def integrate_against_trace_character(g, n: int):
@@ -384,9 +321,7 @@ def integrate_against_trace_character(g, n: int):
     Lsp = space_L(n, fd)
     if isinstance(g, GaussianForm):
         P = pairing_matrix(Lsp, Lsp)
-        ghat = g.fourier(P, Lsp)
-        eye = np.eye(n, dtype=complex if fd.kind == "complex" else float)
-        return ghat.value(eye)
+        return g.fourier(P, Lsp).value(meye(n, fd))
     if isinstance(g, SBFunction):
         lam = trace_form_coords(n, fd)
         return g.integrate_against_character(lam)
@@ -594,14 +529,7 @@ def fourier_slice_verify(
             )
         else:
             good = lhs == rhs
-            rows.append(
-                {
-                    "input": [[str(e) for e in row] for row in y],
-                    "lhs": lhs.to_json(),
-                    "rhs": rhs.to_json(),
-                    "exact_equal": bool(good),
-                }
-            )
+            rows.append(_exact_row(y, lhs, rhs, good))
         ok = ok and good
     return {"check": "slice", "field": str(fd), "n": n, "pass": ok, "samples": rows}
 
@@ -624,19 +552,16 @@ def fourier_equivariance_check(
     from .hilbert import act_module_Xbar
 
     mod_rhs = act_module_Xbar(fourier(f), a)
-    scale = float(abs_norm(mdet(a, fd), fd)) ** (exponent_sign * (n + 1)) if (
-        fd.is_archimedean
-    ) else None
+    scale = det_power(a, exponent_sign * (n + 1), fd)
     rows = []
     ok = True
     for y in y_samples:
-        ay = mmul(a, y, fd)
+        lhs = lhs_fun.value(y)
+        rhs = scale * rhs_fun.value(mmul(a, y, fd))
+        ml = mod_lhs.value(y)
+        mr = mod_rhs.value(y)
         if fd.is_archimedean:
-            lhs = lhs_fun.value(y)
-            rhs = scale * rhs_fun.value(ay)
             err1 = abs(lhs - rhs)
-            ml = mod_lhs.value(y)
-            mr = mod_rhs.value(y)
             err2 = abs(ml - mr)
             good = err1 <= tol and err2 <= tol
             rows.append(
@@ -649,22 +574,8 @@ def fourier_equivariance_check(
                 }
             )
         else:
-            v = padic_valuation(xl.det(a), fd.p)
-            sgn = exponent_sign * (n + 1)
-            sc = ExactValue(fd.p, Fraction(-v * sgn), 1)
-            lhs = lhs_fun.value(y)
-            rhs = sc * rhs_fun.value(ay)
-            ml = mod_lhs.value(y)
-            mr = mod_rhs.value(y)
             good = lhs == rhs and ml == mr
-            rows.append(
-                {
-                    "input": [[str(e) for e in row] for row in y],
-                    "lhs": lhs.to_json(),
-                    "rhs": rhs.to_json(),
-                    "exact_equal": bool(good),
-                }
-            )
+            rows.append(_exact_row(y, lhs, rhs, good))
         ok = ok and good
     return {
         "check": "fourier-equivariance",
@@ -684,17 +595,15 @@ def intertwine_equivariance_check(f, g, a, y_samples, tol: float = 1e-6) -> dict
     n = space.cols
     gf = act_g(f, g, side="x")
     fa = act_module_X(f, a)
+    scale = det_power(a, Fraction(n + 1, 2), fd)
     rows = []
     ok = True
     for y in y_samples:
-        yg = mmul(y, g, fd)
-        ay = mmul(a, y, fd)
         l1 = intertwine_I(gf, y)
-        r1 = intertwine_I(f, yg)
+        r1 = intertwine_I(f, mmul(y, g, fd))
         l2 = intertwine_I(fa, y)
-        r2_base = intertwine_I(f, ay)
+        r2 = scale * intertwine_I(f, mmul(a, y, fd))
         if fd.is_archimedean:
-            r2 = float(abs_norm(mdet(a, fd), fd)) ** ((n + 1) / 2.0) * r2_base
             e1, e2 = abs(l1 - r1), abs(l2 - r2)
             good = e1 <= tol and e2 <= tol
             rows.append(
@@ -705,8 +614,6 @@ def intertwine_equivariance_check(f, g, a, y_samples, tol: float = 1e-6) -> dict
                 }
             )
         else:
-            v = padic_valuation(xl.det(a), fd.p)
-            r2 = ExactValue(fd.p, Fraction(-v * (n + 1), 2), 1) * r2_base
             good = l1 == r1 and l2 == r2
             rows.append(
                 {
@@ -743,13 +650,16 @@ def unitarity_verify(f, h, a_grid, tol: float = 1e-6) -> dict:
             rows.append({"input": np.asarray(a).tolist(), "abs_err": float(err)})
         else:
             good = lhs == rhs
-            rows.append(
-                {
-                    "input": [[str(e) for e in row] for row in a],
-                    "lhs": lhs.to_json(),
-                    "rhs": rhs.to_json(),
-                    "exact_equal": bool(good),
-                }
-            )
+            rows.append(_exact_row(a, lhs, rhs, good))
         ok = ok and good
     return {"check": "unitarity", "field": str(fd), "n": n, "pass": ok, "samples": rows}
+
+
+def _exact_row(m, lhs, rhs, good) -> dict:
+    """Report record of one exact (p-adic) sample: input, both sides, verdict."""
+    return {
+        "input": [[str(e) for e in row] for row in m],
+        "lhs": lhs.to_json(),
+        "rhs": rhs.to_json(),
+        "exact_equal": bool(good),
+    }

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -122,13 +123,48 @@ def test_cli_verify_fail_exit_code(tmp_path):
     assert code == 1
 
 
-def test_cli_config_error_exit_code(tmp_path):
+def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main(["verify", "--field", "qp"]) == 2  # missing p
     bad = tmp_path / "bad.json"
     bad.write_text("{\"field\": \"r\", \"whatever\": 1}")
     assert main(["verify", "--config", str(bad)]) == 2
     assert main(["verify", "bogus-check", "--field", "r"]) == 2
     assert main(["explain", "bogus"]) == 2
+
+    # sizes and sample counts must be integers >= 1; nothing runs otherwise
+    for argv in (
+        ["verify", "gamma-kernel", "--field", "r", "--n", "0"],
+        ["verify", "gamma-kernel", "--field", "r", "--n", "-1"],
+        ["verify", "--field", "qp", "--p", "2", "--samples", "0"],
+        ["verify", "truncation", "--field", "r", "--m-max", "0"],
+        ["verify", "composition", "--field", "qp", "--p", "3", "--k-max", "0"],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, argv
+    badcfg = tmp_path / "bad_size.json"
+    for cfg in ({"field": "qp", "p": 3, "samples": 0}, {"field": "qp", "p": 3, "n": 1.5}):
+        badcfg.write_text(json.dumps(cfg))
+        assert main(["verify", "--config", str(badcfg)]) == 2, cfg
+
+    # malformed compute specs exit 2 with one line, not a traceback
+    gauss = {"type": "gaussian", "Q": [[1.0, 0.0], [0.0, 1.0]], "kappa": 1.0}
+    for op, spec in (
+        ("fourier", {"field": "r", "n": 1, "f": {"type": "nope"}}),
+        ("intertwine", {"field": "r", "n": 1, "f": gauss, "y": [[0.0, 0.0]]}),
+        ("intertwine", {"field": "r", "n": 1, "f": gauss, "y": [[1.0], [0.0]]}),
+        ("intertwine", {"field": "r", "n": 1, "y": [[1.0, 0.0]]}),
+        ("fourier", [gauss]),
+    ):
+        inp = tmp_path / "spec.json"
+        inp.write_text(json.dumps(spec))
+        capsys.readouterr()
+        assert main(["compute", op, "--input", str(inp)]) == 2, spec
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:"), spec
+        assert captured.err.count("\n") == 1, spec
 
 
 def test_cli_compute_fourier(tmp_path):
@@ -197,7 +233,39 @@ def test_console_entry_point():
     assert "slice" in proc.stdout.lower() or "transform" in proc.stdout.lower()
 
 
-def test_thread_env_variable(monkeypatch):
-    monkeypatch.setenv("RADONFOURIER_THREADS", "2")
-    rep = run_suite(small_cfg(checks=("gamma-kernel", "rho-chain")))
-    assert rep["pass"]
+# -- golden reports ---------------------------------------------------------
+
+DATA = Path(__file__).parent / "data"
+
+
+def _check_records(cfg):
+    rep = json.loads(report_to_json(run_suite(cfg)))
+    return [{k: v for k, v in c.items() if k != "runtime_s"} for c in rep["checks"]]
+
+
+def _assert_close(got, want, path="checks"):
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for key in want:
+            _assert_close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-12 * abs(want), (path, got, want)
+    else:
+        assert got == want, path
+
+
+def test_golden_report_padic():
+    """The Q_2 battery's check records are byte-identical to the stored ones."""
+    got = json.dumps(_check_records(SuiteConfig(field="qp", p=2, seed=7)), sort_keys=True, indent=2)
+    assert got + "\n" == (DATA / "golden_qp2_seed7.json").read_text()
+
+
+def test_golden_report_complex():
+    """The complex battery matches the stored records key by key, floats to 1e-12."""
+    want = json.loads((DATA / "golden_c_seed7.json").read_text())
+    _assert_close(_check_records(SuiteConfig(field="c", seed=7)), want)
