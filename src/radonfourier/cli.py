@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -45,14 +46,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run verification checks")
     v.add_argument("checks", nargs="*", help=f"checks to run (default: full battery); available: {', '.join(sorted(CHECKS))}")
-    v.add_argument("--field", default=None, choices=["r", "c", "qp"])
-    v.add_argument("--p", type=int, default=None)
-    v.add_argument("--n", type=int, default=1)
-    v.add_argument("--seed", type=int, default=7)
-    v.add_argument("--tol", type=float, default=1e-6)
-    v.add_argument("--samples", type=int, default=200)
-    v.add_argument("--k-max", type=int, default=7)
-    v.add_argument("--m-max", type=int, default=20)
+    # unset flags stay None, so SuiteConfig's defaults apply
+    v.add_argument("--field", choices=["r", "c", "qp"])
+    for flag in ("--p", "--n", "--seed", "--samples", "--k-max", "--m-max"):
+        v.add_argument(flag, type=int)
+    v.add_argument("--tol", type=float)
     v.add_argument("--config", default=None, help="JSON config file (overrides flags)")
     v.add_argument("--out", default=None, help="write the JSON report here")
 
@@ -95,35 +93,16 @@ def cmd_verify(args) -> int:
     try:
         if args.config:
             cfg_obj = _load_json(args.config)
-            configs = (
-                [SuiteConfig.from_json(c) for c in cfg_obj]
-                if isinstance(cfg_obj, list)
-                else [SuiteConfig.from_json(cfg_obj)]
-            )
-        elif args.field is None:
-            # default battery: real n=1 plus p-adic n=1 at p = 2 and 3
-            base = dict(
-                n=args.n, seed=args.seed, tol=args.tol, samples=args.samples,
-                k_max=args.k_max, m_max=args.m_max, checks=tuple(args.checks),
-            )
-            configs = [
-                SuiteConfig(field="r", **base),
-                SuiteConfig(field="qp", p=2, **base),
-                SuiteConfig(field="qp", p=3, **base),
-            ]
+            specs = cfg_obj if isinstance(cfg_obj, list) else [cfg_obj]
+            configs = [SuiteConfig.from_json(c) for c in specs]
         else:
-            configs = [
-                SuiteConfig(
-                    field=args.field, p=args.p, n=args.n, seed=args.seed,
-                    tol=args.tol, samples=args.samples, k_max=args.k_max,
-                    m_max=args.m_max, checks=tuple(args.checks),
-                )
-            ]
-        for cfg in configs:
-            cfg.fd  # validates field/p combination
-            unknown = [c for c in (cfg.checks or ()) if c not in CHECKS]
-            if unknown:
-                raise ValueError(f"unknown checks: {unknown}; available: {sorted(CHECKS)}")
+            keys = {f.name for f in fields(SuiteConfig)}
+            given = {k: v for k, v in vars(args).items() if k in keys and v is not None}
+            # without --field and --p: the default battery, real n=1 plus
+            # p-adic n=1 at p = 2 and 3
+            battery = [{"field": "r"}, {"field": "qp", "p": 2}, {"field": "qp", "p": 3}]
+            targets = [{}] if "field" in given or "p" in given else battery
+            configs = [SuiteConfig(**given, **t) for t in targets]
     except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -134,7 +113,6 @@ def cmd_verify(args) -> int:
         "pass": all(r["pass"] for r in reports),
     }
     _emit(report_to_json(payload), args.out)
-    all_pass = payload["pass"]
     for rep in reports:
         for check in rep["checks"]:
             status = "PASS" if check.get("pass") else "FAIL"
@@ -143,7 +121,7 @@ def cmd_verify(args) -> int:
                 f"[{status}] {check['check']} field={check['field']} n={check['n']}{extra}",
                 file=sys.stderr,
             )
-    return EXIT_PASS if all_pass else EXIT_FAIL
+    return EXIT_PASS if payload["pass"] else EXIT_FAIL
 
 
 def cmd_compute(args) -> int:

@@ -762,6 +762,8 @@ def function_from_json(obj: dict, space: MatrixSpace):
         return SBFunction(space, terms)
     if t == "product":
         parts = [function_from_json(o, space) for o in obj["of"]]
+        if not parts:
+            raise ValueError("a product needs at least one factor")
         out = parts[0]
         for q in parts[1:]:
             out = pointwise_mul(out, q)

@@ -47,6 +47,12 @@ from .geometry import (
     minv,
     mmul,
 )
+from .lattices import Coset, Lattice
+
+# relative roundoff slack of the archimedean decay-bound comparison
+_DECAY_SLACK = 1e-9
+# polar quadrature orders (radius, angle) of each truncation panel
+_TRUNC_R_ORDER, _TRUNC_THETA_ORDER = 40, 48
 
 
 @dataclass
@@ -238,8 +244,6 @@ class PadicIntegratedAction:
 
 
 def _act_module_phi_padic(f: SBFunction, phi: SBFunction) -> PadicIntegratedAction:
-    from .lattices import Coset as _Coset
-
     fd = f.space.fd
     p = fd.p
     n = f.space.cols
@@ -269,7 +273,7 @@ def _act_module_phi_padic(f: SBFunction, phi: SBFunction) -> PadicIntegratedActi
         inv_lat = W.map_by(
             flatten_linear(lambda b: xl.matmul(b, a0i), Lspace, Lspace)
         )
-        inv_coset = _Coset(inv_lat, Lspace.coords(a0i))
+        inv_coset = Coset(inv_lat, Lspace.coords(a0i))
         # after b = a^(-1): weight |det b|^((n+1)/2 - n) db with
         # |det b| = |det a0|^(-1) = q^v constant on the inverted coset
         v = padic_valuation(d0, p)
@@ -340,8 +344,6 @@ def _column_coord_indices(space: MatrixSpace, j: int):
 
 
 def Lattice_from_block(lat, idx):
-    from .lattices import Lattice
-
     rows = tuple(tuple(lat.basis[r][c] for c in idx) for r in idx)
     return Lattice(lat.p, rows)
 
@@ -358,12 +360,12 @@ def exact_le(v1, v2) -> bool:
     return c1 * c1 <= c2 * c2 * q
 
 
-def decay_bound_check(f, samples, rng=None, tol: float = 1e-9) -> dict:
+def decay_bound_check(f, samples) -> dict:
     """Check |<f,f>_X(k1 a k2)| <= C prod min(|a_i|,|a_i|^-1)^((n+1)/2).
 
     ``samples`` is a list of KAK triples (k1, diag, k2); the constant C is
     the explicit per-column product constant.  Archimedean comparisons allow
-    a relative slack of ``tol`` for roundoff; p-adic comparisons are exact.
+    the relative roundoff slack ``_DECAY_SLACK``; p-adic ones are exact.
     Returns a report dict with per-sample rows and an overall flag.
     """
     space = f.space
@@ -381,7 +383,7 @@ def decay_bound_check(f, samples, rng=None, tol: float = 1e-9) -> dict:
             for ai in diag:
                 s = float(abs_norm(ai, fd))
                 bound *= min(s, 1.0 / s) ** ((n + 1) / 2.0)
-            good = val <= bound * (1.0 + tol) + 1e-300
+            good = val <= bound * (1.0 + _DECAY_SLACK) + 1e-300
         else:
             expo = Fraction(0)
             for ai in diag:
@@ -431,8 +433,7 @@ def hc_dominance_report(f, p_exponent: float, grids) -> dict:
     return {"fits": fits, "finite": finite, "stable": stable, "pass": finite and stable}
 
 
-def truncation_sequence(f: GaussianForm, m_max: int, a_grid, r_order: int = 40,
-                        theta_order: int = 48) -> dict:
+def truncation_sequence(f: GaussianForm, m_max: int, a_grid) -> dict:
     """Sup over the grid of phi_m = <f - f chi_m, f - f chi_m>_X, m = 1..m_max.
 
     Archimedean only.  The difference f - f chi_m concentrates near the
@@ -470,7 +471,7 @@ def truncation_sequence(f: GaussianForm, m_max: int, a_grid, r_order: int = 40,
             def integrand(pts, M=M):
                 return np.conj(delta(pts)) * delta(pts @ M.T)
 
-            val = quad.integrate_polar_2d(integrand, breaks, r_order, theta_order)
+            val = quad.integrate_polar_2d(integrand, breaks, _TRUNC_R_ORDER, _TRUNC_THETA_ORDER)
             phi = float(abs_norm(av, fd)) ** ((n + 1) / 2.0) * val.real
             vals.append(abs(phi))
         sups.append(max(vals))

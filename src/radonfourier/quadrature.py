@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 _EXP_CLIP = 700.0  # keep exp() finite; clipped terms pair with underflowed values
+_CHUNK = 200_000  # tensor-grid nodes evaluated per integrand call
 
 _GH_CACHE: dict = {}
 _GL_CACHE: dict = {}
@@ -39,7 +40,7 @@ def gauss_legendre_rule(order: int):
     return _GL_CACHE[order]
 
 
-def _chunked_tensor(fn, axes_nodes, axes_logw, chunk=200_000):
+def _chunked_tensor(fn, axes_nodes, axes_logw):
     """Sum fn over a tensor grid with per-axis log-weights, in chunks."""
     d = len(axes_nodes)
     sizes = [len(a) for a in axes_nodes]
@@ -47,7 +48,7 @@ def _chunked_tensor(fn, axes_nodes, axes_logw, chunk=200_000):
     acc = 0.0 + 0.0j
     pos = 0
     while pos < total:
-        count = min(chunk, total - pos)
+        count = min(_CHUNK, total - pos)
         idx = np.arange(pos, pos + count)
         coords = np.empty((count, d))
         logw = np.zeros(count)
@@ -63,7 +64,7 @@ def _chunked_tensor(fn, axes_nodes, axes_logw, chunk=200_000):
     return acc
 
 
-def integrate_gauss_hermite(fn, Q, center=None, order: int = 40, chunk=200_000):
+def integrate_gauss_hermite(fn, Q, center=None, order: int = 40):
     """Integrate fn over R^d for an integrand enveloped by exp(-pi (x-c)'Q(x-c)).
 
     Whitens by the envelope (x = c + S u with S'QS = I) and applies a tensor
@@ -82,11 +83,11 @@ def integrate_gauss_hermite(fn, Q, center=None, order: int = 40, chunk=200_000):
     # the +pi|u|^2 reweighting joins the log-weights; it cancels the envelope
     # decay of the node values, so the summand stays of moderate size
     logw = np.log(w) + np.pi * u * u
-    total = _chunked_tensor(lambda p: fn(p @ S.T + center[None, :]), [u] * d, [logw] * d, chunk)
+    total = _chunked_tensor(lambda p: fn(p @ S.T + center[None, :]), [u] * d, [logw] * d)
     return jac * total
 
 
-def integrate_box(fn, lows, highs, order: int = 40, chunk=200_000):
+def integrate_box(fn, lows, highs, order: int = 40):
     """Tensor Gauss-Legendre integral of fn over a box."""
     lows = np.atleast_1d(np.asarray(lows, dtype=float))
     highs = np.atleast_1d(np.asarray(highs, dtype=float))
@@ -96,7 +97,7 @@ def integrate_box(fn, lows, highs, order: int = 40, chunk=200_000):
         half = 0.5 * (hi - lo)
         axes_nodes.append(lo + half * (x + 1.0))
         axes_logw.append(np.log(w * half))
-    return _chunked_tensor(fn, axes_nodes, axes_logw, chunk)
+    return _chunked_tensor(fn, axes_nodes, axes_logw)
 
 
 def integrate_polar_2d(fn, r_breaks, r_order: int = 40, theta_order: int = 48):
@@ -124,15 +125,12 @@ def integrate_polar_2d(fn, r_breaks, r_order: int = 40, theta_order: int = 48):
     return total
 
 
-def adaptive_line_integral(fn, radius: float, tol: float = 1e-10, breakpoints=()):
+def adaptive_line_integral(fn, radius: float, tol: float = 1e-10):
     """Adaptive integral of a complex integrand over [-radius, radius].
 
-    Thin wrapper over scipy's QUADPACK with optional interior breakpoints;
-    returns (value, error_estimate).
+    Thin wrapper over scipy's QUADPACK; returns (value, error_estimate).
     """
     from scipy.integrate import quad
-
-    pts = sorted(p for p in breakpoints if -radius < p < radius)
 
     def re(t):
         return float(np.real(fn(np.array([[t]]))[0]))
@@ -140,6 +138,6 @@ def adaptive_line_integral(fn, radius: float, tol: float = 1e-10, breakpoints=()
     def im(t):
         return float(np.imag(fn(np.array([[t]]))[0]))
 
-    vr, er = quad(re, -radius, radius, epsabs=tol, epsrel=tol, limit=400, points=pts or None)
-    vi, ei = quad(im, -radius, radius, epsabs=tol, epsrel=tol, limit=400, points=pts or None)
+    vr, er = quad(re, -radius, radius, epsabs=tol, epsrel=tol, limit=400)
+    vi, ei = quad(im, -radius, radius, epsabs=tol, epsrel=tol, limit=400)
     return complex(vr, vi), er + ei

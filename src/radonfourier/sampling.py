@@ -22,10 +22,10 @@ from .lattices import Coset, Lattice
 # -- scalars ------------------------------------------------------------
 
 
-def rand_unit_fraction(rng, p: int, bound: int = 30) -> Fraction:
-    """A random p-unit rational: num/den with both prime to p."""
-    num = int(rng.integers(1, bound))
-    den = int(rng.integers(1, bound))
+def rand_unit_fraction(rng, p: int) -> Fraction:
+    """A random p-unit rational: num/den with both prime to p, drawn below 30."""
+    num = int(rng.integers(1, 30))
+    den = int(rng.integers(1, 30))
     while num % p == 0:
         num += 1
     while den % p == 0:
@@ -43,30 +43,23 @@ def rand_fraction(rng, p: int, vmin: int = -2, vmax: int = 2) -> Fraction:
 # -- matrices -----------------------------------------------------------
 
 
-def rand_matrix(rng, rows: int, cols: int, fd: FieldDescriptor, sparse: bool = False):
+def rand_matrix(rng, rows: int, cols: int, fd: FieldDescriptor):
     if fd.is_archimedean:
         m = rng.standard_normal((rows, cols))
         if fd.kind == "complex":
             m = m + 1j * rng.standard_normal((rows, cols))
         return m
-    ent = []
-    for _ in range(rows):
-        row = []
-        for _ in range(cols):
-            if sparse and rng.integers(0, 4) == 0:
-                row.append(Fraction(0))
-            else:
-                row.append(rand_fraction(rng, fd.p))
-        ent.append(tuple(row))
-    return tuple(ent)
+    return tuple(
+        tuple(rand_fraction(rng, fd.p) for _ in range(cols)) for _ in range(rows)
+    )
 
 
-def rand_gl(rng, n: int, fd: FieldDescriptor, min_abs_det: float = 0.2):
-    """A random invertible n x n matrix."""
+def rand_gl(rng, n: int, fd: FieldDescriptor):
+    """A random invertible n x n matrix (|det| > 0.2 archimedean)."""
     while True:
         a = rand_matrix(rng, n, n, fd)
         d = mdet(a, fd)
-        if (abs(d) > min_abs_det) if fd.is_archimedean else (d != 0):
+        if (abs(d) > 0.2) if fd.is_archimedean else (d != 0):
             return a
 
 
@@ -96,10 +89,11 @@ def rand_orthogonal(rng, n: int, fd: FieldDescriptor):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))[None, :]
 
 
-def rand_gl_zp(rng, n: int, p: int, steps: int = 12):
-    """A random element of GL(n, Z_p): a product of integer shears and swaps."""
+def rand_gl_zp(rng, n: int, p: int):
+    """A random element of GL(n, Z_p): a product of 12 integer shears, swaps
+    and unit scalings."""
     m = [list(row) for row in xl.identity(n)]
-    for _ in range(steps):
+    for _ in range(12):
         kind = int(rng.integers(0, 3))
         i, j = int(rng.integers(0, n)), int(rng.integers(0, n))
         if n > 1 and i == j:

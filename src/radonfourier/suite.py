@@ -15,21 +15,24 @@ negative controls can demonstrate that each check discriminates.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import time
 import zlib
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from fractions import Fraction
 
 import numpy as np
 
 from . import __version__, sampling
 from . import exactlinalg as xl
-from .fields import FieldDescriptor, complex_field, padic_field, real_field
-from .functions import GaussianForm, SBFunction, function_from_json
-from .geometry import fiber_param, rho_weight, rho_weight_exponents, space_X
+from .fields import FieldDescriptor, complex_field, padic_field, padic_valuation, real_field
+from .functions import GaussianForm, SBFunction
+from .geometry import base_point_y, fiber_param, rho_weight, rho_weight_exponents, space_X
 from .hilbert import decay_bound_check, truncation_sequence
 from .lattices import Coset, Lattice
 from .transforms import (
+    check_record,
     compose_shell_stabilized,
     fourier,
     fourier_equivariance_check,
@@ -53,8 +56,43 @@ def field_from_spec(kind: str, p=None) -> FieldDescriptor:
     raise ValueError(f"unknown field {kind!r}")
 
 
+def _number(value, integer: bool = False) -> bool:
+    """Whether ``value`` is a finite number (an integer with ``integer``);
+    JSON booleans are not numbers."""
+    kind = int if integer else numbers.Real
+    return isinstance(value, kind) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _rational(value) -> bool:
+    try:
+        Fraction(str(value))
+        return True
+    except (ValueError, ZeroDivisionError):
+        return False
+
+
+_AT_LEAST_1 = ("an integer >= 1", lambda v: _number(v, integer=True) and v >= 1)
+_POSITIVE = ("a finite number > 0", lambda v: _number(v) and v > 0)
+# config key -> (what its value must be, test of a value)
+_BOUNDS = {
+    "p": ("an integer or null", lambda v: v is None or _number(v, integer=True)),
+    "n": _AT_LEAST_1, "samples": _AT_LEAST_1, "k_max": _AT_LEAST_1, "m_max": _AT_LEAST_1,
+    "seed": ("an integer >= 0", lambda v: _number(v, integer=True) and v >= 0),
+    "tol": _POSITIVE, "tol_exact": _POSITIVE,
+}
+# perturbation knob -> (what its value must be, test of a value)
+_PERTURB_KNOBS = {
+    "gamma_exponent_shift": ("a rational", _rational),
+    "fiber_measure_factor": ("a finite number", _number),
+    "equivariance_exponent_sign": ("1 or -1", lambda v: _number(v) and v in (1, -1)),
+}
+
+
 @dataclass
 class SuiteConfig:
+    """The one owner of a verify config's defaults, bounds, JSON schema and
+    field descriptor ``fd`` (built once): a config that constructs can run."""
+
     field: str = "r"
     p: int | None = None
     n: int = 1
@@ -65,49 +103,43 @@ class SuiteConfig:
     k_max: int = 7
     m_max: int = 20
     checks: tuple = ()
-    functions: tuple = ()  # optional JSON function specs
     perturb: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        for key in ("n", "samples", "k_max", "m_max"):
-            value = getattr(self, key)
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
-
-    @property
-    def fd(self) -> FieldDescriptor:
-        return field_from_spec(self.field, self.p)
+        for key, (rule, ok) in _BOUNDS.items():
+            if not ok(getattr(self, key)):
+                raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
+        self.fd = field_from_spec(self.field, self.p)
+        if self.p is not None and self.fd.is_archimedean:
+            raise ValueError(f"p is set but field {self.field!r} is not p-adic (use field qp)")
+        if not isinstance(self.checks, (list, tuple)):
+            raise ValueError(f"checks must be a list of check names, got {self.checks!r}")
+        self.checks = tuple(self.checks)
+        unknown = [c for c in self.checks if not isinstance(c, str) or c not in CHECKS]
+        if unknown:
+            raise ValueError(f"unknown checks: {unknown}; available: {sorted(CHECKS)}")
+        if not isinstance(self.perturb, dict):
+            raise ValueError(f"perturb must be an object, got {self.perturb!r}")
+        for key, value in self.perturb.items():
+            if key not in _PERTURB_KNOBS:
+                raise ValueError(f"unknown perturb key {key!r}; available: {sorted(_PERTURB_KNOBS)}")
+            rule, ok = _PERTURB_KNOBS[key]
+            if not ok(value):
+                raise ValueError(f"perturb {key} must be {rule}, got {value!r}")
 
     @classmethod
     def from_json(cls, obj: dict) -> "SuiteConfig":
-        known = {
-            "field", "p", "n", "seed", "tol", "tol_exact", "samples",
-            "k_max", "m_max", "checks", "functions", "perturb",
-        }
-        bad = sorted(set(obj) - known)
+        if not isinstance(obj, dict):
+            raise ValueError("a suite config must be a JSON object")
+        bad = sorted(set(obj) - {f.name for f in fields(cls)})
         if bad:
             raise ValueError(f"unknown config keys: {bad}")
-        kw = dict(obj)
-        if "checks" in kw:
-            kw["checks"] = tuple(kw["checks"])
-        if "functions" in kw:
-            kw["functions"] = tuple(kw["functions"])
-        return cls(**kw)
+        return cls(**obj)
 
     def to_json(self) -> dict:
-        return {
-            "field": self.field,
-            "p": self.p,
-            "n": self.n,
-            "seed": self.seed,
-            "tol": self.tol,
-            "tol_exact": self.tol_exact,
-            "samples": self.samples,
-            "k_max": self.k_max,
-            "m_max": self.m_max,
-            "checks": list(self.checks) or sorted(CHECKS),
-            "perturb": self.perturb,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["checks"] = list(self.checks) or sorted(CHECKS)
+        return out
 
 
 def _rng_for(cfg: SuiteConfig, check: str) -> np.random.Generator:
@@ -119,8 +151,6 @@ def _rng_for(cfg: SuiteConfig, check: str) -> np.random.Generator:
 def _default_function(cfg: SuiteConfig, shifted: bool = False):
     fd = cfg.fd
     X = space_X(cfg.n, fd)
-    if cfg.functions:
-        return function_from_json(cfg.functions[0], X)
     if fd.is_archimedean:
         return GaussianForm.standard(X)
     if not shifted:
@@ -141,9 +171,7 @@ def _check_gamma_kernel(cfg: SuiteConfig) -> dict:
     fd = cfg.fd
     samples = [sampling.rand_gl(rng, cfg.n, fd) for _ in range(cfg.samples)]
     shift = Fraction(str(cfg.perturb.get("gamma_exponent_shift", 0)))
-    return kernel_identity_check(
-        fd, cfg.n, samples, tol=cfg.tol_exact, exponent_shift=shift
-    )
+    return kernel_identity_check(fd, cfg.n, samples, tol=cfg.tol_exact, exponent_shift=shift)
 
 
 def _check_slice(cfg: SuiteConfig) -> dict:
@@ -162,24 +190,11 @@ def _check_slice(cfg: SuiteConfig) -> dict:
 def _check_composition(cfg: SuiteConfig) -> dict:
     fd = cfg.fd
     if fd.is_archimedean:
-        return {
-            "check": "composition",
-            "field": str(fd),
-            "n": cfg.n,
-            "pass": True,
-            "not_applicable": "shell stabilization is a p-adic operation",
-            "samples": [],
-        }
+        na = "shell stabilization is a p-adic operation"
+        return check_record("composition", fd, cfg.n, True, [], not_applicable=na)
     if cfg.n > 1:
-        return {
-            "check": "composition",
-            "field": str(fd),
-            "n": cfg.n,
-            "pass": True,
-            "not_applicable": "shell enumeration grows like p^(n k); the suite "
-            "exercises the n = 1 surface",
-            "samples": [],
-        }
+        na = "shell enumeration grows like p^(n k); the suite exercises the n = 1 surface"
+        return check_record("composition", fd, cfg.n, True, [], not_applicable=na)
     rng = _rng_for(cfg, "composition")
     X = space_X(cfg.n, fd)
     p = fd.p
@@ -216,14 +231,7 @@ def _check_composition(cfg: SuiteConfig) -> dict:
             }
         )
         ok = ok and match
-    return {
-        "check": "composition",
-        "field": str(fd),
-        "n": cfg.n,
-        "pass": ok,
-        "stabilized_matches": stabilized_matches,
-        "samples": rows,
-    }
+    return check_record("composition", fd, cfg.n, ok, rows, stabilized_matches=stabilized_matches)
 
 
 def _unit_row_sample(rng, n: int, p: int):
@@ -255,9 +263,6 @@ def _check_equivariance(cfg: SuiteConfig) -> dict:
     f = _default_function(cfg)
     sign = int(cfg.perturb.get("equivariance_exponent_sign", +1))
     reports = []
-    from .geometry import base_point_y
-    from .fields import padic_valuation
-
     y0 = base_point_y(cfg.n, fd)  # deterministic point where the ball transform lives
     for k in range(3):
         a = sampling.rand_gl(rng, cfg.n, fd)
@@ -277,14 +282,7 @@ def _check_equivariance(cfg: SuiteConfig) -> dict:
     a = sampling.rand_gl(rng, cfg.n, fd)
     ys = [sampling.rand_regular_point(rng, X.transpose_space()) for _ in range(4)]
     reports.append(intertwine_equivariance_check(f, g, a, ys, tol=cfg.tol))
-    ok = all(r["pass"] for r in reports)
-    return {
-        "check": "equivariance",
-        "field": str(fd),
-        "n": cfg.n,
-        "pass": ok,
-        "samples": [r for r in reports],
-    }
+    return check_record("equivariance", fd, cfg.n, all(r["pass"] for r in reports), reports)
 
 
 def _check_estimate(cfg: SuiteConfig) -> dict:
@@ -294,8 +292,7 @@ def _check_estimate(cfg: SuiteConfig) -> dict:
     count = min(cfg.samples, 200)
     samples = [sampling.rand_kak_sample(rng, cfg.n, fd) for _ in range(count)]
     rep = decay_bound_check(f, samples)
-    rep.update({"check": "estimate", "field": str(fd), "n": cfg.n})
-    return rep
+    return check_record("estimate", fd, cfg.n, rep["pass"], rep["samples"], C=rep["C"])
 
 
 def _check_rho_chain(cfg: SuiteConfig) -> dict:
@@ -310,9 +307,7 @@ def _check_rho_chain(cfg: SuiteConfig) -> dict:
                 (Fraction(int(rng.integers(-16, 17)), 4) * fd.d_F for _ in range(n)),
                 reverse=True,
             )
-            diag = tuple(
-                float(2.0 ** float(e / fd.d_F)) for e in exps
-            )
+            diag = tuple(float(2.0 ** float(e / fd.d_F)) for e in exps)
             base = 2.0
         else:
             exps = sorted(
@@ -335,33 +330,22 @@ def _check_rho_chain(cfg: SuiteConfig) -> dict:
             }
         )
         ok = ok and good
-    return {"check": "rho-chain", "field": str(fd), "n": n, "pass": ok, "samples": rows[:10]}
+    return check_record("rho-chain", fd, n, ok, rows[:10])
 
 
 def _check_truncation(cfg: SuiteConfig) -> dict:
     fd = cfg.fd
     if not (fd.kind == "real" and cfg.n == 1):
-        return {
-            "check": "truncation",
-            "field": str(fd),
-            "n": cfg.n,
-            "pass": True,
-            "not_applicable": "truncation diagnostics run on the real n=1 case",
-            "samples": [],
-        }
+        na = "truncation diagnostics run on the real n=1 case"
+        return check_record("truncation", fd, cfg.n, True, [], not_applicable=na)
     f = GaussianForm.standard(space_X(1, fd))
     grid = [float(a[0][0]) for a in sampling.default_a_grid(1, fd)]
     rep = truncation_sequence(f, cfg.m_max, grid)
     ok = rep["monotone"] and rep["final_sup"] < 1e-3
-    return {
-        "check": "truncation",
-        "field": str(fd),
-        "n": cfg.n,
-        "pass": ok,
-        "monotone": rep["monotone"],
-        "final_sup": rep["final_sup"],
-        "samples": rep["per_m"],
-    }
+    return check_record(
+        "truncation", fd, cfg.n, ok, rep["per_m"],
+        monotone=rep["monotone"], final_sup=rep["final_sup"],
+    )
 
 
 def _check_fiber(cfg: SuiteConfig) -> dict:
@@ -388,7 +372,7 @@ def _check_fiber(cfg: SuiteConfig) -> dict:
             good = all(val == base for val in vals)
             rows.append({"exact_equal": good})
         ok = ok and good
-    return {"check": "fiber", "field": str(fd), "n": cfg.n, "pass": ok, "samples": rows}
+    return check_record("fiber", fd, cfg.n, ok, rows)
 
 
 CHECKS = {
@@ -433,7 +417,7 @@ EXPLANATIONS = {
         "positive exponent, pinned by the discriminating Gaussian example), "
         "its module form F(f.a) = F(f).a, and the translation laws "
         "I(g.f)(y) = I(f)(y g), I(f.a)(y) = |det a|^((n+1)/2) I(f)(a y).  "
-        "Tolerance 1e-8 / 1e-6 archimedean, exact p-adic."
+        "Both laws at tol (default 1e-6) archimedean, exact p-adic."
     ),
     "estimate": (
         "Decay estimate |<f,f>_X(k1 a k2)| <= C prod_i min(|a_i|,|a_i|^-1)"
@@ -475,13 +459,10 @@ def run_suite(cfg: SuiteConfig) -> dict:
     Check records are ordered by name for stable diffs; partial failures do
     not abort the suite.  The report's ``pass`` is the conjunction.
     """
-    names = list(cfg.checks) or sorted(CHECKS)
-    unknown = [c for c in names if c not in CHECKS]
-    if unknown:
-        raise ValueError(f"unknown checks: {unknown}; available: {sorted(CHECKS)}")
+    names = cfg.checks or CHECKS
     t0 = time.time()
     checks = [_run_one(cfg, name) for name in sorted(set(names))]
-    report = {
+    return {
         "suite": cfg.to_json(),
         "checks": checks,
         "pass": all(c.get("pass") for c in checks),
@@ -491,7 +472,6 @@ def run_suite(cfg: SuiteConfig) -> dict:
             "numpy": np.__version__,
         },
     }
-    return report
 
 
 def _run_one(cfg: SuiteConfig, name: str) -> dict:
@@ -499,14 +479,7 @@ def _run_one(cfg: SuiteConfig, name: str) -> dict:
     try:
         rep = CHECKS[name](cfg)
     except Exception as exc:  # noqa: BLE001 - failures must not abort the suite
-        rep = {
-            "check": name,
-            "field": str(cfg.fd),
-            "n": cfg.n,
-            "pass": False,
-            "error": f"{type(exc).__name__}: {exc}",
-            "samples": [],
-        }
+        rep = check_record(name, cfg.fd, cfg.n, False, [], error=f"{type(exc).__name__}: {exc}")
     rep["runtime_s"] = round(time.time() - t0, 3)
     return rep
 

@@ -33,6 +33,7 @@ each identity actually discriminates.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 
@@ -67,7 +68,12 @@ from .geometry import (
     mtrace,
     space_L,
 )
-from .hilbert import _mat_json, act_g, act_module_X, act_module_Xbar, inner_X, inner_Xbar
+from .hilbert import (
+    _mat_json, act_g, act_module_X, act_module_X_phi, act_module_Xbar, inner_X, inner_Xbar,
+)
+
+# passing sample rows a kernel-check report keeps (failing rows are all kept)
+_KERNEL_ROWS = 10
 
 
 # ---------------------------------------------------------------------
@@ -169,13 +175,12 @@ def kernel_identity_check(
     samples,
     tol: float = 1e-12,
     exponent_shift: Fraction = Fraction(0),
-    max_rows: int = 10,
 ) -> dict:
     """Verify |det a|^((1-n)/2) gamma_n(a^(-1)) = chi(Tr a) on given samples.
 
     Archimedean: batched linear algebra, magnitudes compared relatively and
     phases as angles, both at ``tol``; p-adic: exact equality of q-powers and
-    roots of unity.  The report keeps the first ``max_rows`` sample records
+    roots of unity.  The report keeps the first ``_KERNEL_ROWS`` sample records
     and every failing record (failures always carry the discriminating input
     for replay).
     """
@@ -199,7 +204,7 @@ def kernel_identity_check(
         good = (mag_err <= tol) & (ang <= tol)
         ok = bool(np.all(good))
         for i in range(len(samples)):
-            if good[i] and len(rows) >= max_rows:
+            if good[i] and len(rows) >= _KERNEL_ROWS:
                 continue
             rows.append(
                 {
@@ -218,10 +223,10 @@ def kernel_identity_check(
             rhs = ExactValue.from_cyclo(fd.p, add_char(xl.trace(a), fd))
             good = lhs == rhs
             ok = ok and good
-            if good and len(rows) >= max_rows:
+            if good and len(rows) >= _KERNEL_ROWS:
                 continue
             rows.append(_exact_row(a, lhs, rhs, good))
-    return {"check": "gamma-kernel", "field": str(fd), "n": n, "pass": ok, "samples": rows}
+    return check_record("gamma-kernel", fd, n, ok, rows)
 
 
 # ---------------------------------------------------------------------
@@ -340,8 +345,6 @@ def convolve_C(f, T_fn, support, order: int = 24):
     p-adic); unbounded weights are refused, since only the operational
     gamma-form below makes sense for them.
     """
-    from .hilbert import act_module_X_phi
-
     if support is None:
         raise ValueError(
             "unbounded convolution weight: use the operational gamma form instead"
@@ -461,8 +464,6 @@ def _shell_points(p: int, n: int, k: int, s: int):
     Points are d / p^k with digit vectors d in [0, p^(k+s))^n; for k >= 1 the
     shell keeps exactly those with some digit coprime to p.
     """
-    import itertools
-
     denom = p**k
     for digits in itertools.product(range(p ** (k + s)), repeat=n):
         if k >= 1 and all(d % p == 0 for d in digits):
@@ -531,7 +532,7 @@ def fourier_slice_verify(
             good = lhs == rhs
             rows.append(_exact_row(y, lhs, rhs, good))
         ok = ok and good
-    return {"check": "slice", "field": str(fd), "n": n, "pass": ok, "samples": rows}
+    return check_record("slice", fd, n, ok, rows)
 
 
 def fourier_equivariance_check(
@@ -549,8 +550,6 @@ def fourier_equivariance_check(
     lhs_fun = fourier(translate_group(f, minv(a, fd), side="right"))
     rhs_fun = fourier(f)
     mod_lhs = fourier(act_module_X(f, a))
-    from .hilbert import act_module_Xbar
-
     mod_rhs = act_module_Xbar(fourier(f), a)
     scale = det_power(a, exponent_sign * (n + 1), fd)
     rows = []
@@ -577,19 +576,11 @@ def fourier_equivariance_check(
             good = lhs == rhs and ml == mr
             rows.append(_exact_row(y, lhs, rhs, good))
         ok = ok and good
-    return {
-        "check": "fourier-equivariance",
-        "field": str(fd),
-        "n": n,
-        "pass": ok,
-        "samples": rows,
-    }
+    return check_record("fourier-equivariance", fd, n, ok, rows)
 
 
 def intertwine_equivariance_check(f, g, a, y_samples, tol: float = 1e-6) -> dict:
     """Check I(g.f)(y) = I(f)(y g) and I(f.a)(y) = |det a|^((n+1)/2) I(f)(a y)."""
-    from .hilbert import act_g
-
     space = f.space
     fd = space.fd
     n = space.cols
@@ -623,13 +614,7 @@ def intertwine_equivariance_check(f, g, a, y_samples, tol: float = 1e-6) -> dict
                 }
             )
         ok = ok and good
-    return {
-        "check": "intertwine-equivariance",
-        "field": str(fd),
-        "n": n,
-        "pass": ok,
-        "samples": rows,
-    }
+    return check_record("intertwine-equivariance", fd, n, ok, rows)
 
 
 def unitarity_verify(f, h, a_grid, tol: float = 1e-6) -> dict:
@@ -652,7 +637,12 @@ def unitarity_verify(f, h, a_grid, tol: float = 1e-6) -> dict:
             good = lhs == rhs
             rows.append(_exact_row(a, lhs, rhs, good))
         ok = ok and good
-    return {"check": "unitarity", "field": str(fd), "n": n, "pass": ok, "samples": rows}
+    return check_record("unitarity", fd, n, ok, rows)
+
+
+def check_record(name: str, fd: FieldDescriptor, n: int, ok, samples, **extra) -> dict:
+    """Report record of one check: the shared header, then the check's own entries."""
+    return {"check": name, "field": str(fd), "n": n, "pass": ok, "samples": samples, **extra}
 
 
 def _exact_row(m, lhs, rhs, good) -> dict:

@@ -138,15 +138,37 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ["verify", "--field", "qp", "--p", "2", "--samples", "0"],
         ["verify", "truncation", "--field", "r", "--m-max", "0"],
         ["verify", "composition", "--field", "qp", "--p", "3", "--k-max", "0"],
+        # seeds are integers >= 0, and --p needs --field qp
+        ["verify", "gamma-kernel", "--field", "r", "--seed", "-3"],
+        ["verify", "--seed", "-3"],
+        ["verify", "--p", "5", "gamma-kernel"],
+        ["verify", "gamma-kernel", "--field", "r", "--p", "5"],
     ):
         capsys.readouterr()
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1, argv
     badcfg = tmp_path / "bad_size.json"
-    for cfg in ({"field": "qp", "p": 3, "samples": 0}, {"field": "qp", "p": 3, "n": 1.5}):
+    for cfg in (
+        {"field": "qp", "p": 3, "samples": 0},
+        {"field": "qp", "p": 3, "n": 1.5},
+        # a misspelled perturbation key must not run the unperturbed check
+        {"field": "r", "checks": ["gamma-kernel"], "perturb": {"gamma_exponent_shfit": "1/2"}},
+        {"field": "qp", "p": 3, "checks": ["gamma-kernel"], "perturb": {"gamma_exponent_shift": "x"}},
+        {"field": "qp", "p": 3, "perturb": {"equivariance_exponent_sign": 0}},
+        {"field": "r", "checks": ["slice"], "tol": -1},
+        {"field": "r", "checks": ["slice"], "tol": "abc"},
+        {"field": "r", "checks": ["slice"], "tol": float("nan")},
+        {"field": "r", "checks": ["slice"], "tol_exact": True},
+        {"field": "r", "checks": ["slice"], "seed": 1.5},
+        {"field": "r", "checks": "slice"},
+        {"field": "r", "functions": [{"type": "gaussian", "Q": [[1.0, 0.0], [0.0, 1.0]]}]},
+    ):
         badcfg.write_text(json.dumps(cfg))
+        capsys.readouterr()
         assert main(["verify", "--config", str(badcfg)]) == 2, cfg
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, cfg
 
     # malformed compute specs exit 2 with one line, not a traceback
     gauss = {"type": "gaussian", "Q": [[1.0, 0.0], [0.0, 1.0]], "kappa": 1.0}
@@ -156,6 +178,7 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ("intertwine", {"field": "r", "n": 1, "f": gauss, "y": [[1.0], [0.0]]}),
         ("intertwine", {"field": "r", "n": 1, "y": [[1.0, 0.0]]}),
         ("fourier", [gauss]),
+        ("fourier", {"field": "r", "n": 1, "f": {"type": "product", "of": []}}),
     ):
         inp = tmp_path / "spec.json"
         inp.write_text(json.dumps(spec))
@@ -263,6 +286,12 @@ def test_golden_report_padic():
     """The Q_2 battery's check records are byte-identical to the stored ones."""
     got = json.dumps(_check_records(SuiteConfig(field="qp", p=2, seed=7)), sort_keys=True, indent=2)
     assert got + "\n" == (DATA / "golden_qp2_seed7.json").read_text()
+
+
+def test_golden_report_real():
+    """The real n=2 battery matches the stored records key by key, floats to 1e-12."""
+    want = json.loads((DATA / "golden_r2_seed7.json").read_text())
+    _assert_close(_check_records(SuiteConfig(field="r", n=2, seed=7)), want)
 
 
 def test_golden_report_complex():
