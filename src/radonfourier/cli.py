@@ -26,6 +26,7 @@ from .hilbert import inner_X
 from .suite import (
     CHECKS,
     SuiteConfig,
+    check_bounds,
     explain_check,
     field_from_spec,
     report_to_json,
@@ -51,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in ("--p", "--n", "--seed", "--samples", "--k-max", "--m-max"):
         v.add_argument(flag, type=int)
     v.add_argument("--tol", type=float)
-    v.add_argument("--config", default=None, help="JSON config file (overrides flags)")
+    v.add_argument("--config", default=None, help="JSON config file; use it alone (only --out combines with it)")
     v.add_argument("--out", default=None, help="write the JSON report here")
 
     c = sub.add_parser("compute", help="evaluate a single operation")
@@ -90,14 +91,17 @@ def _parse_scalar(x, fd):
 
 
 def cmd_verify(args) -> int:
+    keys = {f.name for f in fields(SuiteConfig)}
+    given = {k: v for k, v in vars(args).items() if k in keys and v not in (None, [])}
     try:
         if args.config:
+            if given:
+                named = ["check names" if k == "checks" else "--" + k.replace("_", "-") for k in sorted(given)]
+                raise ValueError(f"--config cannot be combined with {', '.join(named)}")
             cfg_obj = _load_json(args.config)
             specs = cfg_obj if isinstance(cfg_obj, list) else [cfg_obj]
             configs = [SuiteConfig.from_json(c) for c in specs]
         else:
-            keys = {f.name for f in fields(SuiteConfig)}
-            given = {k: v for k, v in vars(args).items() if k in keys and v is not None}
             # without --field and --p: the default battery, real n=1 plus
             # p-adic n=1 at p = 2 and 3
             battery = [{"field": "r"}, {"field": "qp", "p": 2}, {"field": "qp", "p": 3}]
@@ -138,8 +142,9 @@ def cmd_compute(args) -> int:
 def _compute(operation: str, spec: dict) -> dict:
     if not isinstance(spec, dict):
         raise ValueError("input specification must be a JSON object")
-    fd = field_from_spec(spec.get("field", "r"), spec.get("p"))
-    n = int(spec.get("n", 1))
+    n, p = spec.get("n", 1), spec.get("p")
+    check_bounds(n=n, p=p)
+    fd = field_from_spec(spec.get("field", "r"), p)
     X = space_X(n, fd)
 
     # complex and exact values, matrices and rationals are written by

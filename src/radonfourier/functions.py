@@ -547,7 +547,9 @@ def cutoff_chi(m: int, space: MatrixSpace) -> Evaluable:
     m+1, with smoothstep ramps in between.  The shrinking neighborhoods of
     the singular set are the sublevel sets {sigma_min < 1/m^2}; the quadratic
     rate makes their measure fall like m^(-2*min(rows,cols)), fast enough for
-    the truncation diagnostics' tolerance.
+    the truncation diagnostics' tolerance.  A row or column has one singular
+    value, its norm, so vector shapes take that closed form and only true
+    matrices go through the SVD.
     """
     if m < 1:
         raise ValueError("cutoff index must be >= 1")
@@ -558,14 +560,12 @@ def cutoff_chi(m: int, space: MatrixSpace) -> Evaluable:
 
     def fn(pts):
         pts = np.atleast_2d(pts)
-        if fd.kind == "complex":
-            flat = pts[:, 0::2] + 1j * pts[:, 1::2]
-        else:
-            flat = pts
-        mats = flat.reshape(len(pts), rows, cols)
-        svals = np.linalg.svd(mats, compute_uv=False)
-        smin = svals[:, -1]
         norm = np.linalg.norm(pts, axis=1)
+        if min(rows, cols) == 1:
+            smin = norm
+        else:
+            flat = pts[:, 0::2] + 1j * pts[:, 1::2] if fd.kind == "complex" else pts
+            smin = np.linalg.svd(flat.reshape(len(pts), rows, cols), compute_uv=False)[:, -1]
         inner = _smoothstep((smin - lo_in) / (hi_in - lo_in))
         outer = 1.0 - _smoothstep((norm - lo_out) / (hi_out - lo_out))
         return (inner * outer).astype(complex)

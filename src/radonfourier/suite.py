@@ -45,6 +45,8 @@ from .transforms import (
 
 
 def field_from_spec(kind: str, p=None) -> FieldDescriptor:
+    if p is not None and kind in ("r", "real", "c", "complex"):
+        raise ValueError(f"p is set but field {kind!r} is not p-adic (use field qp)")
     if kind in ("r", "real"):
         return real_field()
     if kind in ("c", "complex"):
@@ -88,6 +90,14 @@ _PERTURB_KNOBS = {
 }
 
 
+def check_bounds(**values):
+    """Raise ValueError unless each config key's value meets its bound."""
+    for key, value in values.items():
+        rule, ok = _BOUNDS[key]
+        if not ok(value):
+            raise ValueError(f"{key} must be {rule}, got {value!r}")
+
+
 @dataclass
 class SuiteConfig:
     """The one owner of a verify config's defaults, bounds, JSON schema and
@@ -106,12 +116,8 @@ class SuiteConfig:
     perturb: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        for key, (rule, ok) in _BOUNDS.items():
-            if not ok(getattr(self, key)):
-                raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
+        check_bounds(**{key: getattr(self, key) for key in _BOUNDS})
         self.fd = field_from_spec(self.field, self.p)
-        if self.p is not None and self.fd.is_archimedean:
-            raise ValueError(f"p is set but field {self.field!r} is not p-adic (use field qp)")
         if not isinstance(self.checks, (list, tuple)):
             raise ValueError(f"checks must be a list of check names, got {self.checks!r}")
         self.checks = tuple(self.checks)

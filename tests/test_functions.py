@@ -91,6 +91,52 @@ def test_cutoff_chi(rng, fr):
         cutoff_chi(0, X)
 
 
+def _smoothstep(t):
+    t = np.clip(t, 0.0, 1.0)
+    return t * t * (3.0 - 2.0 * t)
+
+
+def _chi_by_svd(m, space, pts):
+    """cutoff_chi's definition, sigma_min taken from a full SVD."""
+    flat = pts[:, 0::2] + 1j * pts[:, 1::2] if space.fd.kind == "complex" else pts
+    smin = np.linalg.svd(flat.reshape(len(pts), *space.shape), compute_uv=False)[:, -1]
+    norm = np.linalg.norm(pts, axis=1)
+    inner = _smoothstep((smin - 1.0 / (m + 1) ** 2) / (1.0 / m**2 - 1.0 / (m + 1) ** 2))
+    return inner * (1.0 - _smoothstep(norm - m))
+
+
+def test_cutoff_chi_vector_shapes(monkeypatch, fr, fc):
+    """A row or column's sigma_min is its norm: no SVD, same values."""
+    m = 2
+    # norms: inside the singular neighbourhood, on the inner ramp (1/9, 1/4),
+    # on the plateau, on the outer ramp (2, 3) and outside the ball.  The SVD
+    # and the norm may differ by an ulp or two of sigma; the inner-ramp points
+    # sit in the ramp's upper half, where chi's relative condition in sigma is
+    # below 3 (near the foot it grows without bound).
+    norms = np.array([0.05, 0.2, 0.22, 0.24, 1.0, 1.9, 2.3, 2.5, 2.8, 4.0])
+    rng = np.random.default_rng(3)
+    cases = []
+    for space in (MatrixSpace(fr, 2, 1), MatrixSpace(fr, 1, 3), MatrixSpace(fc, 2, 1)):
+        dirs = rng.standard_normal((len(norms), space.dim))
+        pts = dirs / np.linalg.norm(dirs, axis=1)[:, None] * norms[:, None]
+        want = _chi_by_svd(m, space, pts)
+        assert want[0] == 0 and 0 < want[1] < 1 and want[4] == 1 and 0 < want[7] < 1
+        assert want[-1] == 0
+        cases.append((space, pts, want))
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for space, pts, want in cases:
+        got = cutoff_chi(m, space).eval_coords(pts)
+        assert np.allclose(got, want, rtol=1e-15, atol=0), space.shape
+    # a true matrix still takes the SVD branch
+    X = space_X(2, fr)
+    with pytest.raises(AssertionError, match="svd called"):
+        cutoff_chi(m, X).eval_coords(np.ones((1, X.dim)))
+
+
 def test_pointwise_mul(fr, f3):
     X = space_X(1, fr)
     f = GaussianForm.standard(X)

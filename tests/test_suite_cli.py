@@ -170,8 +170,30 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1, cfg
 
+    # --config stands alone: a flag or check name beside it is named, not dropped
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"field": "r", "checks": ["slice"], "samples": 3}))
+    for extra, named in (
+        (["--seed", "8", "--samples", "0"], "--samples, --seed"),
+        (["--field", "c"], "--field"),
+        (["--p", "5"], "--p"),
+        (["--n", "2"], "--n"),
+        (["--tol", "1e-3"], "--tol"),
+        (["--k-max", "3", "--m-max", "4"], "--k-max, --m-max"),
+        (["slice"], "check names"),
+    ):
+        capsys.readouterr()
+        assert main(["verify", "--config", str(good), *extra]) == 2, extra
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, extra
+        assert err.rstrip().endswith(named), (extra, err)
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--config", str(good), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["suite"]["samples"] == 3
+
     # malformed compute specs exit 2 with one line, not a traceback
     gauss = {"type": "gaussian", "Q": [[1.0, 0.0], [0.0, 1.0]], "kappa": 1.0}
+    ball = {"type": "sb", "terms": [{"coeff": "1", "center": ["0", "0"], "basis": [["1", "0"], ["0", "1"]]}]}
     for op, spec in (
         ("fourier", {"field": "r", "n": 1, "f": {"type": "nope"}}),
         ("intertwine", {"field": "r", "n": 1, "f": gauss, "y": [[0.0, 0.0]]}),
@@ -179,6 +201,14 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ("intertwine", {"field": "r", "n": 1, "y": [[1.0, 0.0]]}),
         ("fourier", [gauss]),
         ("fourier", {"field": "r", "n": 1, "f": {"type": "product", "of": []}}),
+        # n and p follow verify's rules: no rounding, no booleans, no strings, p only with qp
+        ("intertwine", {"field": "r", "n": 1.5, "f": gauss, "y": [[1.0, 0.0]]}),
+        ("intertwine", {"field": "r", "n": True, "f": gauss, "y": [[1.0, 0.0]]}),
+        ("intertwine", {"field": "r", "n": "1", "f": gauss, "y": [[1.0, 0.0]]}),
+        ("intertwine", {"field": "r", "n": 0, "f": gauss, "y": [[1.0, 0.0]]}),
+        ("fourier", {"field": "qp", "p": "3", "n": 1, "f": ball}),
+        ("fourier", {"field": "qp", "p": 3.0, "n": 1, "f": ball}),
+        ("intertwine", {"field": "r", "p": 5, "n": 1, "f": gauss, "y": [[1.0, 0.0]]}),
     ):
         inp = tmp_path / "spec.json"
         inp.write_text(json.dumps(spec))
@@ -292,6 +322,12 @@ def test_golden_report_real():
     """The real n=2 battery matches the stored records key by key, floats to 1e-12."""
     want = json.loads((DATA / "golden_r2_seed7.json").read_text())
     _assert_close(_check_records(SuiteConfig(field="r", n=2, seed=7)), want)
+
+
+def test_golden_report_truncation():
+    """Real n=1 truncation: every per-m sup, monotone and final_sup to 1e-12."""
+    want = json.loads((DATA / "golden_r1_truncation_seed7.json").read_text())
+    _assert_close(_check_records(SuiteConfig(field="r", n=1, seed=7, checks=["truncation"])), want)
 
 
 def test_golden_report_complex():
