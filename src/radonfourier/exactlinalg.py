@@ -1,8 +1,11 @@
 """Exact linear algebra over Q, plus normal forms over the localization Z_(p).
 
 Matrices are tuples of tuples of ``Fraction``.  Dimensions in this package
-never exceed a dozen, so plain fraction Gaussian elimination is both exact
-and fast; nothing here tries to be asymptotically clever.
+never exceed a dozen.  The hot kernels (``matmul``, ``matvec``, ``inv``)
+clear denominators first: they work on integer numerators over one common
+denominator, invert by fraction-free Gauss-Jordan elimination (Bareiss), and
+build one ``Fraction`` per output entry.  The rest is plain fraction
+Gaussian elimination.
 
 The p-adic lattice machinery needs column Hermite and Smith normal forms
 over Z_(p) = {a/b in Q : p does not divide b}, a discrete valuation ring in
@@ -15,12 +18,15 @@ pure powers of p.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .fields import padic_valuation
 
 
 def mat(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    return tuple(
+        tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows
+    )
 
 
 def identity(n: int):
@@ -50,15 +56,28 @@ def mat_scale(c, A):
     return tuple(tuple(c * a for a in row) for row in A)
 
 
+def _scaled(rows):
+    """(N, D): integer rows N and a common denominator D with rows = N / D."""
+    D = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (D // x.denominator) for x in row] for row in rows], D
+
+
 def matmul(A, B):
-    Bt = tuple(zip(*B))
+    NA, da = _scaled(A)
+    NB, db = _scaled(B)
+    D = da * db
+    cols = tuple(zip(*NB))
     return tuple(
-        tuple(sum(a * b for a, b in zip(row, col)) for col in Bt) for row in A
+        tuple(Fraction(sum(map(int.__mul__, row, col)), D) for col in cols)
+        for row in NA
     )
 
 
 def matvec(A, v):
-    return tuple(sum(a * x for a, x in zip(row, v)) for row in A)
+    NA, da = _scaled(A)
+    (nv,), dv = _scaled((v,))
+    D = da * dv
+    return tuple(Fraction(sum(map(int.__mul__, row, nv)), D) for row in NA)
 
 
 def vec_add(u, v):
@@ -119,30 +138,45 @@ def solve(A, b):
 
 
 def inv(A):
-    n = len(A)
+    """Inverse of a square matrix; ZeroDivisionError when it is singular.
+
+    With A = N / D for an integer matrix N, inv(A) = D adj(N) / det(N).  For
+    n >= 3, fraction-free Gauss-Jordan on [N | I] keeps every entry an
+    integer minor (Bareiss: each update divides exactly by the previous
+    pivot) and ends at [e I | e N^(-1)] with e = +-det(N), the sign that of
+    the row swaps; each entry of the inverse is then D x / e.
+    """
+    N, D = _scaled(A)
+    n = len(N)
     if n == 1:
-        return ((1 / Fraction(A[0][0]),),)
+        return ((Fraction(D, N[0][0]),),)
     if n == 2:
-        d = A[0][0] * A[1][1] - A[0][1] * A[1][0]
-        if d == 0:
+        (a, b), (c, d) = N
+        det_ = a * d - b * c
+        if det_ == 0:
             raise ZeroDivisionError("singular matrix")
         return (
-            (A[1][1] / d, -A[0][1] / d),
-            (-A[1][0] / d, A[0][0] / d),
+            (Fraction(D * d, det_), Fraction(-D * b, det_)),
+            (Fraction(-D * c, det_), Fraction(D * a, det_)),
         )
-    M = [list(row) + list(erow) for row, erow in zip(A, identity(n))]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c] != 0), None)
+    M = [row + [int(i == j) for j in range(n)] for i, row in enumerate(N)]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if M[r][k]), None)
         if piv is None:
             raise ZeroDivisionError("singular matrix")
-        M[c], M[piv] = M[piv], M[c]
-        s = 1 / M[c][c]
-        M[c] = [x * s for x in M[c]]
-        for r in range(n):
-            if r != c and M[r][c] != 0:
-                f = M[r][c]
-                M[r] = [x - f * y for x, y in zip(M[r], M[c])]
-    return tuple(tuple(M[r][n:]) for r in range(n))
+        M[k], M[piv] = M[piv], M[k]
+        rk = M[k]
+        pk = rk[k]
+        for i in range(n):
+            if i != k:
+                ri = M[i]
+                f = ri[k]
+                M[i] = [(pk * x - f * y) // prev for x, y in zip(ri, rk)]
+        prev = pk
+    return tuple(
+        tuple(Fraction(D * x, M[i][i]) for x in M[i][n:]) for i in range(n)
+    )
 
 
 def rank(A):

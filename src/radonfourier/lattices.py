@@ -114,7 +114,8 @@ class Lattice:
         return Lattice(self.p, rows)
 
     def intersect(self, other: "Lattice") -> "Lattice":
-        return self.dual().sum(other.dual()).dual()
+        _, LU = _sum_transform(self, other)
+        return Lattice(self.p, tuple(row[self.dim:] for row in LU))
 
     def quotient_representatives(self, sub: "Lattice"):
         """Coset representatives of (self / sub) for a sublattice sub.
@@ -203,36 +204,41 @@ class Coset:
         Nonempty iff center difference lies in the lattice sum; a witness is
         produced from the HNF transform of the concatenated bases.
         """
-        L1, L2 = self.lattice, other.lattice
         diff = xl.vec_sub(other.center, self.center)
-        stacked = tuple(ra + rb for ra, rb in zip(L1.basis, L2.basis))
-        H, U = xl.hnf_zp(stacked, self.p, transform=True)
-        Hlat = Lattice(self.p, H, _canonical=True)
+        Hlat, LU = _sum_transform(self.lattice, other.lattice)
         if not Hlat.contains(diff):
             return None
-        t = Hlat.coords(diff)
-        # diff = stacked @ (U[:, :d] @ t) with integral coordinates
+        # diff = [L1 | L2] @ U[:, :d] @ t with integral coordinates t; its L1
+        # part L1 @ U[:d, :d] @ t, added to our center, is a witness
         d = self.dim
-        w = [sum(U[r][i] * t[i] for i in range(d)) for r in range(2 * d)]
-        z1 = w[:d]
-        witness = xl.vec_add(self.center, xl.matvec(L1.basis, z1))
-        return Coset(L1.intersect(L2), witness)
+        step = xl.matvec(tuple(row[:d] for row in LU), Hlat.coords(diff))
+        meet = Lattice(self.p, tuple(row[d:] for row in LU))
+        return Coset(meet, xl.vec_add(self.center, step))
 
     def affine_preimage(self, offset, C):
         """Preimage {z : offset + C @ z in self} for injective C (d x m).
 
-        Returns a Coset in dimension m, or None when empty.  Solved through
-        the Smith form of basis^(-1) @ C over Z_(p).
+        Returns a Coset in dimension m, or None when empty.  A square C is
+        inverted: the preimage is C^(-1) (center - offset) + C^(-1) L.  Other
+        shapes are solved through the Smith form of basis^(-1) @ C over Z_(p).
         """
         p = self.p
-        D = xl.matmul(xl.inv(self.lattice.basis), xl.mat(C))
+        C = xl.mat(C)
+        delta = xl.vec_sub(self.center, tuple(Fraction(x) for x in offset))
+        if len(C) == len(C[0]):
+            try:
+                Cinv = xl.inv(C)
+            except ZeroDivisionError:
+                raise ValueError("affine map is not injective") from None
+            return Coset(
+                Lattice(p, xl.matmul(Cinv, self.lattice.basis)), xl.matvec(Cinv, delta)
+            )
+        D = xl.matmul(xl.inv(self.lattice.basis), C)
         dm, m = xl.shape(D)
         U, exps, V = xl.smith_zp(D, p)
         if len(exps) < m:
             raise ValueError("affine map is not injective")
-        w = self.lattice.coords(
-            xl.vec_sub(self.center, tuple(Fraction(x) for x in offset))
-        )
+        w = self.lattice.coords(delta)
         u = xl.matvec(xl.inv(U), w)
         # rows beyond m carry the solvability constraint u_i in Z_p
         for i in range(m, dm):
@@ -277,6 +283,20 @@ class Coset:
         return Coset(proj_lat, proj_center), fiber_vol
 
 
+def _sum_transform(L1: Lattice, L2: Lattice):
+    """(L1 + L2, L1 @ U[:d]) from one transformed HNF of [L1 | L2].
+
+    [L1 | L2] @ U = [H | 0] with U unimodular over Z_(p), so the last d
+    columns of U span the integral relations L1 u1 + L2 u2 = 0: the last d
+    columns of L1 @ U[:d] span L1 meet L2, and the first d carry coordinates
+    over H to their L1 part.
+    """
+    d = L1.dim
+    stacked = tuple(ra + rb for ra, rb in zip(L1.basis, L2.basis))
+    H, U = xl.hnf_zp(stacked, L1.p, transform=True)
+    return Lattice(L1.p, H, _canonical=True), xl.matmul(L1.basis, U[:d])
+
+
 # -- spec-facing helpers ------------------------------------------------
 
 
@@ -290,8 +310,6 @@ def lattice_dual(L: Lattice) -> Lattice:
 
 def lattice_intersect(a, b):
     """Lattice-lattice or coset-coset intersection."""
-    if isinstance(a, Lattice) and isinstance(b, Lattice):
-        return a.intersect(b)
     return a.intersect(b)
 
 

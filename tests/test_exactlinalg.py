@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from radonfourier import exactlinalg as xl
 from radonfourier.sampling import rand_fraction, rand_gl_zp
@@ -119,3 +120,84 @@ def test_smith_reconstruction(rng):
         for T in (U, V):
             dT = xl.det(T)
             assert dT != 0 and padic_valuation(dT, p) == 0
+
+
+# -- integer-scaled kernels against plain Fraction arithmetic ----------------
+
+
+def ref_matmul(A, B):
+    return tuple(
+        tuple(sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*B))
+        for row in A
+    )
+
+
+def ref_matvec(A, v):
+    return tuple(sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in A)
+
+
+def ref_inv(A):
+    """Gauss-Jordan on [A | I] in Fractions."""
+    n = len(A)
+    M = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(A)]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if M[r][c] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        M[c], M[piv] = M[piv], M[c]
+        s = 1 / M[c][c]
+        M[c] = [x * s for x in M[c]]
+        for r in range(n):
+            if r != c and M[r][c] != 0:
+                f = M[r][c]
+                M[r] = [x - f * y for x, y in zip(M[r], M[c])]
+    return tuple(tuple(row[n:]) for row in M)
+
+
+def rand_mixed_matrix(rng, p, m, n):
+    """Entries with p-power and p'-unit denominators, about a quarter zero."""
+    return tuple(
+        tuple(rand_fraction(rng, p, -3, 2) if rng.integers(0, 4) else Fraction(0)
+              for _ in range(n))
+        for _ in range(m)
+    )
+
+
+def all_fractions(A):
+    return all(type(x) is Fraction for row in A for x in row)
+
+
+def test_scaled_kernels_match_fraction_reference(rng):
+    for p in (2, 3, 5):
+        for n in range(1, 8):
+            for _ in range(12):
+                A = rand_mixed_matrix(rng, p, n, n)
+                k = int(rng.integers(1, 8))
+                B = rand_mixed_matrix(rng, p, n, k)
+                v = rand_mixed_matrix(rng, p, 1, n)[0]
+                AB = xl.matmul(A, B)
+                assert AB == ref_matmul(A, B) and all_fractions(AB)
+                Av = xl.matvec(A, v)
+                assert Av == ref_matvec(A, v) and all_fractions([Av])
+                try:
+                    want = ref_inv(A)
+                except ZeroDivisionError:
+                    with pytest.raises(ZeroDivisionError):
+                        xl.inv(A)
+                    continue
+                Ai = xl.inv(A)
+                assert Ai == want and all_fractions(Ai)
+                assert xl.matmul(A, Ai) == xl.identity(n)
+
+
+def test_inv_singular_raises(rng):
+    p = 3
+    for n in range(1, 8):
+        A = [list(row) for row in rand_mixed_matrix(rng, p, n, n)]
+        # last row a combination of the others (all zero when n = 1)
+        A[-1] = [
+            sum((Fraction(j + 1) * A[j][c] for j in range(n - 1)), Fraction(0))
+            for c in range(n)
+        ]
+        with pytest.raises(ZeroDivisionError):
+            xl.inv(tuple(tuple(row) for row in A))

@@ -64,17 +64,49 @@ def test_intersections():
     assert got is not None and got.lattice == pZ and got.center == (Fraction(1),)
 
 
+def dual_formula_intersection(L1, L2):
+    """L1 meet L2 by duality, the textbook route: (L1* + L2*)*."""
+    return L1.dual().sum(L2.dual()).dual()
+
+
+def test_intersection_matches_dual_formula(rng):
+    for p in (2, 3, 5):
+        for d in range(1, 5):
+            for _ in range(10):
+                L1, L2 = rand_lattice(rng, p, d), rand_lattice(rng, p, d)
+                want = dual_formula_intersection(L1, L2)
+                assert L1.intersect(L2) == want
+                c1 = Coset(L1, tuple(rand_fraction(rng, p, -1, 2) for _ in range(d)))
+                got = c1.intersect(Coset(L2, c1.center))
+                assert got.lattice == want and got.center == Coset(want, c1.center).center
+
+
 def test_coset_intersection_witness(rng):
-    p = 2
-    for _ in range(40):
-        d = int(rng.integers(1, 4))
-        c1 = Coset(rand_lattice(rng, p, d), tuple(rand_fraction(rng, p, -1, 2) for _ in range(d)))
-        c2 = Coset(rand_lattice(rng, p, d), tuple(rand_fraction(rng, p, -1, 2) for _ in range(d)))
-        got = c1.intersect(c2)
-        if got is None:
-            continue
-        assert c1.contains(got.center) and c2.contains(got.center)
-        assert got.lattice == c1.lattice.intersect(c2.lattice)
+    for p in (2, 3, 5):
+        for _ in range(40):
+            d = int(rng.integers(1, 5))
+            c1 = Coset(rand_lattice(rng, p, d), tuple(rand_fraction(rng, p, -1, 2) for _ in range(d)))
+            c2 = Coset(rand_lattice(rng, p, d), tuple(rand_fraction(rng, p, -1, 2) for _ in range(d)))
+            got = c1.intersect(c2)
+            meets = c1.lattice.sum(c2.lattice).contains(xl.vec_sub(c2.center, c1.center))
+            assert (got is not None) == meets
+            if got is None:
+                continue
+            assert c1.contains(got.center) and c2.contains(got.center)
+            assert got.lattice == dual_formula_intersection(c1.lattice, c2.lattice)
+
+
+def test_disjoint_cosets_intersect_to_none(rng):
+    for p in (2, 3, 5):
+        for d in range(1, 5):
+            for _ in range(5):
+                L1, L2 = rand_lattice(rng, p, d), rand_lattice(rng, p, d)
+                # L1 + L2 sits in p^(-R) Z_p^d, so p^(-R-1) e_0 is outside it
+                R = L1.sum(L2).radius_exponent()
+                c1 = Coset(L1, tuple(rand_fraction(rng, p, -1, 2) for _ in range(d)))
+                shift = (Fraction(p) ** (-R - 1),) + (Fraction(0),) * (d - 1)
+                c2 = Coset(L2, xl.vec_add(c1.center, shift))
+                assert c1.intersect(c2) is None and c2.intersect(c1) is None
 
 
 def test_affine_preimage_example():
@@ -88,23 +120,63 @@ def test_affine_preimage_example():
     assert pre.lattice.volume() == Fraction(1, 3)
 
 
+def rand_injective(rng, p, d, m):
+    while True:
+        C = tuple(tuple(rand_fraction(rng, p, -1, 1) for _ in range(m)) for _ in range(d))
+        if xl.rank(C) == m:
+            return C
+
+
+def assert_preimage_membership(rng, p, coset, offset, C, pre, samples):
+    m = len(C[0])
+    for _ in range(samples):
+        z = tuple(rand_fraction(rng, p, -2, 2) for _ in range(m))
+        image = xl.vec_add(offset, xl.matvec(C, z))
+        in_pre = pre is not None and pre.contains(z)
+        assert in_pre == coset.contains(image)
+    if pre is not None:
+        # points of the preimage itself map into the coset
+        for col in zip(*pre.lattice.basis):
+            z = xl.vec_add(pre.center, col)
+            assert coset.contains(xl.vec_add(offset, xl.matvec(C, z)))
+
+
 def test_affine_preimage_membership(rng):
-    p = 3
-    for _ in range(25):
-        d = int(rng.integers(1, 4))
-        m = int(rng.integers(1, d + 1))
+    for p in (2, 3, 5):
+        for _ in range(25):
+            d = int(rng.integers(1, 4))
+            m = int(rng.integers(1, d + 1))
+            coset = Coset(rand_lattice(rng, p, d), tuple(rand_fraction(rng, p, -1, 2) for _ in range(d)))
+            C = rand_injective(rng, p, d, m)
+            offset = tuple(rand_fraction(rng, p, -1, 2) for _ in range(d))
+            pre = coset.affine_preimage(offset, C)
+            assert_preimage_membership(rng, p, coset, offset, C, pre, 100)
+
+
+def test_affine_preimage_square(rng):
+    """Square C up to 6 x 6 (the pullbacks of the n = 2 estimate check)."""
+    for p in (2, 3, 5):
+        fd = padic_field(p)
+        for d in range(1, 7):
+            for _ in range(4):
+                coset = Coset(rand_lattice(rng, p, d), tuple(rand_fraction(rng, p, -1, 2) for _ in range(d)))
+                C = rand_injective(rng, p, d, d)
+                offset = tuple(rand_fraction(rng, p, -1, 2) for _ in range(d))
+                pre = coset.affine_preimage(offset, C)
+                assert pre is not None and pre.dim == d
+                assert pre.volume() * abs_norm(xl.det(C), fd) == coset.volume()
+                assert_preimage_membership(rng, p, coset, offset, C, pre, 20)
+
+
+def test_affine_preimage_singular_square_raises(rng):
+    p = 2
+    for d in range(1, 7):
         coset = Coset(rand_lattice(rng, p, d), tuple(rand_fraction(rng, p, -1, 2) for _ in range(d)))
-        while True:
-            C = tuple(tuple(rand_fraction(rng, p, -1, 1) for _ in range(m)) for _ in range(d))
-            if xl.rank(C) == m:
-                break
-        offset = tuple(rand_fraction(rng, p, -1, 2) for _ in range(d))
-        pre = coset.affine_preimage(offset, C)
-        for _ in range(100):
-            z = tuple(rand_fraction(rng, p, -2, 2) for _ in range(m))
-            image = xl.vec_add(offset, xl.matvec(C, z))
-            in_pre = pre is not None and pre.contains(z)
-            assert in_pre == coset.contains(image)
+        C = [list(row) for row in rand_injective(rng, p, d, d)]
+        for row in C:
+            row[-1] = row[0] * 3 if d > 1 else Fraction(0)
+        with pytest.raises(ValueError, match="not injective"):
+            coset.affine_preimage((Fraction(0),) * d, tuple(tuple(row) for row in C))
 
 
 def test_project_fubini(rng):

@@ -318,6 +318,14 @@ def test_golden_report_padic():
     assert got + "\n" == (DATA / "golden_qp2_seed7.json").read_text()
 
 
+def test_golden_report_padic_n2():
+    """The Q_2 n=2 battery (estimate, fiber, unitarity on 6-dim lattices) byte for byte."""
+    got = json.dumps(
+        _check_records(SuiteConfig(field="qp", p=2, n=2, seed=7)), sort_keys=True, indent=2
+    )
+    assert got + "\n" == (DATA / "golden_qp2_n2_seed7.json").read_text()
+
+
 def test_golden_report_real():
     """The real n=2 battery matches the stored records key by key, floats to 1e-12."""
     want = json.loads((DATA / "golden_r2_seed7.json").read_text())
