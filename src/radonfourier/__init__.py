@@ -8,14 +8,7 @@ functions with cyclotomic values).
 
 __version__ = "0.1.0"
 
-from .cyclotomic import (  # noqa: F401
-    CyclotomicValue,
-    ExactValue,
-    cyclo_add,
-    cyclo_conj,
-    cyclo_eq,
-    cyclo_mul,
-)
+from .cyclotomic import CyclotomicValue, ExactValue  # noqa: F401
 from .fields import (  # noqa: F401
     FieldDescriptor,
     abs_norm,
@@ -37,7 +30,6 @@ from .functions import (  # noqa: F401
     function_from_json,
     integrate,
     pointwise_mul,
-    pullback_linear,
     translate_group,
 )
 from .geometry import (  # noqa: F401
@@ -74,15 +66,7 @@ from .hilbert import (  # noqa: F401
     truncation_sequence,
 )
 from .geometry import hc_majorant  # noqa: F401
-from .lattices import (  # noqa: F401
-    Coset,
-    Lattice,
-    affine_preimage,
-    lattice_dual,
-    lattice_hnf,
-    lattice_intersect,
-    lattice_volume,
-)
+from .lattices import Coset, Lattice  # noqa: F401
 from .suite import SuiteConfig, explain_check, run_suite  # noqa: F401
 from .transforms import (  # noqa: F401
     compose_shell_stabilized,

@@ -302,25 +302,6 @@ def _canonicalize(p, M, coeffs):
     return p, M, coeffs
 
 
-# -- functional aliases used by the scalar layer ----------------------
-
-
-def cyclo_add(v: CyclotomicValue, w: CyclotomicValue) -> CyclotomicValue:
-    return _coerce(v) + _coerce(w)
-
-
-def cyclo_mul(v: CyclotomicValue, w: CyclotomicValue) -> CyclotomicValue:
-    return _coerce(v) * _coerce(w)
-
-
-def cyclo_conj(v: CyclotomicValue) -> CyclotomicValue:
-    return _coerce(v).conjugate()
-
-
-def cyclo_eq(v: CyclotomicValue, w: CyclotomicValue) -> bool:
-    return _coerce(v) == _coerce(w)
-
-
 class ExactValue:
     """q**e * c with e a rational exponent and c a cyclotomic value.
 

@@ -35,10 +35,6 @@ def identity(n: int):
     )
 
 
-def zeros(m: int, n: int):
-    return tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(m))
-
-
 def shape(A):
     return len(A), len(A[0]) if A else 0
 
@@ -49,11 +45,6 @@ def transpose(A):
 
 def mat_add(A, B):
     return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def mat_scale(c, A):
-    c = Fraction(c)
-    return tuple(tuple(c * a for a in row) for row in A)
 
 
 def _scaled(rows):
@@ -117,24 +108,6 @@ def det(A):
             for k in range(c, n):
                 M[r][k] -= f * M[c][k]
     return d
-
-
-def solve(A, b):
-    """Solve A x = b for square invertible A (b a vector)."""
-    n = len(A)
-    M = [list(row) + [Fraction(x)] for row, x in zip(A, b)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        M[c], M[piv] = M[piv], M[c]
-        inv = 1 / M[c][c]
-        M[c] = [x * inv for x in M[c]]
-        for r in range(n):
-            if r != c and M[r][c] != 0:
-                f = M[r][c]
-                M[r] = [x - f * y for x, y in zip(M[r], M[c])]
-    return tuple(M[r][n] for r in range(n))
 
 
 def inv(A):

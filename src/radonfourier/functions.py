@@ -15,9 +15,9 @@ inner product is computed:
   metadata (a Gaussian envelope and/or a support radius) driving quadrature.
   Products of Gaussians with cutoffs land here.
 
-Free functions at the bottom (`evaluate`, `pullback_linear`,
-`translate_group`, `pointwise_mul`, `fiber_restrict`, `integrate`, ...)
-dispatch on the class and are the package-level vocabulary.
+Free functions at the bottom (`evaluate`, `translate_group`, `pointwise_mul`,
+`fiber_restrict`, `integrate`, ...) dispatch on the class and are the
+package-level vocabulary.
 """
 
 from __future__ import annotations
@@ -587,15 +587,6 @@ def evaluate(f, x):
     if shape != space.shape:
         raise ValueError(f"point of shape {shape} does not live on {space.shape}")
     return f.value(x)
-
-
-def conjugate(f):
-    return f.conjugate()
-
-
-def pullback_linear(f, M, offset=None):
-    """x -> f(offset + M x) in coordinate form; exactness follows the class."""
-    return f.pullback_affine(M, offset)
 
 
 def translate_group(f, m, side: str = "right"):

@@ -31,7 +31,6 @@ from .functions import (
     Evaluable,
     GaussianForm,
     SBFunction,
-    conjugate,
     cutoff_chi,
     integrate,
     pointwise_mul,
@@ -84,7 +83,7 @@ def inner_X(f, h) -> LFunction:
 
     def ev(a, with_error):
         ha = translate_group(h, a, side="right")
-        prod = pointwise_mul(conjugate(f), ha)
+        prod = pointwise_mul(f.conjugate(), ha)
         val, err = integrate(prod, with_error=True)
         scale = det_power(a, Fraction(n + 1, 2), fd)
         # a zero error (closed-form and exact paths) is passed through as is
@@ -101,7 +100,7 @@ def inner_Xbar(f, h) -> LFunction:
 
     def ev(a, with_error):
         ha = translate_group(h, minv(a, fd), side="left")
-        prod = pointwise_mul(conjugate(f), ha)
+        prod = pointwise_mul(f.conjugate(), ha)
         val, err = integrate(prod, with_error=True)
         scale = det_power(a, Fraction(-(n + 1), 2), fd)
         return scale * val, (scale * err if err else err)

@@ -102,9 +102,6 @@ class Lattice:
         """{y : <y, x> in Z_p for all x in the lattice} for the dot pairing."""
         return Lattice(self.p, xl.transpose(xl.inv(self.basis)))
 
-    def scale(self, c) -> "Lattice":
-        return Lattice(self.p, xl.mat_scale(c, self.basis))
-
     def map_by(self, M) -> "Lattice":
         """Image under an invertible matrix M."""
         return Lattice(self.p, xl.matmul(xl.mat(M), self.basis))
@@ -194,9 +191,6 @@ class Coset:
 
     def volume(self) -> Fraction:
         return self.lattice.volume()
-
-    def translate(self, vec) -> "Coset":
-        return Coset(self.lattice, xl.vec_add(self.center, tuple(Fraction(x) for x in vec)))
 
     def intersect(self, other: "Coset"):
         """Intersection coset, or None when disjoint.
@@ -296,26 +290,3 @@ def _sum_transform(L1: Lattice, L2: Lattice):
     H, U = xl.hnf_zp(stacked, L1.p, transform=True)
     return Lattice(L1.p, H, _canonical=True), xl.matmul(L1.basis, U[:d])
 
-
-# -- spec-facing helpers ------------------------------------------------
-
-
-def lattice_hnf(p: int, basis) -> Lattice:
-    return Lattice(p, basis)
-
-
-def lattice_dual(L: Lattice) -> Lattice:
-    return L.dual()
-
-
-def lattice_intersect(a, b):
-    """Lattice-lattice or coset-coset intersection."""
-    return a.intersect(b)
-
-
-def affine_preimage(coset: Coset, offset, C):
-    return coset.affine_preimage(offset, C)
-
-
-def lattice_volume(L: Lattice) -> Fraction:
-    return L.volume()

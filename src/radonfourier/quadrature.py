@@ -30,7 +30,7 @@ def gauss_hermite_rule(order: int):
     """Nodes/weights for integrals against exp(-pi u^2) du."""
     if order not in _GH_CACHE:
         x, w = np.polynomial.hermite.hermgauss(order)
-        _GH_CACHE[order] = (x / np.sqrt(np.pi), w / np.sqrt(np.pi), x * x)
+        _GH_CACHE[order] = (x / np.sqrt(np.pi), w / np.sqrt(np.pi))
     return _GH_CACHE[order]
 
 
@@ -79,7 +79,7 @@ def integrate_gauss_hermite(fn, Q, center=None, order: int = 40):
     jac = 1.0 / np.sqrt(np.linalg.det(Q))
     if center is None:
         center = np.zeros(d)
-    u, w, _ = gauss_hermite_rule(order)
+    u, w = gauss_hermite_rule(order)
     # the +pi|u|^2 reweighting joins the log-weights; it cancels the envelope
     # decay of the node values, so the summand stays of moderate size
     logw = np.log(w) + np.pi * u * u
@@ -123,21 +123,3 @@ def integrate_polar_2d(fn, r_breaks, r_order: int = 40, theta_order: int = 48):
         vals = np.asarray(fn(pts), dtype=complex).reshape(len(r), len(theta))
         total += complex(wr @ vals @ wtheta)
     return total
-
-
-def adaptive_line_integral(fn, radius: float, tol: float = 1e-10):
-    """Adaptive integral of a complex integrand over [-radius, radius].
-
-    Thin wrapper over scipy's QUADPACK; returns (value, error_estimate).
-    """
-    from scipy.integrate import quad
-
-    def re(t):
-        return float(np.real(fn(np.array([[t]]))[0]))
-
-    def im(t):
-        return float(np.imag(fn(np.array([[t]]))[0]))
-
-    vr, er = quad(re, -radius, radius, epsabs=tol, epsrel=tol, limit=400)
-    vi, ei = quad(im, -radius, radius, epsabs=tol, epsrel=tol, limit=400)
-    return complex(vr, vi), er + ei

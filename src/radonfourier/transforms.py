@@ -40,7 +40,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import exactlinalg as xl
-from . import quadrature as quad
 from .cyclotomic import ExactValue
 from .fields import FieldDescriptor, abs_norm, add_char, padic_valuation
 from .functions import (
@@ -483,21 +482,26 @@ def fourier_slice_verify(
 
     The two sides are computed along independent routes: the left by the
     closed-form / exact transform, the right through the fiber
-    parametrization, the joint pullback and the a-integral.  For n = 1
-    archimedean inputs ``rhs_method='quadrature'`` forces the a-integral
-    through adaptive quadrature on pointwise slice values instead of the
-    closed form.
+    parametrization, the joint pullback and the a-integral.  For n = 1 real
+    inputs ``rhs_method='quadrature'`` takes the a-integral of pointwise
+    slice values by envelope-whitened Gauss-Hermite quadrature instead of
+    the closed form; a row then also fails when the quadrature's error
+    estimate exceeds ``tol``.
     """
     space = f.space
     fd = space.fd
     n = space.cols
+    if rhs_method not in ("auto", "quadrature"):
+        raise ValueError(f"unknown rhs_method {rhs_method!r}")
+    if rhs_method == "quadrature" and (fd.kind != "real" or n != 1):
+        raise ValueError("rhs_method='quadrature' needs a real input with n = 1")
     fhat = fourier(f)
     rows = []
     ok = True
     for y in y_samples:
         lhs = fhat.value(y)
         fam = slice_family(f, y, measure_factor=measure_factor)
-        if rhs_method == "quadrature" and fd.kind == "real" and n == 1:
+        if rhs_method == "quadrature":
             fib = fiber_param(y, n, fd)
 
             def point_slice(apts):
@@ -509,16 +513,13 @@ def fourier_slice_verify(
                     ) * add_char(av, fd)
                 return out
 
-            env = fam.envelope()
-            R = 4.0 / np.sqrt(float(np.linalg.eigvalsh(env.Q)[0])) + 1.0
-            if env.center is not None:
-                R += float(np.linalg.norm(env.center))
-            rhs, err = quad.adaptive_line_integral(point_slice, R, tol=tol * 1e-3)
+            integrand = Evaluable(fam.space, point_slice, fam.envelope(), "slice")
+            rhs, err = integrate(integrand, with_error=True)
         else:
             rhs = integrate_against_trace_character(fam, n)
             err = 0.0
         if fd.is_archimedean:
-            good = abs(lhs - rhs) <= tol
+            good = abs(lhs - rhs) <= tol and err <= tol
             rows.append(
                 {
                     "input": np.asarray(y).tolist(),

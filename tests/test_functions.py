@@ -18,7 +18,6 @@ from radonfourier import (
     function_from_json,
     integrate,
     pointwise_mul,
-    pullback_linear,
     space_X,
     translate_group,
 )
@@ -50,15 +49,15 @@ def test_evaluate_examples(fr, f3):
 def test_pullback_examples(fr, f3):
     X = space_X(1, fr)
     f = GaussianForm.standard(X)
-    g = pullback_linear(f, np.eye(2))
+    g = f.pullback_affine(np.eye(2))
     assert np.allclose(g.Q, f.Q) and g.kappa == f.kappa
-    h = pullback_linear(f, 2.0 * np.eye(2))
+    h = f.pullback_affine(2.0 * np.eye(2))
     assert np.allclose(h.Q, 4.0 * np.eye(2))
     with pytest.raises(ValueError):
-        pullback_linear(f, np.array([[1.0], [1.0]]) @ np.array([[1.0, 1.0]]))
+        f.pullback_affine(np.array([[1.0], [1.0]]) @ np.array([[1.0, 1.0]]))
     D1 = MatrixSpace(f3, 1, 1)
     ind = SBFunction.indicator(D1, Coset(Lattice.standard(3, 1), (Fraction(0),)))
-    pre = pullback_linear(ind, ((Fraction(3),),))
+    pre = ind.pullback_affine(((Fraction(3),),))
     assert pre.terms[0][1].lattice == Lattice.scaled_standard(3, 1, -1)
 
 

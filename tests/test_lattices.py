@@ -211,21 +211,13 @@ def test_granularity_and_radius():
     assert L.radius_exponent() == 1  # contains vectors of size p
 
 
-def test_functional_aliases():
-    from radonfourier import (
-        affine_preimage,
-        lattice_dual,
-        lattice_hnf,
-        lattice_intersect,
-        lattice_volume,
-    )
-
+def test_lattice_and_coset_methods():
     p = 3
-    L = lattice_hnf(p, [[2, 0], [5, 3]])
-    assert lattice_volume(L) == Fraction(1, 3)
-    assert lattice_dual(lattice_dual(L)) == L
+    L = Lattice(p, [[2, 0], [5, 3]])
+    assert L.volume() == Fraction(1, 3)
+    assert L.dual().dual() == L
     Z = Lattice.standard(p, 2)
-    assert lattice_intersect(L, Z) == L.intersect(Z)
+    assert L.intersect(Z) == L  # L lies inside Z_3^2
     coset = Coset(Z, (Fraction(0), Fraction(0)))
-    pre = affine_preimage(coset, (Fraction(0), Fraction(0)), ((Fraction(1),), (Fraction(0),)))
+    pre = coset.affine_preimage((Fraction(0), Fraction(0)), ((Fraction(1),), (Fraction(0),)))
     assert pre.lattice == Lattice.standard(p, 1)

@@ -286,6 +286,26 @@ def test_console_entry_point():
     assert "slice" in proc.stdout.lower() or "transform" in proc.stdout.lower()
 
 
+NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+from radonfourier import GaussianForm, fourier_slice_verify, real_field, space_X
+from radonfourier.cli import main
+
+f = GaussianForm.standard(space_X(1, real_field()))
+rep = fourier_slice_verify(f, [np.array([[1.0, 0.0]])], rhs_method="quadrature")
+assert rep["pass"], rep
+sys.exit(main(["verify", "slice", "--field", "r"]))
+"""
+
+
+def test_runs_without_scipy():
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "[PASS] slice" in proc.stderr
+
+
 # -- golden reports ---------------------------------------------------------
 
 DATA = Path(__file__).parent / "data"

@@ -405,19 +405,18 @@ def test_convolve_C_matches_gamma_on_truncations(fr):
                 total += piece.value(x)
         return total
 
-    from radonfourier.quadrature import adaptive_line_integral
+    from radonfourier.quadrature import integrate_box
     from radonfourier.geometry import flatten_linear, mmul
 
     M = flatten_linear(lambda b: mmul(x, b, fr), Lsp, X)
     fx = f.pullback_affine(M)
 
     def hole(R):
-        val, _ = adaptive_line_integral(
+        return integrate_box(
             lambda pts: fx.eval_coords(pts) * np.exp(-2j * np.pi * pts[:, 0]),
-            1.0 / R,
-            tol=1e-12,
+            [-1.0 / R],
+            [1.0 / R],
         )
-        return val
 
     # the truncation omits exactly the window |b| < 1/R of the operational
     # integral (|a| > R inverts into it): the integrand identity makes the
@@ -530,10 +529,49 @@ def test_fourier_slice_gaussian_quadrature(rng, fr):
     ys = [np.array([[1.0, 0.0]])] + [
         rand_regular_point(rng, space_Xbar(1, fr)) for _ in range(3)
     ]
+    # a small y whose slice envelope is wide: a fixed line interval sampled
+    # its far tail, where the pulled-back Gaussian amplitude overflows
+    ys.append(np.array([[0.031982182782880425, 0.042112834616157335]]))
     rep = fourier_slice_verify(f, ys, tol=1e-6, rhs_method="quadrature")
     assert rep["pass"], rep
     # oracle at y = (1,0)
     assert abs(complex(*rep["samples"][0]["lhs"]) - np.exp(-np.pi)) < 1e-12
+
+
+def test_fourier_slice_rhs_method_rejected(fr, fc, f3):
+    y1 = np.array([[1.0, 0.0]])
+    f1 = GaussianForm.standard(space_X(1, fr))
+    with pytest.raises(ValueError):
+        fourier_slice_verify(f1, [y1], rhs_method="quadratur")
+    f2 = GaussianForm.standard(space_X(2, fr))
+    y2 = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(ValueError):
+        fourier_slice_verify(f2, [y2], rhs_method="quadrature")
+    fcx = GaussianForm.standard(space_X(1, fc))
+    with pytest.raises(ValueError):
+        fourier_slice_verify(fcx, [y1.astype(complex)], rhs_method="quadrature")
+    ball = SBFunction.standard_ball(space_X(1, f3))
+    with pytest.raises(ValueError):
+        fourier_slice_verify(ball, [xl.mat([[1, 0]])], rhs_method="quadrature")
+
+
+def test_fourier_slice_quadrature_error_gated(monkeypatch, fr):
+    import radonfourier.transforms as tr
+
+    exact_integrate = tr.integrate
+
+    def loose(g, with_error=False, order=None):
+        if not with_error:
+            return exact_integrate(g, order=order)
+        val, _ = exact_integrate(g, with_error=True, order=order)
+        return val, 1e-3
+
+    monkeypatch.setattr(tr, "integrate", loose)
+    f = GaussianForm.standard(space_X(1, fr))
+    rep = fourier_slice_verify(f, [np.array([[1.0, 0.0]])], tol=1e-6, rhs_method="quadrature")
+    row = rep["samples"][0]
+    assert row["abs_err"] <= 1e-6 and row["rhs_quadrature_error"] == 1e-3
+    assert not rep["pass"]
 
 
 def test_fourier_slice_negative_control(rng, fr, f3):
