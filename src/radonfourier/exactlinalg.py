@@ -1,18 +1,18 @@
 """Exact linear algebra over Q, plus normal forms over the localization Z_(p).
 
 Matrices are tuples of tuples of ``Fraction``.  Dimensions in this package
-never exceed a dozen.  The hot kernels (``matmul``, ``matvec``, ``inv``)
-clear denominators first: they work on integer numerators over one common
-denominator, invert by fraction-free Gauss-Jordan elimination (Bareiss), and
-build one ``Fraction`` per output entry.  The rest is plain fraction
-Gaussian elimination.
+never exceed a dozen.  The kernels clear denominators first: they work on
+integer numerators over one common denominator and build one ``Fraction``
+per output entry.  One fraction-free Gauss-Jordan elimination (Bareiss)
+serves ``det``, ``rank`` and ``inv``.
 
-The p-adic lattice machinery needs column Hermite and Smith normal forms
-over Z_(p) = {a/b in Q : p does not divide b}, a discrete valuation ring in
-which every rational prime other than p is a unit.  These differ from the
-integer normal forms (extra units are available), so they are implemented
-directly: pivots are chosen by minimal p-adic valuation and normalized to
-pure powers of p.
+Over Z_(p) = {a/b in Q : p does not divide b}, a discrete valuation ring in
+which every rational prime other than p is a unit, there are two normal
+forms: the column Hermite form, on which every lattice operation rests, and
+the Smith form, which serves the Cartan (KAK) decomposition only.  They
+differ from the integer normal forms (extra units are available), so they
+are implemented directly: pivots are chosen by minimal p-adic valuation and
+normalized to pure powers of p.
 """
 
 from __future__ import annotations
@@ -83,41 +83,51 @@ def trace(A):
     return sum(A[i][i] for i in range(len(A)))
 
 
-def det(A):
-    """Determinant by fraction Gaussian elimination with partial pivoting."""
-    n = len(A)
-    if n == 1:
-        return Fraction(A[0][0])
-    if n == 2:
-        return A[0][0] * A[1][1] - A[0][1] * A[1][0]
-    M = [list(row) for row in A]
-    d = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c] != 0), None)
+def _bareiss(M, k):
+    """Fraction-free Gauss-Jordan (Bareiss) on integer rows M, columns < k.
+
+    Columns without a pivot are skipped.  Each update divides exactly by the
+    previous pivot, so entries stay integer minors and every pivot row ends
+    with the last pivot in its pivot column.  M (a list of lists) is reduced
+    in place; returns (M, rank, sign of the row swaps).
+    """
+    m = len(M)
+    r, prev, sign = 0, 1, 1
+    for c in range(k):
+        piv = next((i for i in range(r, m) if M[i][c]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            d = -d
-        d *= M[c][c]
-        inv = 1 / M[c][c]
-        for r in range(c + 1, n):
-            if M[r][c] == 0:
-                continue
-            f = M[r][c] * inv
-            for k in range(c, n):
-                M[r][k] -= f * M[c][k]
-    return d
+            continue
+        if piv != r:
+            M[r], M[piv] = M[piv], M[r]
+            sign = -sign
+        rr = M[r]
+        pk = rr[c]
+        for i in range(m):
+            if i != r:
+                ri = M[i]
+                f = ri[c]
+                M[i] = [(pk * x - f * y) // prev for x, y in zip(ri, rr)]
+        prev = pk
+        r += 1
+    return M, r, sign
+
+
+def det(A):
+    """det(N) / D^n for A = N / D: the swap sign times the last pivot."""
+    N, D = _scaled(A)
+    n = len(N)
+    M, r, sign = _bareiss(N, n)
+    if r < n:
+        return Fraction(0)
+    return Fraction(sign * M[-1][n - 1], D**n)
 
 
 def inv(A):
     """Inverse of a square matrix; ZeroDivisionError when it is singular.
 
     With A = N / D for an integer matrix N, inv(A) = D adj(N) / det(N).  For
-    n >= 3, fraction-free Gauss-Jordan on [N | I] keeps every entry an
-    integer minor (Bareiss: each update divides exactly by the previous
-    pivot) and ends at [e I | e N^(-1)] with e = +-det(N), the sign that of
-    the row swaps; each entry of the inverse is then D x / e.
+    n >= 3, Bareiss on [N | I] ends at [e I | e N^(-1)] with e = +-det(N);
+    each entry of the inverse is then D x / e.
     """
     N, D = _scaled(A)
     n = len(N)
@@ -132,21 +142,9 @@ def inv(A):
             (Fraction(D * d, det_), Fraction(-D * b, det_)),
             (Fraction(-D * c, det_), Fraction(D * a, det_)),
         )
-    M = [row + [int(i == j) for j in range(n)] for i, row in enumerate(N)]
-    prev = 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if M[r][k]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        M[k], M[piv] = M[piv], M[k]
-        rk = M[k]
-        pk = rk[k]
-        for i in range(n):
-            if i != k:
-                ri = M[i]
-                f = ri[k]
-                M[i] = [(pk * x - f * y) // prev for x, y in zip(ri, rk)]
-        prev = pk
+    M, r, _ = _bareiss([row + [int(i == j) for j in range(n)] for i, row in enumerate(N)], n)
+    if r < n:
+        raise ZeroDivisionError("singular matrix")
     return tuple(
         tuple(Fraction(D * x, M[i][i]) for x in M[i][n:]) for i in range(n)
     )
@@ -155,24 +153,8 @@ def inv(A):
 def rank(A):
     if not A:
         return 0
-    M = [list(row) for row in A]
-    m, n = len(M), len(M[0])
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if M[i][c] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv_ = 1 / M[r][c]
-        for i in range(r + 1, m):
-            if M[i][c] != 0:
-                f = M[i][c] * inv_
-                for k in range(c, n):
-                    M[i][k] -= f * M[r][k]
-        r += 1
-        if r == m:
-            break
-    return r
+    N, _ = _scaled(A)
+    return _bareiss(N, len(N[0]))[1]
 
 
 # ---------------------------------------------------------------------

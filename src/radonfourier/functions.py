@@ -511,12 +511,8 @@ class SBFunction:
 
 
 def _phase_kernel_sublattice(d: int, u, p: int) -> Lattice:
-    """{t in Z_p^d : <u, t> in Z_p} as a sublattice of Z_p^d."""
-    rows = [tuple(Fraction(1) if j == i else Fraction(0) for j in range(d)) for i in range(d)]
-    rows.append(tuple(Fraction(x) for x in u))
-    zero = tuple(Fraction(0) for _ in range(d + 1))
-    cos = Coset(Lattice.standard(p, d + 1), zero).affine_preimage(zero, rows)
-    return cos.lattice
+    """{t in Z_p^d : <u, t> in Z_p}: the dual of the lattice spanned by [I | u]."""
+    return Lattice(p, [row + (x,) for row, x in zip(xl.identity(d), u)]).dual()
 
 
 def _as_exact(c, p: int) -> ExactValue:

@@ -58,9 +58,9 @@ _TRUNC_R_ORDER, _TRUNC_THETA_ORDER = 40, 48
 class LFunction:
     """Evaluation object a -> value on GL(n), with provenance.
 
-    Values are complex (archimedean) or ExactValue (p-adic).  ``with_error``
-    evaluation also reports the quadrature error estimate (0 for closed-form
-    and exact paths).
+    Values are complex (archimedean) or ExactValue (p-adic).  ``_eval``
+    returns (value, quadrature error estimate), the error 0 for closed-form
+    and exact paths; ``with_error`` returns both.
     """
 
     fd: FieldDescriptor
@@ -69,10 +69,10 @@ class LFunction:
     provenance: str = ""
 
     def __call__(self, a):
-        return self._eval(a, False)[0]
+        return self._eval(a)[0]
 
     def with_error(self, a):
-        return self._eval(a, True)
+        return self._eval(a)
 
 
 def inner_X(f, h) -> LFunction:
@@ -81,7 +81,7 @@ def inner_X(f, h) -> LFunction:
     fd = space.fd
     n = space.cols
 
-    def ev(a, with_error):
+    def ev(a):
         ha = translate_group(h, a, side="right")
         prod = pointwise_mul(f.conjugate(), ha)
         val, err = integrate(prod, with_error=True)
@@ -98,7 +98,7 @@ def inner_Xbar(f, h) -> LFunction:
     fd = space.fd
     n = space.rows
 
-    def ev(a, with_error):
+    def ev(a):
         ha = translate_group(h, minv(a, fd), side="left")
         prod = pointwise_mul(f.conjugate(), ha)
         val, err = integrate(prod, with_error=True)

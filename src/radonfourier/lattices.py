@@ -11,6 +11,8 @@ Cosets carry a canonically reduced center.  Everything needed by the
 Schwartz-Bruhat function class lives here: duals, sums, intersections,
 images and affine preimages, coset intersection with witnesses, quotient
 enumeration, and coordinate projections with exact Fubini volume factors.
+The HNF is the only normal form used: volumes, quotients and granularity
+are read off it, the rest comes from one transformed HNF per operation.
 """
 
 from __future__ import annotations
@@ -67,9 +69,10 @@ class Lattice:
     # -- measure -------------------------------------------------------
 
     def volume(self) -> Fraction:
-        """Haar volume |det(basis)|_p, normalized so vol(Z_p^d) = 1."""
-        d = xl.det(self.basis)
-        return Fraction(self.p) ** (-padic_valuation(d, self.p))
+        """Haar volume |det(basis)|_p, normalized so vol(Z_p^d) = 1: the HNF
+        basis is triangular, so this is p^(-sum of the pivot valuations)."""
+        v = sum(padic_valuation(self.basis[i][i], self.p) for i in range(self.dim))
+        return Fraction(self.p) ** -v
 
     # -- membership ----------------------------------------------------
 
@@ -117,38 +120,26 @@ class Lattice:
     def quotient_representatives(self, sub: "Lattice"):
         """Coset representatives of (self / sub) for a sublattice sub.
 
-        Uses the Smith form of basis^(-1) @ sub_basis over Z_(p): the
-        quotient is a product of cyclic groups Z/p^(a_i).
+        Both bases are lower-triangular HNFs, so basis^(-1) @ sub_basis is
+        triangular with diagonal p^(a_i), a_i = v(sub_ii) - v(basis_ii): the
+        points basis @ t with 0 <= t_i < p^(a_i) form a complete set.
         """
         if not self.contains_lattice(sub):
             raise ValueError("not a sublattice")
-        D = xl.matmul(xl.inv(self.basis), sub.basis)
-        U, exps, _V = xl.smith_zp(D, self.p)
-        gens = xl.matmul(self.basis, U)  # columns: adapted basis of self
+        p = self.p
         reps = [tuple(Fraction(0) for _ in range(self.dim))]
-        for i, a in enumerate(exps):
-            if a == 0:
-                continue
-            col = tuple(row[i] for row in gens)
-            new = []
-            for r in reps:
-                for s in range(self.p**a):
-                    new.append(tuple(x + s * c for x, c in zip(r, col)))
-            reps = new
+        for i in range(self.dim):
+            a = padic_valuation(sub.basis[i][i], p) - padic_valuation(self.basis[i][i], p)
+            col = tuple(row[i] for row in self.basis)
+            reps = [
+                tuple(x + s * c for x, c in zip(r, col))
+                for r in reps for s in range(p**a)
+            ]
         return reps
 
     def granularity_exponent(self) -> int:
         """Smallest g with p^g Z_p^d contained in the lattice."""
-        g = 0
-        d = self.dim
-        for i in range(d):
-            e = tuple(Fraction(1) if r == i else Fraction(0) for r in range(d))
-            t = self.coords(e)
-            worst = min(
-                (padic_valuation(c, self.p) for c in t if c != 0), default=0
-            )
-            g = max(g, -worst)
-        return g
+        return max(0, -xl.val_min_entry(xl.inv(self.basis), self.p))
 
     def radius_exponent(self) -> int:
         """Smallest R with the lattice contained in p^(-R) Z_p^d."""
@@ -214,7 +205,9 @@ class Coset:
 
         Returns a Coset in dimension m, or None when empty.  A square C is
         inverted: the preimage is C^(-1) (center - offset) + C^(-1) L.  Other
-        shapes are solved through the Smith form of basis^(-1) @ C over Z_(p).
+        shapes need D z - w in Z_p^d (D = basis^(-1) @ C, w the coordinates of
+        center - offset); the transformed HNF D^T U = [H | 0] makes that
+        H^T z - u[:m] in Z_p^m and u[m:] in Z_p^(d-m), with u = U^T w.
         """
         p = self.p
         C = xl.mat(C)
@@ -228,28 +221,17 @@ class Coset:
                 Lattice(p, xl.matmul(Cinv, self.lattice.basis)), xl.matvec(Cinv, delta)
             )
         D = xl.matmul(xl.inv(self.lattice.basis), C)
-        dm, m = xl.shape(D)
-        U, exps, V = xl.smith_zp(D, p)
-        if len(exps) < m:
-            raise ValueError("affine map is not injective")
-        w = self.lattice.coords(delta)
-        u = xl.matvec(xl.inv(U), w)
-        # rows beyond m carry the solvability constraint u_i in Z_p
-        for i in range(m, dm):
-            if u[i] != 0 and padic_valuation(u[i], p) < 0:
-                return None
-        Vinv = xl.inv(V)
-        tpart = tuple(u[i] / Fraction(p) ** exps[i] for i in range(m))
-        z0 = xl.matvec(Vinv, tpart)
-        scale = tuple(
-            tuple(
-                (Fraction(p) ** (-exps[j]) if j == i else Fraction(0))
-                for j in range(m)
-            )
-            for i in range(m)
-        )
-        M = Lattice(p, xl.matmul(Vinv, scale))
-        return Coset(M, z0)
+        m = len(C[0])
+        try:
+            H, U = xl.hnf_zp(xl.transpose(D), p, transform=True)
+        except ValueError:
+            raise ValueError("affine map is not injective") from None
+        u = xl.matvec(xl.transpose(U), self.lattice.coords(delta))
+        # entries beyond m carry the solvability constraint u_i in Z_p
+        if any(x != 0 and padic_valuation(x, p) < 0 for x in u[m:]):
+            return None
+        T = xl.transpose(xl.inv(H))
+        return Coset(Lattice(p, T), xl.matvec(T, u[:m]))
 
     def project(self, keep):
         """Push forward along coordinate projection, integrating the rest out.

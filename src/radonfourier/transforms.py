@@ -239,20 +239,15 @@ def slice_transform(f, y, a, fiber: Fiber = None, measure_factor=1):
     Parametrized as x = A a + c w for w in F^n, where (A, c) comes from a
     unimodular completion of y (y A = I_n, y c = 0), so the fiber measure is
     plain Lebesgue dw.  ``measure_factor`` rescales dw and exists for the
-    negative controls.
+    negative controls.  The integral is that of ``intertwine_I`` over the
+    shifted fiber (A a, c).
     """
-    space = f.space
-    fd = space.fd
-    n = space.cols
+    fd = f.space.fd
+    n = f.space.cols
     if fiber is None:
         fiber = fiber_param(y, n, fd)
-    Aa = mmul(fiber.A, a, fd)
-    shifted = Fiber(y=y, A=Aa, c=fiber.c, n=n, fd=fd)
-    g = fiber_restrict(f, shifted)
-    val = integrate(g)
-    if measure_factor != 1:
-        val = val * as_scalar(measure_factor, fd)
-    return val
+    shifted = Fiber(y=y, A=mmul(fiber.A, a, fd), c=fiber.c, n=n, fd=fd)
+    return intertwine_I(f, y, fiber=shifted, measure_factor=measure_factor)
 
 
 def intertwine_I(f, y, fiber: Fiber = None, measure_factor=1, with_error: bool = False):

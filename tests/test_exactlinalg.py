@@ -36,6 +36,55 @@ def test_rank(rng):
     assert xl.rank(xl.identity(3)) == 3
 
 
+def ref_det_rank(A):
+    """(det or None when not square, rank) by plain Fraction elimination."""
+    M = [list(row) for row in A]
+    m, n = len(M), len(M[0])
+    d, r = Fraction(1), 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if M[i][c] != 0), None)
+        if piv is None:
+            d = Fraction(0)
+            continue
+        if piv != r:
+            M[r], M[piv] = M[piv], M[r]
+            d = -d
+        d *= M[r][c]
+        for i in range(r + 1, m):
+            f = M[i][c] / M[r][c]
+            M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+        r += 1
+        if r == m:
+            break
+    return (d if m == n else None), r
+
+
+def test_det_rank_rank_deficient_against_fraction_reference(rng):
+    """Products X Y of random m x r and r x n factors, half their entries zero
+    so that pivots are often missing: rank r or less, up to 6 x 7."""
+
+    def sparse(M):
+        return tuple(tuple(x if rng.integers(0, 2) else Fraction(0) for x in row) for row in M)
+
+    for _ in range(300):
+        m, n = int(rng.integers(1, 7)), int(rng.integers(1, 8))
+        if rng.integers(0, 2):
+            n = m
+        r = int(rng.integers(0, min(m, n) + 1))
+        X = sparse(rand_rational_matrix(rng, m, r)) if r else ((),) * m
+        Y = sparse(rand_rational_matrix(rng, r, n))
+        A = tuple(
+            tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*Y))
+            if r else (Fraction(0),) * n
+            for row in X
+        )
+        want_det, want_rank = ref_det_rank(A)
+        assert xl.rank(A) == want_rank <= r
+        if m == n:
+            assert xl.det(A) == want_det
+            assert (want_det == 0) == (want_rank < n)
+
+
 def test_canonical_residue():
     p = 3
     # rational with negative valuation keeps its fractional digits

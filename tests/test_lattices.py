@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from radonfourier import Coset, Lattice, abs_norm, padic_field
+from radonfourier import Coset, Lattice, abs_norm, padic_field, padic_valuation
 from radonfourier import exactlinalg as xl
 from radonfourier.sampling import rand_fraction
 
@@ -179,6 +179,19 @@ def test_affine_preimage_singular_square_raises(rng):
             coset.affine_preimage((Fraction(0),) * d, tuple(tuple(row) for row in C))
 
 
+def test_affine_preimage_dependent_columns_raises(rng):
+    """A d x m map, m < d, whose last column is a multiple of the first."""
+    p = 3
+    for d in range(2, 5):
+        for m in range(2, d):
+            coset = Coset(rand_lattice(rng, p, d), tuple(rand_fraction(rng, p, -1, 2) for _ in range(d)))
+            C = [list(row) for row in rand_injective(rng, p, d, m)]
+            for row in C:
+                row[-1] = row[0] * Fraction(2, 3)
+            with pytest.raises(ValueError, match="not injective"):
+                coset.affine_preimage((Fraction(0),) * d, tuple(tuple(row) for row in C))
+
+
 def test_project_fubini(rng):
     p = 2
     for _ in range(30):
@@ -202,6 +215,45 @@ def test_quotient_representatives(rng):
     assert len(seen) == 9
     with pytest.raises(ValueError):
         sub.quotient_representatives(L)
+
+
+def test_quotient_representatives_non_diagonal(rng):
+    """Random L and sub = L @ B for an integral B of small index: non-diagonal HNFs."""
+    for p in (2, 3, 5):
+        for _ in range(12):
+            d = int(rng.integers(1, 4))
+            L = rand_lattice(rng, p, d)
+            while True:
+                B = tuple(
+                    tuple(Fraction(int(rng.integers(-p, p + 1))) for _ in range(d))
+                    for _ in range(d)
+                )
+                det = xl.det(B)
+                if det != 0 and padic_valuation(det, p) <= 3:
+                    break
+            sub = Lattice(p, xl.matmul(L.basis, B))
+            reps = L.quotient_representatives(sub)
+            assert len(reps) == L.volume() / sub.volume()
+            assert all(L.contains(r) for r in reps)
+            assert len({Coset(sub, r) for r in reps}) == len(reps)
+
+
+def test_granularity_exponent_definition(rng):
+    """g is the least exponent with p^g e_i in L for every i."""
+    for p in (2, 3):
+        for _ in range(30):
+            d = int(rng.integers(1, 5))
+            L = rand_lattice(rng, p, d)
+            g = L.granularity_exponent()
+
+            def holds(k):
+                return all(
+                    L.contains(tuple(Fraction(p) ** k if r == i else Fraction(0) for r in range(d)))
+                    for i in range(d)
+                )
+
+            assert holds(g)
+            assert g == 0 or not holds(g - 1)
 
 
 def test_granularity_and_radius():
