@@ -10,17 +10,27 @@ Three engines cover the package's needs:
   truncation diagnostics whose integrands have radial features at several
   well separated scales.
 
-Everything is deterministic: node sets depend only on the requested orders
-and numpy reductions use a fixed (pairwise) tree, so repeated runs produce
-identical floating point output.
+The two tensor rules share one engine, ``_tensor_sum``.  Each axis brings
+its nodes as an (n, d) array of displacements, so that a grid point is the
+offset plus one displacement per axis, and its weights as logarithms.  The
+trailing axes whose grid fits in ``_CHUNK`` points form one block, built
+once by broadcasting; the leading axes are walked in groups of points, and
+each integrand call receives one group plus the block.
+
+Everything is deterministic: node sets depend only on the requested orders,
+groups are summed in a fixed order and numpy reductions use a fixed
+(pairwise) tree, so repeated runs produce identical floating point output.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
-_EXP_CLIP = 700.0  # keep exp() finite; clipped terms pair with underflowed values
-_CHUNK = 200_000  # tensor-grid nodes evaluated per integrand call
+_LOG_WEIGHT_MAX = 700.0  # exp() overflows a little above 709
+_CHUNK = 65_536  # tensor-grid points per integrand call (the block may exceed it alone)
 
 _GH_CACHE: dict = {}
 _GL_CACHE: dict = {}
@@ -40,28 +50,58 @@ def gauss_legendre_rule(order: int):
     return _GL_CACHE[order]
 
 
-def _chunked_tensor(fn, axes_nodes, axes_logw):
-    """Sum fn over a tensor grid with per-axis log-weights, in chunks."""
-    d = len(axes_nodes)
-    sizes = [len(a) for a in axes_nodes]
-    total = int(np.prod(sizes))
+def _tensor_sum(fn, axes, offset):
+    """Sum fn(x) * exp(logw) over a tensor grid.
+
+    ``axes`` lists one (disp, logw) pair per axis: disp is (n, d), logw is
+    (n,).  The grid point of a node tuple (i_0, i_1, ...) is
+    ``offset + sum_ax disp_ax[i_ax]`` and its log-weight is the sum of the
+    ``logw_ax[i_ax]``; the last axis varies fastest.
+
+    The trailing axes whose grid has at most ``_CHUNK`` points (at least the
+    last axis) form the block.  The axis before them is cut into groups of
+    ``_CHUNK // block`` nodes, and every tuple of the axes before that one
+    is walked with each group: one integrand call per (tuple, group), on
+    ``group + block`` points.  Every sum runs in this fixed order.
+
+    Raises ValueError when a summed log-weight may exceed
+    ``_LOG_WEIGHT_MAX``, where exp() would overflow; weights that underflow
+    contribute 0.
+    """
+    top = sum(float(np.max(logw)) for _, logw in axes)
+    if not top <= _LOG_WEIGHT_MAX:
+        raise ValueError(
+            f"tensor weights reach exp({top:.4g}), beyond exp({_LOG_WEIGHT_MAX:g}); "
+            "the integral would overflow"
+        )
+    d = len(offset)
+    k = len(axes) - 1
+    while k > 0 and math.prod(len(logw) for _, logw in axes[k - 1 :]) <= _CHUNK:
+        k -= 1
+    block_x, block_w = axes[-1]
+    for disp, logw in reversed(axes[k:-1]):
+        block_x = (disp[:, None, :] + block_x[None, :, :]).reshape(-1, d)
+        block_w = (logw[:, None] + block_w[None, :]).reshape(-1)
     acc = 0.0 + 0.0j
-    pos = 0
-    while pos < total:
-        count = min(_CHUNK, total - pos)
-        idx = np.arange(pos, pos + count)
-        coords = np.empty((count, d))
-        logw = np.zeros(count)
-        rem = idx
-        for ax in range(d - 1, -1, -1):
-            k = rem % sizes[ax]
-            rem = rem // sizes[ax]
-            coords[:, ax] = axes_nodes[ax][k]
-            logw += axes_logw[ax][k]
-        vals = np.asarray(fn(coords), dtype=complex)
-        acc += complex(np.sum(vals * np.exp(np.clip(logw, -_EXP_CLIP, _EXP_CLIP))))
-        pos += count
+    for lead_x, lead_w in _lead_groups(axes[:k], offset, max(1, _CHUNK // len(block_w))):
+        x = (lead_x[:, None, :] + block_x[None, :, :]).reshape(-1, d)
+        logw = (lead_w[:, None] + block_w[None, :]).reshape(-1)
+        acc += complex(np.sum(np.asarray(fn(x), dtype=complex) * np.exp(logw)))
     return acc
+
+
+def _lead_groups(lead, offset, step):
+    """(points, log-weights) of the leading axes, ``step`` nodes of the last
+    leading axis at a time, in grid order."""
+    if not lead:
+        yield offset[None, :], np.zeros(1)
+        return
+    *outer, (group_x, group_w) = lead
+    for rows in itertools.product(*(zip(disp, logw) for disp, logw in outer)):
+        base_x = offset + sum(row for row, _ in rows)
+        base_w = sum(val for _, val in rows)
+        for s in range(0, len(group_w), step):
+            yield base_x + group_x[s : s + step], base_w + group_w[s : s + step]
 
 
 def integrate_gauss_hermite(fn, Q, center=None, order: int = 40):
@@ -70,34 +110,49 @@ def integrate_gauss_hermite(fn, Q, center=None, order: int = 40):
     Whitens by the envelope (x = c + S u with S'QS = I) and applies a tensor
     Gauss-Hermite rule: the Gaussian decay is carried by the weights, the node
     values are reweighted by exp(+pi |u|^2), which stays bounded whenever the
-    envelope really bounds the integrand.
+    envelope really bounds the integrand.  The whitening is folded into the
+    nodes: axis j displaces the point by u S[:, j].
     """
     Q = np.asarray(Q, dtype=float)
     d = Q.shape[0]
     L = np.linalg.cholesky(Q)
     S = np.linalg.inv(L.T)
     jac = 1.0 / np.sqrt(np.linalg.det(Q))
-    if center is None:
-        center = np.zeros(d)
+    center = np.zeros(d) if center is None else np.asarray(center, dtype=float)
     u, w = gauss_hermite_rule(order)
     # the +pi|u|^2 reweighting joins the log-weights; it cancels the envelope
     # decay of the node values, so the summand stays of moderate size
     logw = np.log(w) + np.pi * u * u
-    total = _chunked_tensor(lambda p: fn(p @ S.T + center[None, :]), [u] * d, [logw] * d)
-    return jac * total
+    axes = [(np.outer(u, S[:, j]), logw) for j in range(d)]
+    return jac * _tensor_sum(fn, axes, center)
 
 
 def integrate_box(fn, lows, highs, order: int = 40):
-    """Tensor Gauss-Legendre integral of fn over a box."""
+    """Tensor Gauss-Legendre integral of fn over the box prod [lows_i, highs_i].
+
+    Raises ValueError unless lows and highs are non-empty finite sequences
+    of one length with highs > lows on every axis.
+    """
     lows = np.atleast_1d(np.asarray(lows, dtype=float))
     highs = np.atleast_1d(np.asarray(highs, dtype=float))
+    if lows.ndim != 1 or lows.shape != highs.shape or not len(lows):
+        raise ValueError(
+            f"box bounds must be two non-empty 1-d sequences of one length, "
+            f"got shapes {lows.shape} and {highs.shape}"
+        )
+    if not (np.all(np.isfinite(lows)) and np.all(np.isfinite(highs))):
+        raise ValueError(f"box bounds must be finite, got {lows.tolist()} and {highs.tolist()}")
+    if not np.all(highs > lows):
+        raise ValueError(f"box bounds need highs > lows, got {lows.tolist()} and {highs.tolist()}")
     x, w = gauss_legendre_rule(order)
-    axes_nodes, axes_logw = [], []
-    for lo, hi in zip(lows, highs):
-        half = 0.5 * (hi - lo)
-        axes_nodes.append(lo + half * (x + 1.0))
-        axes_logw.append(np.log(w * half))
-    return _chunked_tensor(fn, axes_nodes, axes_logw)
+    d = len(lows)
+    axes = []
+    for j, (lo, hi) in enumerate(zip(lows, highs)):
+        half = 0.5 * hi - 0.5 * lo  # = 0.5 * (hi - lo), without overflow in hi - lo
+        disp = np.zeros((len(x), d))
+        disp[:, j] = lo + half * (x + 1.0)
+        axes.append((disp, np.log(w * half)))
+    return _tensor_sum(fn, axes, np.zeros(d))
 
 
 def integrate_polar_2d(fn, r_breaks, r_order: int = 40, theta_order: int = 48):

@@ -1,6 +1,13 @@
-import numpy as np
+import itertools
+import tracemalloc
 
+import numpy as np
+import pytest
+
+from radonfourier import quadrature
 from radonfourier.quadrature import (
+    gauss_hermite_rule,
+    gauss_legendre_rule,
     integrate_box,
     integrate_gauss_hermite,
     integrate_polar_2d,
@@ -63,3 +70,141 @@ def test_box_rule_oscillatory():
     err = abs(val - integrate_box(fn, [-6.0], [6.0], order=86))
     assert abs(val - np.exp(-np.pi)) < 1e-10
     assert err < 1e-8
+
+
+# ---------------------------------------------------------------------
+# The tensor engine against a brute-force sum over the same grid
+# ---------------------------------------------------------------------
+
+ENGINE_ORDERS = {1: 9, 2: 7, 3: 5, 4: 4, 5: 3}
+
+
+def _recording(fn, calls):
+    def wrapped(pts):
+        calls.append(np.array(pts))
+        return fn(pts)
+
+    return wrapped
+
+
+def _smooth(center, ell):
+    def fn(pts):
+        z = pts - center
+        return np.exp(-0.5 * np.sum(z * z, axis=1) + 1j * (pts @ ell)) * (1.0 + pts[:, 0] ** 2)
+
+    return fn
+
+
+def _random_gaussian_input(d):
+    rng = np.random.default_rng(1000 + d)
+    a = rng.standard_normal((d, d))
+    Q = a @ a.T + 0.5 * np.eye(d)  # non-diagonal, positive definite
+    return Q, rng.standard_normal(d), rng.standard_normal(d)
+
+
+def _check_each_node_once(calls, axis_nodes, to_axes, cap):
+    """Every grid node reaches the integrand exactly once, in calls of at
+    most ``cap`` points."""
+    assert max(len(c) for c in calls) <= cap
+    pts = np.concatenate(calls)
+    order, d = len(axis_nodes), pts.shape[1]
+    assert len(pts) == order**d
+    dist = np.abs(to_axes(pts)[:, :, None] - axis_nodes[None, None, :])
+    assert np.max(np.min(dist, axis=2)) < 1e-9
+    flat = np.ravel_multi_index(tuple(np.argmin(dist, axis=2).T), (order,) * d)
+    assert np.array_equal(np.bincount(flat, minlength=order**d), np.ones(order**d, dtype=int))
+
+
+@pytest.mark.parametrize("chunk", [7, 50, 1000])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_gauss_hermite_engine_matches_brute_force(monkeypatch, chunk, d):
+    monkeypatch.setattr(quadrature, "_CHUNK", chunk)
+    order = ENGINE_ORDERS[d]
+    Q, center, ell = _random_gaussian_input(d)
+    fn = _smooth(center, ell)
+    calls = []
+    got = integrate_gauss_hermite(_recording(fn, calls), Q, center, order=order)
+
+    u, w = gauss_hermite_rule(order)
+    upper = np.linalg.cholesky(Q).T  # x = center + S u with S = upper^-1
+    S = np.linalg.inv(upper)
+    want = 0.0 + 0.0j
+    for idx in itertools.product(range(order), repeat=d):
+        node = u[list(idx)]
+        x = center + S @ node
+        want += complex(fn(x[None, :])[0]) * np.prod(w[list(idx)] * np.exp(np.pi * node**2))
+    want /= np.sqrt(np.linalg.det(Q))
+    assert abs(got - want) <= 1e-13 * abs(want)
+    _check_each_node_once(calls, u, lambda x: (x - center) @ upper.T, max(chunk, order))
+
+
+@pytest.mark.parametrize("chunk", [7, 50, 1000])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_box_engine_matches_brute_force(monkeypatch, chunk, d):
+    monkeypatch.setattr(quadrature, "_CHUNK", chunk)
+    order = ENGINE_ORDERS[d]
+    _, center, ell = _random_gaussian_input(d)
+    lows = center - 1.0
+    highs = center + np.linspace(0.5, 2.0, d)
+    fn = _smooth(center, ell)
+    calls = []
+    got = integrate_box(_recording(fn, calls), lows, highs, order=order)
+
+    t, w = gauss_legendre_rule(order)
+    half = 0.5 * (highs - lows)
+    want = 0.0 + 0.0j
+    for idx in itertools.product(range(order), repeat=d):
+        x = lows + half * (t[list(idx)] + 1.0)
+        want += complex(fn(x[None, :])[0]) * np.prod(w[list(idx)] * half)
+    assert abs(got - want) <= 1e-13 * abs(want)
+    _check_each_node_once(calls, t, lambda x: (x - lows) / half - 1.0, max(chunk, order))
+
+
+def test_engine_memory_stays_within_a_chunk(monkeypatch):
+    # 6^6 = 46656 grid points in calls of at most 50: beside the block, no
+    # array of more than max(_CHUNK, order) points may be built, neither of
+    # the whole grid nor of the 1296 leading-axis points
+    monkeypatch.setattr(quadrature, "_CHUNK", 50)
+    d, order = 6, 6
+    Q, center, ell = _random_gaussian_input(d)
+    fn = _smooth(center, ell)
+    integrate_gauss_hermite(fn, Q, center, order=order)  # fills the rule cache
+    tracemalloc.start()
+    try:
+        integrate_gauss_hermite(fn, Q, center, order=order)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    point_bytes = d * 16  # one point as d complex numbers
+    assert peak < 8 * 50 * point_bytes
+
+
+def test_weight_overflow_raises():
+    ones = lambda pts: np.ones(len(pts), dtype=complex)
+    # half-widths near 1e308: the weights exceed the float range (and so
+    # do the outer nodes, with numpy's warning)
+    with pytest.raises(ValueError, match="overflow"), np.errstate(over="ignore"):
+        integrate_box(ones, [-1e308] * 2, [1e308] * 2)
+    with pytest.raises(ValueError, match="overflow"):
+        integrate_box(ones, [0.0, 0.0], [1e200, 1e200])
+    # weights that underflow contribute 0
+    assert integrate_box(ones, [0.0, 0.0], [1e-200, 1e-200]) == 0
+
+
+@pytest.mark.parametrize(
+    "lows, highs",
+    [
+        ([0.0, 0.0], [1.0, 2.0, 3.0]),  # lengths differ
+        ([0.0, np.nan], [1.0, 2.0]),  # not finite
+        ([0.0, -np.inf], [1.0, 2.0]),
+        ([0.0], [np.inf]),
+        ([1.0], [0.0]),  # highs < lows
+        ([0.0, 1.0], [1.0, 1.0]),  # empty side
+        ([], []),  # no dimension
+    ],
+)
+def test_box_bounds_validated(lows, highs):
+    calls = []
+    with pytest.raises(ValueError, match="box bounds"):
+        integrate_box(_recording(lambda p: np.ones(len(p)), calls), lows, highs)
+    assert not calls
