@@ -111,7 +111,8 @@ def integrate_gauss_hermite(fn, Q, center=None, order: int = 40):
     Gauss-Hermite rule: the Gaussian decay is carried by the weights, the node
     values are reweighted by exp(+pi |u|^2), which stays bounded whenever the
     envelope really bounds the integrand.  The whitening is folded into the
-    nodes: axis j displaces the point by u S[:, j].
+    nodes: axis j displaces the point by u S[:, j].  Raises ValueError when
+    center does not have Q's dimension.
     """
     Q = np.asarray(Q, dtype=float)
     d = Q.shape[0]
@@ -119,6 +120,8 @@ def integrate_gauss_hermite(fn, Q, center=None, order: int = 40):
     S = np.linalg.inv(L.T)
     jac = 1.0 / np.sqrt(np.linalg.det(Q))
     center = np.zeros(d) if center is None else np.asarray(center, dtype=float)
+    if center.shape != (d,):
+        raise ValueError(f"center has shape {center.shape}, the form needs ({d},)")
     u, w = gauss_hermite_rule(order)
     # the +pi|u|^2 reweighting joins the log-weights; it cancels the envelope
     # decay of the node values, so the summand stays of moderate size

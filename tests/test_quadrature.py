@@ -208,3 +208,12 @@ def test_box_bounds_validated(lows, highs):
     with pytest.raises(ValueError, match="box bounds"):
         integrate_box(_recording(lambda p: np.ones(len(p)), calls), lows, highs)
     assert not calls
+
+
+def test_gauss_hermite_center_shape_validated():
+    calls = []
+    fn = _recording(lambda p: np.ones(len(p)), calls)
+    for center in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]):
+        with pytest.raises(ValueError, match="center"):
+            integrate_gauss_hermite(fn, np.eye(2), center=center)
+    assert not calls
