@@ -22,7 +22,7 @@ from radonfourier import (
     translate_group,
 )
 from radonfourier import exactlinalg as xl
-from radonfourier.functions import _coords_space
+from radonfourier.functions import _coords_space, _quadratic_form
 from radonfourier.geometry import MatrixSpace, base_point_x
 from radonfourier.sampling import rand_fraction, rand_gaussian, rand_sb_function
 
@@ -191,6 +191,50 @@ def test_gaussian_closed_form_vs_quadrature(rng, fr):
         got, err = integrate(ev, with_error=True)
         want = g.integral()
         assert abs(got - want) <= 1e-8 * max(1.0, abs(want)), (d, got, want, err)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_quadratic_form_matches_einsum_bitwise(d):
+    # bit-identity, not closeness: the golden reports pin residuals at
+    # roundoff level, so any other summation order can move them
+    rng = np.random.default_rng(d)
+    a = rng.standard_normal((d, d))
+    Q = a @ a.T + 0.5 * np.eye(d)  # non-diagonal
+    for n in (0, 1, 7, 1920, 65536):
+        base = rng.standard_normal((2 * n, d)) * 3
+        for pts in (
+            np.ascontiguousarray(base[:n]),
+            np.asfortranarray(base[:n]),
+            base[::2],
+        ):
+            want = np.einsum("ni,ij,nj->n", pts, Q, pts)
+            assert np.array_equal(_quadratic_form(pts, Q), want), (d, n, pts.strides)
+
+
+def test_gaussian_eval_coords_single_point(rng, fr):
+    X = space_X(2, fr)
+    g = rand_gaussian(rng, X)
+    x = rng.standard_normal((3, 2))
+    got = g.eval_coords(X.coords(x))
+    assert got.shape == (1,)
+    assert got[0] == g.value(x)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_gaussian_rejects_non_finite_form(fr, bad):
+    X = MatrixSpace(fr, 1, 2)
+    for Q in ([[1.0, bad], [bad, 1.0]], [[bad, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError, match="must be finite"):
+            GaussianForm(X, Q)
+
+
+def test_gaussian_form_checks(fr):
+    X = MatrixSpace(fr, 1, 2)
+    GaussianForm(X, [[1.0, 0.3], [0.3 + 1e-9, 1.0]])  # within np.allclose
+    with pytest.raises(ValueError, match="symmetric"):
+        GaussianForm(X, [[1.0, 0.3], [0.31, 1.0]])
+    with pytest.raises(ValueError, match="positive definite"):
+        GaussianForm(X, [[1.0, 2.0], [2.0, 1.0]])
 
 
 def test_gaussian_envelope_bounds(rng, fr):
