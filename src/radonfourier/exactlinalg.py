@@ -18,7 +18,7 @@ normalized to pure powers of p.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .fields import padic_valuation
 
@@ -50,6 +50,8 @@ def mat_add(A, B):
 def _scaled(rows):
     """(N, D): integer rows N and a common denominator D with rows = N / D."""
     D = lcm(*(x.denominator for row in rows for x in row))
+    if D == 1:
+        return [[x.numerator for x in row] for row in rows], 1
     return [[x.numerator * (D // x.denominator) for x in row] for row in rows], D
 
 
@@ -184,6 +186,9 @@ def canonical_residue(t: Fraction, p: int, m: int) -> Fraction:
     return Fraction(r) * Fraction(p) ** v
 
 
+_ZERO = Fraction(0)
+
+
 def hnf_zp(B, p: int, transform: bool = False):
     """Column Hermite normal form of B over Z_(p).
 
@@ -195,64 +200,94 @@ def hnf_zp(B, p: int, transform: bool = False):
 
     With ``transform=True`` also returns U (k x k, unimodular over Z_(p))
     with B @ U = [H | 0].
+
+    Every step runs on integers.  With B = N / D and D = p^e u, p not
+    dividing u, the span of B is p^(-e) times the span of N.  Row by row,
+    the column whose entry has least valuation v becomes the pivot, with
+    entry w p^v (p not dividing w); every later column with entry b becomes
+    w col - (b / p^v) pivot, a step of determinant w, a p-unit.  Each step
+    then divides the column, and its column of U, by the p-free part of the
+    gcd of their entries.  A pivot column c with pivot w p^v stands for
+    c / (w p^e) in H, and its column of U for u / w times the integer one.
+    One ``Fraction`` per output entry is built at the end.
     """
     d, k = shape(B)
-    cols = [list(col) for col in zip(*B)]
-    U = [list(row) for row in identity(k)] if transform else None
+    N, D = _scaled(B)
+    e, u = 0, D
+    while u % p == 0:
+        u //= p
+        e += 1
+    cols = [list(col) for col in zip(*N)]
+    Uc = [[int(i == j) for i in range(k)] for j in range(k)] if transform else None
+    qs = []  # p^v of each pivot
 
-    def colop_sub(j, i, f):
-        # col_j -= f * col_i ; f must lie in Z_(p) to stay unimodular
-        ci, cj = cols[i], cols[j]
-        for r in range(d):
-            cj[r] -= f * ci[r]
-        if U is not None:
-            for r in range(k):
-                U[r][j] -= f * U[r][i]
+    def combine(j, a, i, b):
+        # col_j = a col_j - b col_i (U alike), divided by the p-free gcd
+        cj = [a * x - b * y for x, y in zip(cols[j], cols[i])]
+        uj = [a * x - b * y for x, y in zip(Uc[j], Uc[i])] if Uc is not None else []
+        g = gcd(*cj, *uj)
+        while g and g % p == 0:
+            g //= p
+        if g > 1:
+            cj = [x // g for x in cj]
+            uj = [x // g for x in uj]
+        cols[j] = cj
+        if Uc is not None:
+            Uc[j] = uj
 
-    pivots = 0
     for row in range(d):
         best, bestv = None, None
-        for j in range(pivots, k):
-            v = _val(cols[j][row], p)
-            if v is not None and (bestv is None or v < bestv):
-                best, bestv = j, v
+        for j in range(row, k):
+            x = cols[j][row]
+            if x:
+                v = 0
+                while x % p == 0:
+                    x //= p
+                    v += 1
+                if bestv is None or v < bestv:
+                    best, bestv = j, v
+                    if v == 0:
+                        break
         if best is None:
             raise ValueError("matrix does not have full row rank over Z_(p)")
-        if best != pivots:
-            cols[pivots], cols[best] = cols[best], cols[pivots]
-            if U is not None:
-                for r in range(k):
-                    U[r][pivots], U[r][best] = U[r][best], U[r][pivots]
-        unit = cols[pivots][row] / Fraction(p) ** bestv
-        s = 1 / unit
-        for r in range(d):
-            cols[pivots][r] *= s
-        if U is not None:
-            for r in range(k):
-                U[r][pivots] *= s
-        for j in range(pivots + 1, k):
-            if cols[j][row] != 0:
-                colop_sub(j, pivots, cols[j][row] / cols[pivots][row])
-        pivots += 1
-    if pivots < d:
-        raise ValueError("matrix does not have full row rank over Z_(p)")
+        if best != row:
+            cols[row], cols[best] = cols[best], cols[row]
+            if Uc is not None:
+                Uc[row], Uc[best] = Uc[best], Uc[row]
+        q = p**bestv
+        qs.append(q)
+        w = cols[row][row] // q
+        for j in range(row + 1, k):
+            b = cols[j][row]
+            if b:
+                combine(j, w, row, b // q)
     # columns beyond the d pivots had every row eliminated, so they are zero
 
     # canonical reduction of subdiagonal entries; within a column, work the
     # pivot rows in ascending order so later subtractions (which only touch
-    # rows >= their pivot) cannot disturb entries already reduced
+    # rows >= their pivot) cannot disturb entries already reduced.  Entry
+    # H[i][j] = c / (w_j p^e) has the canonical residue r / p^e with
+    # r = c / w_j mod p^(v_i); w_i col_j - ((c - r w_j) / p^(v_i)) col_i
+    # leaves it there, with pivot w_i w_j p^(v_j) in column j.
     for j in range(d):
         for i in range(j + 1, d):
-            piv = cols[i][i]
-            m = padic_valuation(piv, p)
-            t = cols[j][i]
-            rho = canonical_residue(t, p, m)
-            if t != rho:
-                colop_sub(j, i, (t - rho) / piv)
-    H = tuple(tuple(cols[j][r] for j in range(d)) for r in range(d))
-    if transform:
-        return H, tuple(tuple(row) for row in U)
-    return H
+            q, wj, c = qs[i], cols[j][j] // qs[j], cols[j][i]
+            a = (c - c * pow(wj, -1, q) % q * wj) // q
+            if a:
+                combine(j, cols[i][i] // q, i, a)
+    units = [cols[j][j] // q for j, q in enumerate(qs)]
+    pe = p**e
+    H = tuple(
+        tuple(Fraction(x, w * pe) if x else _ZERO for x, w in zip(row, units))
+        for row in zip(*cols[:d])
+    )
+    if not transform:
+        return H
+    scale = [Fraction(u, w) for w in units] + [Fraction(1)] * (k - d)
+    U = tuple(
+        tuple(x * s if x else _ZERO for x, s in zip(row, scale)) for row in zip(*Uc)
+    )
+    return H, U
 
 
 def smith_zp(A, p: int):

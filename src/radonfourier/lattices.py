@@ -29,7 +29,7 @@ class Lattice:
     ``basis`` is a d x d matrix whose *columns* generate the lattice.
     """
 
-    __slots__ = ("p", "basis", "dim")
+    __slots__ = ("p", "basis", "dim", "_int", "_hash")
 
     def __init__(self, p: int, basis, _canonical=False):
         basis = xl.mat(basis)
@@ -39,6 +39,8 @@ class Lattice:
         self.p = p
         self.basis = basis
         self.dim = d
+        self._int = xl._scaled(basis)  # (N, D) with basis = N / D
+        self._hash = hash((p, basis))
 
     @classmethod
     def standard(cls, p: int, d: int) -> "Lattice":
@@ -56,12 +58,13 @@ class Lattice:
     def __eq__(self, other):
         return (
             isinstance(other, Lattice)
+            and self._hash == other._hash
             and self.p == other.p
             and self.basis == other.basis
         )
 
     def __hash__(self):
-        return hash((self.p, self.basis))
+        return self._hash
 
     def __repr__(self):
         return f"Lattice(p={self.p}, basis={[list(r) for r in self.basis]})"
@@ -77,14 +80,25 @@ class Lattice:
     # -- membership ----------------------------------------------------
 
     def coords(self, vec):
-        """Coordinates t with basis @ t = vec (triangular solve)."""
-        t = [Fraction(0)] * self.dim
-        v = [Fraction(x) for x in vec]
-        for i in range(self.dim):
-            t[i] = v[i] / self.basis[i][i]
-            if t[i] != 0:
-                for r in range(i, self.dim):
-                    v[r] -= t[i] * self.basis[r][i]
+        """Coordinates t with basis @ t = vec (triangular solve).
+
+        Fraction-free forward substitution: with basis = N / D and the part
+        of vec still to solve kept as R / S, t_i = D R_i / (S N_ii), and
+        R_r becomes R_r N_ii - R_i N_ri below row i, S becomes S N_ii.
+        """
+        N, D = self._int
+        (R,), S = xl._scaled((vec,))
+        t = []
+        for i, row in enumerate(N):
+            x = R[i]
+            if not x:
+                t.append(Fraction(0))
+                continue
+            piv = row[i]
+            t.append(Fraction(D * x, S * piv))
+            for r in range(i + 1, self.dim):
+                R[r] = R[r] * piv - x * N[r][i]
+            S *= piv
         return tuple(t)
 
     def contains(self, vec) -> bool:
@@ -114,6 +128,10 @@ class Lattice:
         return Lattice(self.p, rows)
 
     def intersect(self, other: "Lattice") -> "Lattice":
+        if self.contains_lattice(other):
+            return other
+        if other.contains_lattice(self):
+            return self
         _, LU = _sum_transform(self, other)
         return Lattice(self.p, tuple(row[self.dim:] for row in LU))
 
@@ -186,10 +204,16 @@ class Coset:
     def intersect(self, other: "Coset"):
         """Intersection coset, or None when disjoint.
 
-        Nonempty iff center difference lies in the lattice sum; a witness is
-        produced from the HNF transform of the concatenated bases.
+        Nonempty iff center difference lies in the lattice sum.  When one
+        lattice contains the other, the sum is the larger and the meet is the
+        smaller coset itself.  Otherwise a witness is produced from the HNF
+        transform of the concatenated bases.
         """
         diff = xl.vec_sub(other.center, self.center)
+        if self.lattice.contains_lattice(other.lattice):
+            return other if self.lattice.contains(diff) else None
+        if other.lattice.contains_lattice(self.lattice):
+            return self if other.lattice.contains(diff) else None
         Hlat, LU = _sum_transform(self.lattice, other.lattice)
         if not Hlat.contains(diff):
             return None

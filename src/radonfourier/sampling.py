@@ -91,24 +91,22 @@ def rand_orthogonal(rng, n: int, fd: FieldDescriptor):
 
 def rand_gl_zp(rng, n: int, p: int):
     """A random element of GL(n, Z_p): a product of 12 integer shears, swaps
-    and unit scalings."""
-    m = [list(row) for row in xl.identity(n)]
+    and unit scalings, formed on integers."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(12):
         kind = int(rng.integers(0, 3))
         i, j = int(rng.integers(0, n)), int(rng.integers(0, n))
         if n > 1 and i == j:
             j = (j + 1) % n
         if kind == 0 and n > 1:
-            c = Fraction(int(rng.integers(-4, 5)))
-            for k in range(n):
-                m[i][k] += c * m[j][k]
+            c = int(rng.integers(-4, 5))
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
         elif kind == 1 and n > 1:
             m[i], m[j] = m[j], m[i]
         else:
-            u = Fraction(1 + p * int(rng.integers(0, 3)))
-            for k in range(n):
-                m[i][k] *= u
-    return tuple(tuple(row) for row in m)
+            u = 1 + p * int(rng.integers(0, 3))
+            m[i] = [x * u for x in m[i]]
+    return xl.mat(m)
 
 
 def rand_kak_sample(rng, n: int, fd: FieldDescriptor, spread: float = 4.0):

@@ -250,3 +250,68 @@ def test_inv_singular_raises(rng):
         ]
         with pytest.raises(ZeroDivisionError):
             xl.inv(tuple(tuple(row) for row in A))
+
+
+# -- integer hnf_zp against the Fraction elimination it replaced -------------
+
+
+def _hnf_zp_reference(B, p):
+    """Column HNF over Z_(p) by plain Fraction column operations."""
+    from radonfourier import padic_valuation
+
+    d, k = len(B), len(B[0])
+    cols = [list(col) for col in zip(*B)]
+
+    def colop_sub(j, i, f):
+        cols[j] = [x - f * y for x, y in zip(cols[j], cols[i])]
+
+    for row in range(d):
+        cands = [(padic_valuation(cols[j][row], p), j) for j in range(row, k) if cols[j][row] != 0]
+        if not cands:
+            raise ValueError("matrix does not have full row rank over Z_(p)")
+        v, best = min(cands)
+        cols[row], cols[best] = cols[best], cols[row]
+        s = Fraction(p) ** v / cols[row][row]
+        cols[row] = [x * s for x in cols[row]]
+        for j in range(row + 1, k):
+            if cols[j][row] != 0:
+                colop_sub(j, row, cols[j][row] / cols[row][row])
+    for j in range(d):
+        for i in range(j + 1, d):
+            piv = cols[i][i]
+            t = cols[j][i]
+            rho = xl.canonical_residue(t, p, padic_valuation(piv, p))
+            if t != rho:
+                colop_sub(j, i, (t - rho) / piv)
+    return tuple(tuple(cols[j][r] for j in range(d)) for r in range(d))
+
+
+def test_integer_hnf_matches_fraction_reference(rng):
+    """Random d x k matrices, d = 1..6 and k = d..2d, whose entries have
+    denominators divisible by p and prime to it: H equals the Fraction
+    elimination's, and U is a Z_(p)-unimodular transform with B U = [H | 0].
+    Matrices without full row rank raise ValueError."""
+    from radonfourier import padic_valuation
+
+    for p in (2, 3, 5):
+        for d in range(1, 7):
+            for k in range(d, 2 * d + 1):
+                for _ in range(2):
+                    B = rand_mixed_matrix(rng, p, d, k)
+                    if xl.rank(B) < d:
+                        with pytest.raises(ValueError, match="full row rank"):
+                            xl.hnf_zp(B, p)
+                        continue
+                    want = _hnf_zp_reference(B, p)
+                    assert xl.hnf_zp(B, p) == want
+                    H, U = xl.hnf_zp(B, p, transform=True)
+                    assert H == want and all_fractions(H) and all_fractions(U)
+                    BU = xl.matmul(B, U)
+                    assert BU == tuple(row + (Fraction(0),) * (k - d) for row in H)
+                    assert all(x == 0 or padic_valuation(x, p) >= 0 for row in U for x in row)
+                    assert padic_valuation(xl.det(U), p) == 0
+    # a third row that is a combination of the first two
+    B = [list(row) for row in rand_mixed_matrix(rng, 3, 3, 5)]
+    B[2] = [x * Fraction(2, 9) - y for x, y in zip(B[0], B[1])]
+    with pytest.raises(ValueError, match="full row rank"):
+        xl.hnf_zp(tuple(tuple(row) for row in B), 3, transform=True)

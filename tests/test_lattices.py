@@ -273,3 +273,57 @@ def test_lattice_and_coset_methods():
     coset = Coset(Z, (Fraction(0), Fraction(0)))
     pre = coset.affine_preimage((Fraction(0), Fraction(0)), ((Fraction(1),), (Fraction(0),)))
     assert pre.lattice == Lattice.standard(p, 1)
+
+
+def rand_sublattice(rng, p, L):
+    """L @ B for an integral B with nonzero determinant: a sublattice of L."""
+    d = L.dim
+    while True:
+        B = tuple(tuple(Fraction(int(rng.integers(-p, p + 1))) for _ in range(d)) for _ in range(d))
+        if xl.det(B) != 0:
+            return Lattice(p, xl.matmul(L.basis, B))
+
+
+def test_nested_coset_intersection(rng):
+    """Equal lattices, L2 in L1 and L1 in L2, with centers that meet and
+    centers that do not: the meet is the smaller coset, or None."""
+    for p in (2, 3, 5):
+        for d in range(1, 5):
+            for _ in range(4):
+                big = rand_lattice(rng, p, d)
+                for small in (big, rand_sublattice(rng, p, big)):
+                    c_big = Coset(big, tuple(rand_fraction(rng, p, -1, 2) for _ in range(d)))
+                    z = tuple(Fraction(int(rng.integers(-3, 4))) for _ in range(d))
+                    center = xl.vec_add(c_big.center, xl.matvec(big.basis, z))
+                    c_small = Coset(small, center)
+                    # a point of big's coordinates with a 1/p: outside big
+                    off = xl.matvec(big.basis, (Fraction(1, p),) + (Fraction(0),) * (d - 1))
+                    c_far = Coset(small, xl.vec_add(center, off))
+                    want = dual_formula_intersection(big, small)
+                    assert want == small
+                    assert big.intersect(small) == want and small.intersect(big) == want
+                    for a, b in ((c_big, c_small), (c_small, c_big)):
+                        got = a.intersect(b)
+                        assert got == c_small and got.lattice == want
+                        assert a.contains(got.center) and b.contains(got.center)
+                        for col in zip(*got.lattice.basis):
+                            point = xl.vec_add(got.center, col)
+                            assert a.contains(point) and b.contains(point)
+                    assert c_big.intersect(c_far) is None and c_far.intersect(c_big) is None
+
+
+def test_coords_solves_basis(rng):
+    """basis @ coords(v) == v for lattices with p-power denominators."""
+    for p in (2, 3, 5):
+        for d in range(1, 7):
+            for _ in range(5):
+                L = rand_lattice(rng, p, d)
+                v = tuple(
+                    Fraction(int(rng.integers(-30, 31)), p ** int(rng.integers(0, 4)))
+                    * rand_fraction(rng, p, -1, 1)
+                    for _ in range(d)
+                )
+                t = L.coords(v)
+                assert all(type(x) is Fraction for x in t)
+                assert xl.matvec(L.basis, t) == v
+                assert L.coords(xl.matvec(L.basis, t)) == t
