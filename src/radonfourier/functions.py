@@ -181,13 +181,14 @@ class GaussianForm:
 def _quadratic_form(pts, Q) -> np.ndarray:
     """Row-wise x'Q x of an (N, d) array of points.
 
-    Each row is summed as ``out = 0; for i: for j: out += (x_i * Q[i, j]) * x_j``:
-    the products and the order of the sums of numpy's three-operand Einstein
-    summation ``"ni,ij,nj->n"``, so the result is bit-identical to it.  That
-    matters because the golden reports pin residuals at roundoff level, and
-    a BLAS form ``((pts @ Q) * pts).sum(1)`` moves them.  Working on
-    contiguous columns with one reused buffer skips the fixed per-call cost
-    and the strided inner loop of the Einstein summation.
+    Each row is summed as ``out = 0; for i: for j: out += (x_i * Q[i, j]) * x_j``,
+    the products and summation order of numpy's ``einsum("ni,ij,nj->n")`` on
+    most inputs, though not on all: at d = 2 with one or two points the two
+    can differ in the last bit.  The golden reports pin residuals at
+    roundoff level, so they pin this column-loop order itself, and a BLAS
+    form ``((pts @ Q) * pts).sum(1)`` moves them.  Working on contiguous
+    columns with one reused buffer skips the fixed per-call cost and the
+    strided inner loop of the Einstein summation.
     """
     cols = np.ascontiguousarray(pts.T)
     out = np.zeros(len(pts))
@@ -576,8 +577,6 @@ def cutoff_chi(m: int, space: MatrixSpace) -> Evaluable:
         raise ValueError("cutoff index must be >= 1")
     fd = space.fd
     rows, cols = space.shape
-    lo_in, hi_in = 1.0 / (m + 1) ** 2, 1.0 / m**2
-    lo_out, hi_out = float(m), float(m + 1)
 
     def fn(pts):
         pts = np.atleast_2d(pts)
@@ -587,13 +586,25 @@ def cutoff_chi(m: int, space: MatrixSpace) -> Evaluable:
         else:
             flat = pts[:, 0::2] + 1j * pts[:, 1::2] if fd.kind == "complex" else pts
             smin = np.linalg.svd(flat.reshape(len(pts), rows, cols), compute_uv=False)[:, -1]
-        inner = _smoothstep((smin - lo_in) / (hi_in - lo_in))
-        outer = 1.0 - _smoothstep((norm - lo_out) / (hi_out - lo_out))
-        return (inner * outer).astype(complex)
+        return cutoff_ramps(m, smin, norm).astype(complex)
 
     return Evaluable(
-        space, fn, Envelope(C=1.0, radius=hi_out), label=f"cutoff_chi({m})"
+        space, fn, Envelope(C=1.0, radius=float(m + 1)), label=f"cutoff_chi({m})"
     )
+
+
+def cutoff_ramps(m: int, smin, norm):
+    """Real value of ``cutoff_chi(m)`` from the smallest singular value and
+    the norm of each point: the inner ramp in smin times the outer in norm.
+
+    On a row or column both are the radius, so ``cutoff_ramps(m, r, r)`` is
+    the cutoff as a function of |x| alone.
+    """
+    lo_in, hi_in = 1.0 / (m + 1) ** 2, 1.0 / m**2
+    lo_out, hi_out = float(m), float(m + 1)
+    inner = _smoothstep((smin - lo_in) / (hi_in - lo_in))
+    outer = 1.0 - _smoothstep((norm - lo_out) / (hi_out - lo_out))
+    return inner * outer
 
 
 # ---------------------------------------------------------------------

@@ -158,23 +158,40 @@ def integrate_box(fn, lows, highs, order: int = 40):
     return _tensor_sum(fn, axes, np.zeros(d))
 
 
-def integrate_polar_2d(fn, r_breaks, r_order: int = 40, theta_order: int = 48):
+def integrate_polar_2d(fn, r_breaks, r_order: int = 40, theta_order: int = 48, radial=None):
     """Integral of fn over R^2 written in polar panels.
 
     ``r_breaks`` is an increasing sequence of radii; each [r_i, r_{i+1}] is a
     panel integrated by Gauss-Legendre in r (with the Jacobian r) tensored
     with Gauss-Legendre in the angle.  fn receives (N, 2) Cartesian points.
+    ``radial``, when given, maps an array of radii to the factor of the
+    integrand that depends on |x| alone; it is called once, on the
+    (panels, r_order) array of radial nodes, and multiplies their weights,
+    so fn need not evaluate it at every angle.  Raises ValueError unless
+    r_breaks holds at least two finite, non-negative, strictly increasing
+    radii.
     """
+    breaks = np.asarray(r_breaks, dtype=float)
+    if breaks.ndim != 1 or len(breaks) < 2:
+        raise ValueError(f"r_breaks needs at least two radii, got {np.ravel(breaks).tolist()}")
+    if not np.all(np.isfinite(breaks)):
+        raise ValueError(f"r_breaks must be finite, got {breaks.tolist()}")
+    if breaks[0] < 0:
+        raise ValueError(f"r_breaks must be non-negative, got {breaks.tolist()}")
+    if not np.all(np.diff(breaks) > 0):
+        raise ValueError(f"r_breaks must be strictly increasing, got {breaks.tolist()}")
     xg, wg = gauss_legendre_rule(r_order)
     tg, tw = gauss_legendre_rule(theta_order)
     theta = np.pi * (tg + 1.0)
     wtheta = np.pi * tw
     ct, st = np.cos(theta), np.sin(theta)
+    half = 0.5 * np.diff(breaks)[:, None]
+    radii = breaks[:-1, None] + half * (xg + 1.0)  # (panels, r_order)
+    weights = wg * half * radii
+    if radial is not None:
+        weights = weights * radial(radii)
     total = 0.0 + 0.0j
-    for r0, r1 in zip(r_breaks[:-1], r_breaks[1:]):
-        half = 0.5 * (r1 - r0)
-        r = r0 + half * (xg + 1.0)
-        wr = wg * half * r
+    for r, wr in zip(radii, weights):
         pts = np.empty((len(r) * len(theta), 2))
         pts[:, 0] = np.outer(r, ct).reshape(-1)
         pts[:, 1] = np.outer(r, st).reshape(-1)

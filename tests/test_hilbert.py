@@ -15,6 +15,7 @@ from radonfourier import (
     act_module_X,
     act_module_X_phi,
     act_module_Xbar,
+    cutoff_chi,
     hc_majorant,
     inner_X,
     inner_Xbar,
@@ -24,6 +25,7 @@ from radonfourier import (
 )
 from radonfourier import exactlinalg as xl
 from radonfourier.hilbert import decay_bound_check, exact_le, hc_dominance_report
+from radonfourier.quadrature import integrate_polar_2d
 from radonfourier.sampling import (
     default_a_grid,
     rand_gaussian,
@@ -290,6 +292,40 @@ def test_truncation_bump_vanishes(fr):
         diff_at = lambda pts: f.eval_coords(pts) * (1 - chi.eval_coords(pts))
         pts = np.random.default_rng(0).standard_normal((2000, 2)) * 2
         assert np.max(np.abs(diff_at(pts))) == 0.0
+
+
+def _truncation_reference(f, m, av):
+    """phi_m(a) from the pointwise integrand conj(delta(x)) delta(x a),
+    delta = f (1 - cutoff_chi(m)), on truncation_sequence's panels."""
+    chi = cutoff_chi(m, f.space)
+
+    def delta(pts):
+        return f.eval_coords(pts) * (1.0 - np.real(chi.eval_coords(pts)))
+
+    feat = [1.0 / (m + 1) ** 2, 1.0 / m**2, float(m), float(m + 1)]
+    feat += [x / abs(av) for x in feat]
+    r_tail = min(float(m + 1), 4.5 / min(1.0, abs(av)))
+    breaks = sorted({0.0, r_tail, *[x for x in feat if 0 < x < r_tail]})
+    M = np.eye(2) * av
+    val = integrate_polar_2d(lambda pts: np.conj(delta(pts)) * delta(pts @ M.T), breaks, 40, 48)
+    return abs(abs(av) * val.real)
+
+
+def test_truncation_sequence_matches_pointwise_integrand(fr):
+    # the radial split of the cutoff factor changes only the roundoff; a = -0.7
+    # fails when the cutoff at x a is taken at a r instead of |a| r
+    X = space_X(1, fr)
+    gaussians = [
+        GaussianForm.standard(X),
+        GaussianForm(X, [[1.3, 0.4], [0.4, 0.9]], 0.8 - 0.3j, [0.2 + 0.05j, -0.3 + 0.1j]),
+    ]
+    grid = [float(a[0][0]) for a in default_a_grid(1, fr)] + [-0.7]
+    for f in gaussians:
+        for av in grid:
+            sups = truncation_sequence(f, 7, [av])["sup_values"]
+            for m in (1, 2, 7):
+                want = _truncation_reference(f, m, av)
+                assert abs(sups[m - 1] - want) <= 1e-13 * want, (m, av, sups[m - 1], want)
 
 
 def test_truncation_sequence_decreases(fr):

@@ -59,6 +59,40 @@ def test_polar_panels_disk():
     got = integrate_polar_2d(gauss, [0.0, 0.3, 1.0, 2.0, 4.5])
     assert abs(got - 1.0) < 1e-10
 
+    # the same integrals with a radial factor carried by the weights
+    def ramp(r):
+        return 1.0 + r * r
+
+    def ramp_at(pts):
+        return 1.0 + np.sum(pts * pts, axis=1)
+
+    folded = integrate_polar_2d(lambda pts: ones(pts) * ramp_at(pts), [0.0, 0.5, 1.0])
+    got = integrate_polar_2d(ones, [0.0, 0.5, 1.0], radial=ramp)
+    assert abs(got - folded) < 1e-14
+    assert abs(got - 1.5 * np.pi) < 1e-12
+
+    breaks = [0.0, 0.3, 1.0, 2.0, 4.5]
+    folded = integrate_polar_2d(lambda pts: gauss(pts) * ramp_at(pts), breaks)
+    got = integrate_polar_2d(gauss, breaks, radial=ramp)
+    assert abs(got - folded) < 1e-14
+    got = integrate_polar_2d(ones, breaks, radial=lambda r: np.exp(-np.pi * r * r))
+    assert abs(got - integrate_polar_2d(gauss, breaks)) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "breaks, match",
+    [
+        ([1.0], "at least two"),
+        ([1.0, 0.0], "strictly increasing"),
+        ([-1.0, 1.0], "non-negative"),
+        ([0.0, np.inf], "finite"),
+    ],
+)
+def test_polar_rejects_bad_breaks(breaks, match):
+    ones = lambda pts: np.ones(len(pts), dtype=complex)
+    with pytest.raises(ValueError, match=match):
+        integrate_polar_2d(ones, breaks)
+
 
 def test_box_rule_oscillatory():
     # int exp(-pi t^2) exp(-2*pi*i t) dt = exp(-pi)
