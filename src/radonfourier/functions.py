@@ -32,7 +32,7 @@ from . import exactlinalg as xl
 from . import quadrature as quad
 from .cyclotomic import CyclotomicValue, ExactValue
 from .fields import FieldDescriptor, add_char
-from .geometry import MatrixSpace, entry_dim, flatten_linear, mmul
+from .geometry import MatrixSpace, entry_dim, flatten_linear, meye
 from .lattices import Coset, Lattice
 
 
@@ -520,6 +520,8 @@ class SBFunction:
         return f"SBFunction(p={self.p}, terms={len(self.terms)})"
 
     def to_json(self) -> dict:
+        # canonical coset order, so equal functions serialize to equal bytes
+        terms = sorted(self.terms, key=lambda t: (t[1].lattice.basis, t[1].center))
         return {
             "type": "sb",
             "terms": [
@@ -531,7 +533,7 @@ class SBFunction:
                         for row in k.lattice.basis
                     ],
                 }
-                for c, k in self.terms
+                for c, k in terms
             ],
         }
 
@@ -627,14 +629,13 @@ def translate_group(f, m, side: str = "right"):
     fd = space.fd
     msize = len(m)
     if side == "right":
-        mapper = lambda x: mmul(x, m, fd)
+        M = flatten_linear(meye(space.rows, fd), m, fd)
         domain = MatrixSpace(fd, space.rows, msize)
     elif side == "left":
-        mapper = lambda x: mmul(m, x, fd)
+        M = flatten_linear(m, meye(space.cols, fd), fd)
         domain = MatrixSpace(fd, msize, space.cols)
     else:
         raise ValueError("side must be 'right' or 'left'")
-    M = flatten_linear(mapper, domain, space)
     g = f.pullback_affine(M)
     return _with_space(g, domain)
 
@@ -702,15 +703,10 @@ def fiber_restrict(f, fiber):
     space = f.space
     fd = space.fd
     zspace = MatrixSpace(fd, 1, fiber.n)
-    M = flatten_linear(lambda z: _cz(fiber, z, fd), zspace, space)
+    M = flatten_linear(fiber.c, meye(fiber.n, fd), fd)
     offset = space.coords(fiber.A)
     g = f.pullback_affine(M, offset)
     return _with_space(g, zspace)
-
-
-def _cz(fiber, z, fd):
-    """The fiber direction c z for a row z (shared by the slice routines)."""
-    return mmul(fiber.c, z, fd)
 
 
 def integrate(f, with_error: bool = False, order: int = None):

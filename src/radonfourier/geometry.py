@@ -10,9 +10,11 @@ Archimedean matrices are numpy arrays, p-adic matrices are nested tuples of
 Fractions; the small dispatch helpers below keep the two representations
 behind one interface.  Other modules branch on the field only to choose an
 algorithm (closed form or exact sum, tolerance or exact equality, a sampling
-law), never to spell a matrix or scalar operation.  Real coordinates of a matrix space flatten row-major,
-with complex entries split into (re, im) pairs, so every linear action has a
-concrete coordinate matrix obtained by pushing basis matrices through it.
+law), never to spell a matrix or scalar operation.  Real coordinates of a
+matrix space flatten row-major, with complex entries split into (re, im)
+pairs.  Every linear action used here is x -> A x B, whose coordinate matrix
+is the Kronecker product A (x) B^T, vec(A X B) = (A (x) B^T) vec(X) in
+row-major order, with each complex entry written as a real 2 x 2 block.
 """
 
 from __future__ import annotations
@@ -154,16 +156,6 @@ class MatrixSpace:
             tuple(Fraction(next(it)) for _ in range(self.cols)) for _ in range(self.rows)
         )
 
-    def basis_matrices(self):
-        """Matrices whose coordinates run through the standard basis."""
-        d = self.dim
-        out = []
-        for k in range(d):
-            e = [0.0] * d
-            e[k] = 1
-            out.append(self.from_coords(e))
-        return out
-
 
 def space_X(n: int, fd: FieldDescriptor) -> MatrixSpace:
     return MatrixSpace(fd, n + 1, n)
@@ -177,16 +169,24 @@ def space_L(n: int, fd: FieldDescriptor) -> MatrixSpace:
     return MatrixSpace(fd, n, n)
 
 
-def flatten_linear(fn, domain: MatrixSpace, target: MatrixSpace):
-    """Coordinate matrix of a linear map between matrix spaces.
+def flatten_linear(A, B, fd: FieldDescriptor):
+    """Coordinate matrix of the linear map x -> A x B between matrix spaces.
 
-    Built by pushing the basis matrices of the domain through ``fn``; exact
-    (Fraction matrix) in the p-adic case, a float array otherwise.
+    In row-major coordinates this is A (x) B^T: the entry at target (k, l),
+    domain (i, j) is A[k, i] B[j, l].  Over C each complex entry c becomes the
+    real block [[Re c, -Im c], [Im c, Re c]]; p-adic rows are exact Fractions.
     """
-    cols = [target.coords(fn(b)) for b in domain.basis_matrices()]
-    if domain.fd.is_archimedean:
-        return np.column_stack(cols)
-    return tuple(tuple(col[r] for col in cols) for r in range(target.dim))
+    A, B = as_matrix(A, fd), as_matrix(B, fd)
+    if not fd.is_archimedean:
+        Bt = tuple(zip(*B))
+        return tuple(tuple(a * b for a in ra for b in cb) for ra in A for cb in Bt)
+    rows, cols = len(A) * len(B[0]), len(A[0]) * len(B)
+    K = (A[:, None, :, None] * B.T[None, :, None, :]).reshape(rows, cols)
+    if fd.kind == "complex":
+        re, im = K.real, K.imag
+        K = np.stack([np.stack([re, -im], -1), np.stack([im, re], -1)], 1)
+        K = K.reshape(2 * rows, 2 * cols)
+    return K
 
 
 # ---------------------------------------------------------------------

@@ -43,8 +43,8 @@ from .geometry import (
     entry_dim,
     flatten_linear,
     hc_majorant,
+    meye,
     minv,
-    mmul,
 )
 from .lattices import Coset, Lattice
 
@@ -188,12 +188,8 @@ def _act_module_phi_arch(f, phi, support, n: int, order: int):
     if np.any(dets < 1e-12):
         raise ValueError("support box touches the singular set")
     totw = weights * phivals * dets ** (-(n + 1) / 2.0 - float(n))
-    pulls = [
-        flatten_linear(
-            lambda x, ai=np.linalg.inv(am): mmul(x, ai, fd), f.space, f.space
-        )
-        for am in amats
-    ]
+    eye = meye(f.space.rows, fd)
+    pulls = [flatten_linear(eye, np.linalg.inv(am), fd) for am in amats]
     fenv = f.envelope() if isinstance(f, GaussianForm) else f.env
     if fenv.center is not None:
         raise NotImplementedError("integrated action needs a centered envelope")
@@ -233,7 +229,7 @@ class PadicIntegratedAction:
         fd = self.space.fd
         n = self.space.cols
         Lspace = MatrixSpace(fd, n, n)
-        M = flatten_linear(lambda b: mmul(x, b, fd), Lspace, self.space)
+        M = flatten_linear(x, meye(n, fd), fd)
         total = ExactValue.from_cyclo(fd.p, 0)
         for weight, inv_coset in self.pieces:
             fb = self.f.pullback_affine(M)
@@ -254,9 +250,7 @@ def _act_module_phi_padic(f: SBFunction, phi: SBFunction) -> PadicIntegratedActi
         if d0 == 0:
             raise ValueError("phi support touches the singular set")
         a0i = xl.inv(a0)
-        W = coset.lattice.map_by(
-            flatten_linear(lambda b: xl.matmul(a0i, b), Lspace, Lspace)
-        )
+        W = coset.lattice.map_by(flatten_linear(a0i, meye(n, fd), fd))
         wmin = xl.val_min_entry(W.basis, p)
         if wmin is None or wmin < 1:
             raise ValueError(
@@ -269,9 +263,7 @@ def _act_module_phi_padic(f: SBFunction, phi: SBFunction) -> PadicIntegratedActi
                     raise ValueError(
                         "phi coset not multiplicatively safe: W W must sit in W"
                     )
-        inv_lat = W.map_by(
-            flatten_linear(lambda b: xl.matmul(b, a0i), Lspace, Lspace)
-        )
+        inv_lat = W.map_by(flatten_linear(meye(n, fd), a0i, fd))
         inv_coset = Coset(inv_lat, Lspace.coords(a0i))
         # after b = a^(-1): weight |det b|^((n+1)/2 - n) db with
         # |det b| = |det a0|^(-1) = q^v constant on the inverted coset
@@ -348,15 +340,17 @@ def Lattice_from_block(lat, idx):
 
 
 def exact_le(v1, v2) -> bool:
-    """v1 <= v2 for positive exact values c * q^e (compared after squaring)."""
+    """v1 <= v2 for positive exact values c * q^e.
+
+    With k the denominator of e2 - e1, this is c1^k <= c2^k q^(k (e2 - e1)),
+    an exact comparison of rationals for every rational exponent.
+    """
     c1, e1 = v1.cyc.rational_value(), v1.qexp
     c2, e2 = v2.cyc.rational_value(), v2.qexp
     if c1 < 0 or c2 < 0:
         raise ValueError("comparison needs positive values")
-    de = 2 * (e2 - e1)
-    assert de.denominator == 1
-    q = Fraction(v1.p) ** int(de)
-    return c1 * c1 <= c2 * c2 * q
+    k = (e2 - e1).denominator
+    return c1**k <= c2**k * Fraction(v1.p) ** int(k * (e2 - e1))
 
 
 def decay_bound_check(f, samples) -> dict:

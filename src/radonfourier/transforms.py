@@ -47,7 +47,6 @@ from .functions import (
     Evaluable,
     GaussianForm,
     SBFunction,
-    _cz,
     _with_space,
     fiber_restrict,
     integrate,
@@ -58,6 +57,7 @@ from .geometry import (
     MatrixSpace,
     as_scalar,
     det_power,
+    entry_dim,
     fiber_param,
     flatten_linear,
     is_regular,
@@ -85,22 +85,26 @@ def pairing_matrix(yspace: MatrixSpace, xspace: MatrixSpace):
     """Coordinate matrix P of (y, x) -> Re Tr(y x) (Tr(y x) over Q_p).
 
     Rows index y-coordinates, columns x-coordinates, so the pairing is
-    coords(y)^T P coords(x).  P is a signed permutation, hence the Lebesgue
+    coords(y)^T P coords(x).  Since Re Tr(y x) = sum Re(y_ij x_ji), P holds
+    a 1 at each pair of matching coordinates of y_ij and x_ji, and -1 at the
+    (im, im) pairs over C.  P is a signed permutation, hence the Lebesgue
     coordinate measure is self-dual for the associated Fourier kernel.
+    Entries are numpy floats archimedean, Fractions p-adic.
     """
     fd = yspace.fd
     if yspace.cols != xspace.rows or yspace.rows != xspace.cols:
         raise ValueError("spaces do not pair")
-    xbasis = xspace.basis_matrices()
-    return tuple(
-        tuple(mtrace(mmul(yb, xb, fd), fd).real for xb in xbasis)
-        for yb in yspace.basis_matrices()
-    )
-
-
-def _pairing_dual(P):
-    """The pairing matrix for the conjugate-kernel (inverse) transform."""
-    return tuple(tuple(-x for x in col) for col in zip(*P))
+    d = entry_dim(fd)
+    # entry i*cols + j of y is y_ij; entry xk[i*cols + j] of x is x_ji
+    xk = np.arange(xspace.rows * xspace.cols).reshape(xspace.shape).T.reshape(-1)
+    yc, xc = d * np.arange(len(xk)), d * xk
+    P = np.zeros((yspace.dim, xspace.dim))
+    P[yc, xc] = 1.0
+    if d == 2:
+        P[yc + 1, xc + 1] = -1.0
+    if fd.is_archimedean:
+        return tuple(map(tuple, P))
+    return tuple(tuple(Fraction(int(v)) for v in row) for row in P)
 
 
 # ---------------------------------------------------------------------
@@ -120,7 +124,8 @@ def fourier(f, inverse: bool = False):
     target = space.transpose_space()
     P = pairing_matrix(target, space)
     if inverse:
-        P = _pairing_dual(pairing_matrix(space, target))
+        # the conjugate kernel: -P(X, Y)^T, which is -P(Y, X)
+        P = tuple(tuple(-v for v in row) for row in P)
     if isinstance(f, (GaussianForm, SBFunction)):
         return f.fourier(P, target)
     if isinstance(f, Evaluable):
@@ -284,10 +289,9 @@ def slice_family(f, y, fiber: Fiber = None, measure_factor=1):
     if fiber is None:
         fiber = fiber_param(y, n, fd)
     Lsp = space_L(n, fd)
-    wsp = MatrixSpace(fd, 1, n)
     da = Lsp.dim
-    MA = flatten_linear(lambda a: mmul(fiber.A, a, fd), Lsp, space)
-    Mc = flatten_linear(lambda z: _cz(fiber, z, fd), wsp, space)
+    MA = flatten_linear(fiber.A, meye(n, fd), fd)
+    Mc = flatten_linear(fiber.c, meye(n, fd), fd)
     M = tuple(tuple(ra) + tuple(rb) for ra, rb in zip(MA, Mc))
     g = f.pullback_affine(M)
     keep = list(range(da))
@@ -305,9 +309,7 @@ def slice_family(f, y, fiber: Fiber = None, measure_factor=1):
 
 def trace_form_coords(n: int, fd: FieldDescriptor):
     """Vector lam with <lam, coords(a)> = Re Tr(a) on the n x n space."""
-    Lsp = space_L(n, fd)
-    P = pairing_matrix(Lsp, Lsp)
-    return xl.matvec(xl.transpose(P), Lsp.coords(meye(n, fd)))
+    return space_L(n, fd).coords(meye(n, fd))
 
 
 def integrate_against_trace_character(g, n: int):
@@ -360,7 +362,7 @@ def convolve_gamma(f, x):
     if not is_regular(x, fd):
         raise ValueError("point is not regular (rank deficient)")
     Lsp = space_L(n, fd)
-    M = flatten_linear(lambda b: mmul(x, b, fd), Lsp, space)
+    M = flatten_linear(x, meye(n, fd), fd)
     g = _with_space(f.pullback_affine(M), Lsp)
     return integrate_against_trace_character(g, n)
 
@@ -412,7 +414,7 @@ def compose_shell_stabilized(f: SBFunction, y, k_max: int = 8, fiber: Fiber = No
 
     def inner_value(z_vec):
         x = fiber.point(tuple(z_vec))
-        Mb = flatten_linear(lambda b: mmul(x, b, fd), Lsp, space)
+        Mb = flatten_linear(x, meye(n, fd), fd)
         g = _with_space(f.pullback_affine(Mb), Lsp)
         return g.integrate_against_character(lam)
 

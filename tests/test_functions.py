@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from radonfourier import (
     evaluate,
     fiber_param,
     fiber_restrict,
+    fourier,
     function_from_json,
     integrate,
     pointwise_mul,
@@ -167,6 +169,16 @@ def test_sb_algebra_closure(rng, f3):
         for _ in range(10):
             v = tuple(rand_fraction(rng, 3, -2, 2) for _ in range(Xp.dim))
             assert prod.value_coords(v) == f.value_coords(v) * g.value_coords(v)
+
+
+def test_sb_to_json_canonical_order(rng, f3):
+    # one function, its terms given in two orders: the same bytes
+    Xp = space_X(1, f3)
+    f = rand_sb_function(rng, Xp, terms=6)
+    for h in (f, fourier(f)):
+        g = SBFunction(h.space, reversed(h.terms))
+        assert g.terms != h.terms and g.equals(h)
+        assert json.dumps(g.to_json()) == json.dumps(h.to_json())
 
 
 def test_integrate_examples(fr, f3):

@@ -25,6 +25,8 @@ from radonfourier import (
 )
 from radonfourier import exactlinalg as xl
 from radonfourier.geometry import (
+    MatrixSpace,
+    as_matrix,
     base_point_x,
     base_point_y,
     embed_l,
@@ -37,7 +39,7 @@ from radonfourier.geometry import (
     n_element,
     nbar_element,
 )
-from radonfourier.sampling import rand_gl, rand_regular_point, rand_sl
+from radonfourier.sampling import rand_gl, rand_matrix, rand_regular_point, rand_sl
 
 
 def test_actions_basic(fr, f3):
@@ -208,12 +210,54 @@ def test_measure_scale(rng, fr, f3):
     X = space_X(n, fr)
     f = GaussianForm(X, np.array([[1.3, 0.2], [0.2, 0.9]]), kappa=1.1)
     for a in [np.array([[1.7]]), rand_gl(rng, 1, fr)]:
-        M = flatten_linear(lambda x: mmul(x, a, fr), X, X)
+        M = flatten_linear(meye(n + 1, fr), a, fr)
         fa = Evaluable(X, lambda p, M=M: f.eval_coords(p @ M.T),
                        f.pullback_affine(M).envelope(), "f(xa)")
         lhs = integrate(fa)
         rhs = measure_scale(a, fr) * f.integral()
         assert abs(lhs - rhs) < 1e-8 * abs(rhs)
+
+
+def _flatten_reference(fn, domain, target):
+    """Coordinate matrix of a linear map ``fn`` by pushing every basis matrix
+    of ``domain`` through it: the algorithm the closed form replaced."""
+    cols = [target.coords(fn(domain.from_coords(e))) for e in np.eye(domain.dim)]
+    if domain.fd.is_archimedean:
+        return np.column_stack(cols)
+    return tuple(tuple(col[r] for col in cols) for r in range(target.dim))
+
+
+def test_flatten_linear_matches_basis_push(rng, fr, fc, f2, f3):
+    for fd in (fr, fc, f2, f3):
+        for n in (1, 2, 3):
+            X, L, W = space_X(n, fd), MatrixSpace(fd, n, n), MatrixSpace(fd, 1, n)
+            a, x = rand_gl(rng, n, fd), rand_regular_point(rng, X)
+            c, A = rand_matrix(rng, n + 1, 1, fd), rand_matrix(rng, n + 1, n, fd)
+            # small integer entries keep every product of the two-sided map
+            # exact, so both routes round alike; H is not symmetric, which
+            # pins the orientation A (x) B^T
+            G = as_matrix(rng.integers(-4, 5, (n + 1, n + 1)).tolist(), fd)
+            H = as_matrix([[1 + 2 * i + 3 * j for j in range(n)] for i in range(n)], fd)
+            if fd.kind == "complex":
+                G = G + 1j * rng.integers(-4, 5, (n + 1, n + 1))
+                H = H - 2j * H.T
+            eye_n, eye_x = meye(n, fd), meye(n + 1, fd)
+            cases = [
+                (eye_x, a, lambda v: mmul(v, a, fd), X, X),  # x a
+                (a, eye_n, lambda v: mmul(a, v, fd), L, L),  # a x
+                (c, eye_n, lambda v: mmul(c, v, fd), W, X),  # c z
+                (A, eye_n, lambda v: mmul(A, v, fd), L, X),  # A a
+                (x, eye_n, lambda v: mmul(x, v, fd), L, X),  # x b
+                (G, H, lambda v: mmul(mmul(G, v, fd), H, fd), X, X),
+            ]
+            for left, right, fn, dom, tgt in cases:
+                got = flatten_linear(left, right, fd)
+                want = _flatten_reference(fn, dom, tgt)
+                if fd.is_archimedean:
+                    assert np.array_equal(got, want), (fd.kind, n)
+                else:
+                    assert got == want, (fd.p, n)
+                    assert all(type(v) is Fraction for row in got for v in row)
 
 
 def test_cartan_theta(rng, fr, fc, f3):

@@ -255,6 +255,19 @@ def test_exact_le():
     b = ExactValue(3, 0, Fraction(2))
     assert exact_le(a, b)  # sqrt(3) <= 2
     assert not exact_le(b, a)
+    # exponent differences that squaring does not clear, in both orders
+    for e1, c1, e2, c2, want in [
+        (Fraction(1, 4), 1, 0, 1, False),  # 2^(1/4) = 1.189... > 1
+        (Fraction(1, 4), 1, 0, Fraction(6, 5), True),
+        (Fraction(1, 4), 1, 0, Fraction(7, 6), False),
+        (Fraction(3, 4), 1, 0, Fraction(3, 2), False),  # 2^(3/4) = 1.681...
+        (Fraction(3, 4), 1, 0, Fraction(17, 10), True),
+        (Fraction(1, 3), 3, Fraction(3, 4), 2, False),  # difference 5/12
+    ]:
+        assert (2 ** float(e1) * c1 <= 2 ** float(e2) * c2) == want
+        v1, v2 = ExactValue(2, e1, Fraction(c1)), ExactValue(2, e2, Fraction(c2))
+        assert exact_le(v1, v2) is want
+        assert exact_le(v2, v1) is (not want)
 
 
 def test_hc_majorant(fr):

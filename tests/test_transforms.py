@@ -31,6 +31,7 @@ from radonfourier import (
     unitarity_verify,
 )
 from radonfourier import exactlinalg as xl
+from radonfourier.geometry import mmul, mtrace, space_L
 from radonfourier.sampling import (
     rand_fraction,
     rand_gaussian,
@@ -103,6 +104,56 @@ def test_fourier_inversion_round_trip(rng, fr, f3):
     g = rand_sb_function(rng, Xp)
     gback = fourier(fourier(g), inverse=True)
     assert gback.equals(g)  # semantic equality: representations may refine
+
+
+def _pairing_reference(yspace, xspace):
+    """Re Tr(y x) on every pair of basis matrices: the loop the closed-form
+    pairing matrix replaced."""
+    fd = yspace.fd
+
+    def basis(space):
+        return [space.from_coords(e) for e in np.eye(space.dim)]
+
+    return tuple(
+        tuple(mtrace(mmul(yb, xb, fd), fd).real for xb in basis(xspace))
+        for yb in basis(yspace)
+    )
+
+
+def _same_entries(got, want):
+    assert got == want
+    assert [type(v) for row in got for v in row] == [type(v) for row in want for v in row]
+    if type(want[0][0]) is not Fraction:
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_pairing_matrix_matches_basis_loop(fr, fc, f3):
+    from radonfourier.transforms import pairing_matrix
+
+    for fd in (fr, fc, f3):
+        for n in (1, 2):
+            X, Y, L = space_X(n, fd), space_Xbar(n, fd), space_L(n, fd)
+            for ys, xs in ((Y, X), (X, Y), (L, L)):
+                _same_entries(pairing_matrix(ys, xs), _pairing_reference(ys, xs))
+
+
+def test_fourier_inverse_uses_conjugate_pairing(monkeypatch, rng, fr, fc, f3):
+    # the inverse transform's kernel is the conjugate one, -P(Y, X)^T
+    from radonfourier.transforms import pairing_matrix
+
+    for fd, cls in ((fr, GaussianForm), (fc, GaussianForm), (f3, SBFunction)):
+        seen = []
+        orig = cls.fourier
+        monkeypatch.setattr(
+            cls, "fourier", lambda self, P, target: seen.append(P) or orig(self, P, target)
+        )
+        for n in (1, 2):
+            X, Y = space_X(n, fd), space_Xbar(n, fd)
+            f = rand_gaussian(rng, Y) if cls is GaussianForm else rand_sb_function(rng, Y)
+            fourier(f, inverse=True)
+            dual = tuple(tuple(-v for v in col) for col in zip(*pairing_matrix(Y, X)))
+            _same_entries(seen[-1], dual)
+        monkeypatch.undo()
 
 
 def test_fourier_closed_form_vs_quadrature_n2(rng, fr):
@@ -406,9 +457,9 @@ def test_convolve_C_matches_gamma_on_truncations(fr):
         return total
 
     from radonfourier.quadrature import integrate_box
-    from radonfourier.geometry import flatten_linear, mmul
+    from radonfourier.geometry import flatten_linear, meye
 
-    M = flatten_linear(lambda b: mmul(x, b, fr), Lsp, X)
+    M = flatten_linear(x, meye(1, fr), fr)
     fx = f.pullback_affine(M)
 
     def hole(R):
