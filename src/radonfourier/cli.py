@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .functions import function_from_json
+from .functions import _json_complex, function_from_json
 from .geometry import as_matrix, as_scalar, space_X
 from .hilbert import inner_X
 from .suite import (
@@ -77,16 +77,16 @@ def _emit(payload: str, out: str | None):
     print(payload)
 
 
-def _parse_matrix(obj, fd, rows, cols):
-    m = as_matrix([[_parse_scalar(x, fd) for x in row] for row in obj], fd)
+def _parse_matrix(obj, fd, rows, cols, name):
+    m = as_matrix([[_parse_scalar(x, fd, f"{name} entry") for x in row] for row in obj], fd)
     if np.shape(m) != (rows, cols):
-        raise ValueError(f"matrix must be {rows}x{cols}")
+        raise ValueError(f"{name} must be a {rows}x{cols} matrix")
     return m
 
 
-def _parse_scalar(x, fd):
+def _parse_scalar(x, fd, name):
     if isinstance(x, (list, tuple)):
-        return complex(float(x[0]), float(x[1]))
+        return _json_complex(x, name)
     return as_scalar(Fraction(x) if isinstance(x, str) else x, fd)
 
 
@@ -156,13 +156,13 @@ def _compute(operation: str, spec: dict) -> dict:
             result["transform"] = fhat.to_json()
         if "points" in spec:
             result["values"] = [
-                fhat.value(_parse_matrix(pt, fd, n, n + 1)) for pt in spec["points"]
+                fhat.value(_parse_matrix(pt, fd, n, n + 1, "points")) for pt in spec["points"]
             ]
         return result
 
     if operation == "intertwine":
         f = function_from_json(spec["f"], X)
-        y = _parse_matrix(spec["y"], fd, n, n + 1)
+        y = _parse_matrix(spec["y"], fd, n, n + 1, "y")
         val, err = intertwine_I(f, y, with_error=True)
         return {"value": val, "error_estimate": _error_json(err, fd)}
 
@@ -172,7 +172,7 @@ def _compute(operation: str, spec: dict) -> dict:
     pairing = inner_X(f, h)
     rows = []
     for a_obj in spec["a_grid"]:
-        a = _parse_matrix(a_obj, fd, n, n)
+        a = _parse_matrix(a_obj, fd, n, n, "a_grid")
         val, err = pairing.with_error(a)
         rows.append({"a": a, "value": val, "error_estimate": _error_json(err, fd)})
     return {"rows": rows, "provenance": pairing.provenance}

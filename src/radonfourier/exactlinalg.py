@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .fields import padic_valuation
+from .fields import padic_frac_part, padic_valuation
 
 
 def mat(rows):
@@ -172,18 +172,10 @@ def canonical_residue(t: Fraction, p: int, m: int) -> Fraction:
     """Canonical representative of t modulo p^m * Z_(p).
 
     The orbit t + p^m Z_(p) contains exactly one truncated p-adic expansion
-    sum_{i=v}^{m-1} c_i p^i; that rational (0 if v_p(t) >= m) is returned.
+    sum_{i=v}^{m-1} c_i p^i: p^m times the fractional part of t / p^m.
     """
-    t = Fraction(t)
-    if t == 0:
-        return Fraction(0)
-    v = padic_valuation(t, p)
-    if v >= m:
-        return Fraction(0)
-    unit = t / Fraction(p) ** v  # p-unit rational a/b
-    mod = p ** (m - v)
-    r = (unit.numerator * pow(unit.denominator, -1, mod)) % mod
-    return Fraction(r) * Fraction(p) ** v
+    pm = Fraction(p) ** m
+    return pm * padic_frac_part(Fraction(t) / pm, p)
 
 
 _ZERO = Fraction(0)

@@ -484,36 +484,28 @@ class SBFunction:
         return total
 
     def fourier(self, P, target: MatrixSpace) -> "SBFunction":
-        """Exact transform against chi(<P y, x>): duals, phases, refinement.
+        """Exact transform against chi(<P y, x>) by lattice duality.
 
-        Each indicator of c + L maps to vol(L) chi(<y, Pc>) times the
-        indicator of the support lattice {y : <y, P L> in Z_p}; the phase is
-        locally constant there, so the support splits into finitely many
-        cosets carrying exact root-of-unity coefficients.
+        Each indicator of c + L maps to vol(L) chi(<y, w>), w = P c, times the
+        indicator of M = (P L)^dual.  The phase is constant exactly on the
+        cosets of flat = (P L + Z_p w)^dual, the part of M on which <y, w>
+        lies in Z_p, so the term splits into one coset of flat per element
+        of M / flat, each with its exact root-of-unity coefficient; a
+        trivial phase (w in P L) leaves the single coset M.
         """
         P = xl.mat(P)
         fd = self.space.fd
         p = self.p
         out = []
         for coeff, coset in self.terms:
-            B = coset.lattice.basis
-            PB = xl.matmul(P, B)
+            PB = xl.matmul(P, coset.lattice.basis)
+            w = xl.matvec(P, coset.center)
             M = Lattice(p, xl.transpose(xl.inv(PB)))
-            w = xl.matvec(P, coset.center)  # phase at y is chi(<y, w>)
+            flat = Lattice(p, tuple(row + (x,) for row, x in zip(PB, w))).dual()
             base = coeff * coset.volume()
-            u = xl.matvec(xl.transpose(M.basis), w)  # phase in M-coordinates t
-            worst = min((xl.padic_valuation(x, p) for x in u if x != 0), default=0)
-            zero = tuple(Fraction(0) for _ in range(M.dim))
-            if worst >= 0:
-                # <w, y> lands in Z_p for every y in M: the phase is 1 there
-                out.append((base, Coset(M, zero)))
-                continue
-            sub = _phase_kernel_sublattice(M.dim, u, p)
-            refined = Lattice(p, xl.matmul(M.basis, sub.basis))
-            for rep in Lattice.standard(p, M.dim).quotient_representatives(sub):
-                y0 = xl.matvec(M.basis, rep)
+            for y0 in M.quotient_representatives(flat):
                 phase = add_char(sum(a * b for a, b in zip(w, y0)), fd)
-                out.append((base * phase, Coset(refined, y0)))
+                out.append((base * phase, Coset(flat, y0)))
         return SBFunction(target, out)
 
     def __repr__(self):
@@ -536,11 +528,6 @@ class SBFunction:
                 for c, k in terms
             ],
         }
-
-
-def _phase_kernel_sublattice(d: int, u, p: int) -> Lattice:
-    """{t in Z_p^d : <u, t> in Z_p}: the dual of the lattice spanned by [I | u]."""
-    return Lattice(p, [row + (x,) for row, x in zip(xl.identity(d), u)]).dual()
 
 
 def _as_exact(c, p: int) -> ExactValue:
@@ -624,16 +611,20 @@ def evaluate(f, x):
 
 
 def translate_group(f, m, side: str = "right"):
-    """Right translate f^m : x -> f(x m), or left translate x -> f(m x)."""
+    """Right translate f^m : x -> f(x m), or left translate x -> f(m x).
+
+    m may be non-square.  On an r x c space the right translate lives on
+    r x len(m) matrices (m has c columns), the left one on len(m[0]) x c
+    matrices (m has r rows).
+    """
     space = f.space
     fd = space.fd
-    msize = len(m)
     if side == "right":
         M = flatten_linear(meye(space.rows, fd), m, fd)
-        domain = MatrixSpace(fd, space.rows, msize)
+        domain = MatrixSpace(fd, space.rows, len(m))
     elif side == "left":
         M = flatten_linear(m, meye(space.cols, fd), fd)
-        domain = MatrixSpace(fd, msize, space.cols)
+        domain = MatrixSpace(fd, len(m[0]), space.cols)
     else:
         raise ValueError("side must be 'right' or 'left'")
     g = f.pullback_affine(M)
@@ -766,8 +757,10 @@ def function_from_json(obj: dict, space: MatrixSpace):
     """
     t = obj.get("type")
     if t == "gaussian":
-        kappa = _json_complex(obj.get("kappa", 1.0))
-        ell = [_json_complex(z) for z in obj.get("ell", [])] or None
+        kappa = _json_complex(obj.get("kappa", 1.0), "kappa")
+        ell = [_json_complex(z, "ell") for z in obj.get("ell", [])] or None
+        if ell is not None and len(ell) != space.dim:
+            raise ValueError(f"ell must have {space.dim} entries, got {len(ell)}")
         Q = obj.get("Q")
         return GaussianForm(space, Q=Q, kappa=kappa, ell=ell)
     if t == "sb":
@@ -776,6 +769,8 @@ def function_from_json(obj: dict, space: MatrixSpace):
         for term in obj["terms"]:
             coeff = _json_exact(term.get("coeff", "1"), p)
             center = [Fraction(x) for x in term["center"]]
+            if len(center) != space.dim:
+                raise ValueError(f"sb center must have {space.dim} entries, got {len(center)}")
             basis = [[Fraction(x) for x in row] for row in term["basis"]]
             terms.append((coeff, Coset(Lattice(p, basis), center)))
         return SBFunction(space, terms)
@@ -790,10 +785,17 @@ def function_from_json(obj: dict, space: MatrixSpace):
     raise ValueError(f"unknown function spec type {t!r}")
 
 
-def _json_complex(v):
-    if isinstance(v, (list, tuple)):
-        return complex(float(v[0]), float(v[1]))
-    return complex(float(v), 0.0)
+def _json_complex(v, name: str) -> complex:
+    """A JSON number or [re, im] pair as a complex: exactly one or two finite
+    numbers, else a ValueError naming the field."""
+    parts = v if isinstance(v, (list, tuple)) else (v, 0.0)
+    try:
+        z = complex(*map(float, parts)) if len(parts) == 2 else None
+    except (TypeError, ValueError):
+        z = None
+    if z is None or not cmath.isfinite(z):
+        raise ValueError(f"{name} must be a finite number or an [re, im] pair of them, got {v!r}")
+    return z
 
 
 def _json_exact(v, p: int) -> ExactValue:

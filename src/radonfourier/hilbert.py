@@ -226,14 +226,10 @@ class PadicIntegratedAction:
         self.pieces = pieces  # [(weight ExactValue, inverted coset)]
 
     def value(self, x) -> ExactValue:
-        fd = self.space.fd
-        n = self.space.cols
-        Lspace = MatrixSpace(fd, n, n)
-        M = flatten_linear(x, meye(n, fd), fd)
-        total = ExactValue.from_cyclo(fd.p, 0)
+        fb = translate_group(self.f, x, side="left")
+        total = ExactValue.from_cyclo(self.space.fd.p, 0)
         for weight, inv_coset in self.pieces:
-            fb = self.f.pullback_affine(M)
-            box = SBFunction.indicator(Lspace, inv_coset)
+            box = SBFunction.indicator(fb.space, inv_coset)
             total = total + weight * fb.product(box).integral()
         return total
 

@@ -12,7 +12,9 @@ Schwartz-Bruhat function class lives here: duals, sums, intersections,
 images and affine preimages, coset intersection with witnesses, quotient
 enumeration, and coordinate projections with exact Fubini volume factors.
 The HNF is the only normal form used: volumes, quotients and granularity
-are read off it, the rest comes from one transformed HNF per operation.
+are read off it, a projection and its fiber are its two diagonal blocks
+once the kept coordinates come first, and the rest comes from one
+transformed HNF per operation.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import exactlinalg as xl
-from .fields import padic_valuation
+from .fields import padic_frac_part, padic_valuation
 
 
 class Lattice:
@@ -109,8 +111,7 @@ class Lattice:
 
     def reduce_vector(self, vec):
         """Canonical representative of vec modulo the lattice."""
-        t = self.coords(vec)
-        frac = tuple(xl.canonical_residue(c, self.p, 0) for c in t)
+        frac = tuple(padic_frac_part(c, self.p) for c in self.coords(vec))
         return xl.matvec(self.basis, frac)
 
     # -- constructions ---------------------------------------------------
@@ -128,12 +129,8 @@ class Lattice:
         return Lattice(self.p, rows)
 
     def intersect(self, other: "Lattice") -> "Lattice":
-        if self.contains_lattice(other):
-            return other
-        if other.contains_lattice(self):
-            return self
-        _, LU = _sum_transform(self, other)
-        return Lattice(self.p, tuple(row[self.dim:] for row in LU))
+        zero = tuple(Fraction(0) for _ in range(self.dim))
+        return Coset(self, zero).intersect(Coset(other, zero)).lattice
 
     def quotient_representatives(self, sub: "Lattice"):
         """Coset representatives of (self / sub) for a sublattice sub.
@@ -206,22 +203,28 @@ class Coset:
 
         Nonempty iff center difference lies in the lattice sum.  When one
         lattice contains the other, the sum is the larger and the meet is the
-        smaller coset itself.  Otherwise a witness is produced from the HNF
-        transform of the concatenated bases.
+        smaller coset itself.  Otherwise one transformed HNF of the
+        concatenated bases, [L1 | L2] @ U = [H | 0] with U unimodular over
+        Z_(p), gives both: the last d columns of U span the integral relations
+        L1 u1 + L2 u2 = 0, so the last d columns of L1 @ U[:d] span the meet,
+        and the first d carry coordinates over H to their L1 part.
         """
+        L1, L2 = self.lattice, other.lattice
         diff = xl.vec_sub(other.center, self.center)
-        if self.lattice.contains_lattice(other.lattice):
-            return other if self.lattice.contains(diff) else None
-        if other.lattice.contains_lattice(self.lattice):
-            return self if other.lattice.contains(diff) else None
-        Hlat, LU = _sum_transform(self.lattice, other.lattice)
+        if L1.contains_lattice(L2):
+            return other if L1.contains(diff) else None
+        if L2.contains_lattice(L1):
+            return self if L2.contains(diff) else None
+        d, p = self.dim, self.p
+        H, U = xl.hnf_zp(tuple(ra + rb for ra, rb in zip(L1.basis, L2.basis)), p, transform=True)
+        Hlat = Lattice(p, H, _canonical=True)
         if not Hlat.contains(diff):
             return None
         # diff = [L1 | L2] @ U[:, :d] @ t with integral coordinates t; its L1
         # part L1 @ U[:d, :d] @ t, added to our center, is a witness
-        d = self.dim
+        LU = xl.matmul(L1.basis, U[:d])
         step = xl.matvec(tuple(row[:d] for row in LU), Hlat.coords(diff))
-        meet = Lattice(self.p, tuple(row[d:] for row in LU))
+        meet = Lattice(p, tuple(row[d:] for row in LU))
         return Coset(meet, xl.vec_add(self.center, step))
 
     def affine_preimage(self, offset, C):
@@ -262,37 +265,16 @@ class Coset:
 
         Returns (projected coset, fiber volume) so that for any y in the
         projected coset the slice {w : (y,w) in self} has the stated volume,
-        and vol(self) = vol(projection) * fiber_volume.
+        and vol(self) = vol(projection) * fiber_volume.  Both are read off
+        one HNF: with the kept coordinates (in ``keep`` order) as the leading
+        rows of the basis, H = [[H11, 0], [H21, H22]], the leading block H11
+        is the HNF of the projection and the trailing block H22 that of the
+        fiber lattice {w : (0, w) in the lattice}.
         """
         keep = tuple(keep)
-        drop = tuple(i for i in range(self.dim) if i not in keep)
-        if not drop:
-            return Coset(self.lattice, self.center), Fraction(1)
-        p = self.p
-        # slice lattice: {w : embedding(w) in lattice}
-        emb = tuple(
-            tuple(Fraction(1) if drop[j] == r else Fraction(0) for j in range(len(drop)))
-            for r in range(self.dim)
-        )
-        zero = tuple(Fraction(0) for _ in range(self.dim))
-        slice_coset = Coset(self.lattice, zero).affine_preimage(zero, emb)
-        fiber_vol = slice_coset.lattice.volume()
-        proj_basis = tuple(self.lattice.basis[i] for i in keep)
-        proj_lat = Lattice(p, proj_basis)
-        proj_center = tuple(self.center[i] for i in keep)
-        return Coset(proj_lat, proj_center), fiber_vol
-
-
-def _sum_transform(L1: Lattice, L2: Lattice):
-    """(L1 + L2, L1 @ U[:d]) from one transformed HNF of [L1 | L2].
-
-    [L1 | L2] @ U = [H | 0] with U unimodular over Z_(p), so the last d
-    columns of U span the integral relations L1 u1 + L2 u2 = 0: the last d
-    columns of L1 @ U[:d] span L1 meet L2, and the first d carry coordinates
-    over H to their L1 part.
-    """
-    d = L1.dim
-    stacked = tuple(ra + rb for ra, rb in zip(L1.basis, L2.basis))
-    H, U = xl.hnf_zp(stacked, L1.p, transform=True)
-    return Lattice(L1.p, H, _canonical=True), xl.matmul(L1.basis, U[:d])
-
+        k = len(keep)
+        order = keep + tuple(i for i in range(self.dim) if i not in keep)
+        H = xl.hnf_zp(tuple(self.lattice.basis[i] for i in order), self.p)
+        proj = Lattice(self.p, tuple(row[:k] for row in H[:k]), _canonical=True)
+        fiber = Lattice(self.p, tuple(row[k:] for row in H[k:]), _canonical=True)
+        return Coset(proj, tuple(self.center[i] for i in keep)), fiber.volume()

@@ -290,10 +290,8 @@ def slice_family(f, y, fiber: Fiber = None, measure_factor=1):
         fiber = fiber_param(y, n, fd)
     Lsp = space_L(n, fd)
     da = Lsp.dim
-    MA = flatten_linear(fiber.A, meye(n, fd), fd)
-    Mc = flatten_linear(fiber.c, meye(n, fd), fd)
-    M = tuple(tuple(ra) + tuple(rb) for ra, rb in zip(MA, Mc))
-    g = f.pullback_affine(M)
+    Ac = [[*ra, *rc] for ra, rc in zip(fiber.A, fiber.c)]
+    g = f.pullback_affine(flatten_linear(Ac, meye(n, fd), fd))
     keep = list(range(da))
     if isinstance(g, GaussianForm):
         out = g.marginalize(keep)
@@ -356,15 +354,9 @@ def convolve_gamma(f, x):
     absolutely convergent for Gaussian f (the pullback b -> x b is injective
     for regular x) and a finite exact character sum for Schwartz-Bruhat f.
     """
-    space = f.space
-    fd = space.fd
-    n = space.cols
-    if not is_regular(x, fd):
+    if not is_regular(x, f.space.fd):
         raise ValueError("point is not regular (rank deficient)")
-    Lsp = space_L(n, fd)
-    M = flatten_linear(x, meye(n, fd), fd)
-    g = _with_space(f.pullback_affine(M), Lsp)
-    return integrate_against_trace_character(g, n)
+    return integrate_against_trace_character(translate_group(f, x, side="left"), f.space.cols)
 
 
 def compose_shell_stabilized(f: SBFunction, y, k_max: int = 8, fiber: Fiber = None):
@@ -389,7 +381,6 @@ def compose_shell_stabilized(f: SBFunction, y, k_max: int = 8, fiber: Fiber = No
     n = space.cols
     if fiber is None:
         fiber = fiber_param(y, n, fd)
-    Lsp = space_L(n, fd)
 
     # rigorous local-constancy modulus: perturbing z by p^s changes x b by
     # c dz b; bounding b through the left inverse y of x = A + c z keeps all
@@ -413,9 +404,7 @@ def compose_shell_stabilized(f: SBFunction, y, k_max: int = 8, fiber: Fiber = No
     lam = trace_form_coords(n, fd)
 
     def inner_value(z_vec):
-        x = fiber.point(tuple(z_vec))
-        Mb = flatten_linear(x, meye(n, fd), fd)
-        g = _with_space(f.pullback_affine(Mb), Lsp)
+        g = translate_group(f, fiber.point(tuple(z_vec)), side="left")
         return g.integrate_against_character(lam)
 
     total = ExactValue.from_cyclo(p, 0)

@@ -92,10 +92,14 @@ def test_canonical_residue():
     r = xl.canonical_residue(t, p, 2)
     assert r == Fraction(5, 9)
     assert xl.canonical_residue(Fraction(14, 9), p, 0) == Fraction(5, 9)
-    # difference lands in p^m Z_(p)
-    for m in range(0, 4):
+    # negative m keeps the digits below p^m: 16/27 = 1/27 + 2/9 + 1/3
+    assert xl.canonical_residue(Fraction(16, 27), p, -1) == Fraction(7, 27)
+    assert xl.canonical_residue(Fraction(16, 27), p, -3) == 0
+    # difference lands in p^m Z_(p), and the residue lies in [0, p^m)
+    for m in range(-3, 4):
         for t in [Fraction(7, 5), Fraction(22, 9), Fraction(-4, 27), Fraction(11)]:
             r = xl.canonical_residue(t, p, m)
+            assert 0 <= r < Fraction(p) ** m
             diff = t - r
             if diff != 0:
                 from radonfourier import padic_valuation

@@ -23,10 +23,13 @@ from radonfourier import (
     space_X,
     translate_group,
 )
+from radonfourier import complex_field, padic_field, padic_valuation, real_field
 from radonfourier import exactlinalg as xl
+from radonfourier.fields import add_char
 from radonfourier.functions import _coords_space, _quadratic_form
-from radonfourier.geometry import MatrixSpace, base_point_x
-from radonfourier.sampling import rand_fraction, rand_gaussian, rand_sb_function
+from radonfourier.geometry import MatrixSpace, base_point_x, mmul
+from radonfourier.sampling import rand_fraction, rand_gaussian, rand_matrix, rand_sb_function
+from radonfourier.transforms import pairing_matrix
 
 
 def one(p):
@@ -74,6 +77,22 @@ def test_translate_group(fr):
     lhs = translate_group(translate_group(f, a), b)
     rhs = translate_group(f, a @ b)
     assert np.allclose(lhs.Q, rhs.Q) and abs(lhs.kappa - rhs.kappa) < 1e-14
+
+
+@pytest.mark.parametrize("fd", [real_field(), complex_field(), padic_field(3)], ids=str)
+@pytest.mark.parametrize("n", [1, 2])
+def test_translate_group_left_non_square(rng, fd, n):
+    """x -> f(m x) for an (n+1) x n matrix m lives on n x n matrices."""
+    X = space_X(n, fd)
+    f = GaussianForm.standard(X) if fd.is_archimedean else rand_sb_function(rng, X, terms=3)
+    m = rand_matrix(rng, n + 1, n, fd)
+    g = translate_group(f, m, side="left")
+    assert g.space.shape == (n, n)
+    for _ in range(4):
+        b = rand_matrix(rng, n, n, fd)
+        want = evaluate(f, mmul(m, b, fd))
+        got = evaluate(g, b)
+        assert abs(got - want) < 1e-12 if fd.is_archimedean else got == want
 
 
 def test_cutoff_chi(rng, fr):
@@ -179,6 +198,72 @@ def test_sb_to_json_canonical_order(rng, f3):
         g = SBFunction(h.space, reversed(h.terms))
         assert g.terms != h.terms and g.equals(h)
         assert json.dumps(g.to_json()) == json.dumps(h.to_json())
+
+
+def _fourier_reference(f, P, target):
+    """The M-coordinate phase split: with M = (P L)^dual and u the phase
+    vector in the coordinates t of M, refine M by the kernel sublattice
+    {t : <u, t> in Z_p}, the dual of the span of [I | u]."""
+    P = xl.mat(P)
+    fd = f.space.fd
+    p = f.p
+    out = []
+    for coeff, coset in f.terms:
+        PB = xl.matmul(P, coset.lattice.basis)
+        M = Lattice(p, xl.transpose(xl.inv(PB)))
+        w = xl.matvec(P, coset.center)
+        base = coeff * coset.volume()
+        u = xl.matvec(xl.transpose(M.basis), w)
+        if all(x == 0 or padic_valuation(x, p) >= 0 for x in u):
+            out.append((base, Coset(M, (Fraction(0),) * M.dim)))
+            continue
+        sub = Lattice(p, [row + (x,) for row, x in zip(xl.identity(M.dim), u)]).dual()
+        refined = Lattice(p, xl.matmul(M.basis, sub.basis))
+        for rep in Lattice.standard(p, M.dim).quotient_representatives(sub):
+            y0 = xl.matvec(M.basis, rep)
+            phase = add_char(sum(a * b for a, b in zip(w, y0)), fd)
+            out.append((base * phase, Coset(refined, y0)))
+    return SBFunction(target, out)
+
+
+def _rand_coset(rng, p, d, trivial):
+    """A coset of a random non-diagonal lattice; its center is 0 for
+    ``trivial`` (the transform then has no phase) and of valuation -1 to 1
+    otherwise."""
+    while True:
+        B = tuple(
+            tuple(rand_fraction(rng, p, -1, 1) if rng.integers(0, 3) else Fraction(0)
+                  for _ in range(d))
+            for _ in range(d)
+        )
+        if xl.det(B) != 0:
+            break
+    center = tuple(Fraction(0) if trivial else rand_fraction(rng, p, -1, 1) for _ in range(d))
+    return Coset(Lattice(p, B), center)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2])
+def test_sb_fourier_matches_phase_split_reference(rng, p, n):
+    """The (P L + Z_p w)^dual split gives the reference's canonical terms, on
+    X (d = 2 at n = 1, d = 6 at n = 2) under both pairings."""
+    fd = padic_field(p)
+    X = space_X(n, fd)
+    target = X.transpose_space()
+    P = pairing_matrix(target, X)
+    P_inv = tuple(tuple(-v for v in row) for row in P)
+    phases = set()
+    for trial in range(6):
+        trivial = trial % 3 == 0
+        cosets = [_rand_coset(rng, p, X.dim, trivial) for _ in range(2)]
+        f = SBFunction(X, [(Fraction(int(rng.integers(1, 5))), k) for k in cosets])
+        for pairing in (P, P_inv):
+            got, want = f.fourier(pairing, target), _fourier_reference(f, pairing, target)
+            assert {k: c for c, k in got.terms} == {k: c for c, k in want.terms}
+            phases.add(len(got.terms) > len(f.terms))
+        if trivial:
+            assert len(got.terms) == len(f.terms)
+    assert phases == {False, True}
 
 
 def test_integrate_examples(fr, f3):

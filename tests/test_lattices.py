@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -202,6 +203,39 @@ def test_project_fubini(rng):
         assert proj.lattice.volume() * fiber_vol == coset.volume()
         # projected center really is the projection of a member
         assert proj.contains(tuple(coset.center[i] for i in keep))
+
+
+def _project_reference(coset, keep):
+    """Projection by the fiber as the preimage of the embedding of the dropped
+    coordinates (a non-square affine_preimage) and the projected lattice as a
+    second HNF of the kept rows; needs at least one dropped coordinate."""
+    drop = tuple(i for i in range(coset.dim) if i not in keep)
+    emb = tuple(
+        tuple(Fraction(int(drop[j] == r)) for j in range(len(drop))) for r in range(coset.dim)
+    )
+    zero = (Fraction(0),) * coset.dim
+    fiber = Coset(coset.lattice, zero).affine_preimage(zero, emb).lattice
+    proj = Lattice(coset.p, tuple(coset.lattice.basis[i] for i in keep))
+    return Coset(proj, tuple(coset.center[i] for i in keep)), fiber.volume()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_project_matches_reference_every_keep_order(rng, p):
+    """HNF blocks give the reference's (coset, volume) for every ordered keep,
+    non-prefix and unsorted ones such as (2, 0) included."""
+    for d in range(2, 5):
+        for _ in range(3):
+            coset = Coset(rand_lattice(rng, p, d), tuple(rand_fraction(rng, p, -1, 2) for _ in range(d)))
+            for k in range(1, d):
+                for keep in itertools.permutations(range(d), k):
+                    assert coset.project(keep) == _project_reference(coset, keep), keep
+            # keeping every coordinate permutes them and integrates nothing out
+            for keep in itertools.permutations(range(d)):
+                perm = Coset(
+                    Lattice(p, tuple(coset.lattice.basis[i] for i in keep)),
+                    tuple(coset.center[i] for i in keep),
+                )
+                assert coset.project(keep) == (perm, 1)
 
 
 def test_quotient_representatives(rng):

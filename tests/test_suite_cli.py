@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from radonfourier.cli import main
@@ -230,6 +231,41 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("config error:"), spec
         assert captured.err.count("\n") == 1, spec
+
+
+def test_cli_compute_malformed_numbers(tmp_path, capsys):
+    """Short [re, im] pairs, non-finite numbers and vectors of the wrong
+    length exit 2 with one line naming the field, at the JSON boundary."""
+    gauss = {"type": "gaussian", "Q": [[1.0, 0.0], [0.0, 1.0]]}
+    gauss_c = {"type": "gaussian", "Q": np.eye(4).tolist()}
+    y = [[1.0, 0.0]]
+
+    def sb(center):
+        return {"type": "sb", "terms": [{"coeff": "1", "center": center, "basis": [["1", "0"], ["0", "1"]]}]}
+
+    for op, spec, named in (
+        ("intertwine", {"field": "r", "f": dict(gauss, kappa=[1.0]), "y": y}, "kappa"),
+        ("intertwine", {"field": "r", "f": dict(gauss, kappa=[1.0, 0.0, 2.0]), "y": y}, "kappa"),
+        ("intertwine", {"field": "r", "f": dict(gauss, ell=[[0.5], 0.0]), "y": y}, "ell"),
+        ("intertwine", {"field": "c", "f": gauss_c, "y": [[[1.0], [0.0, 0.0]]]}, "y entry"),
+        ("fourier", {"field": "c", "f": gauss_c, "points": [[[[1.0, 0.0], [0.0]]]]}, "points entry"),
+        ("intertwine", {"field": "r", "f": dict(gauss, kappa=1e400), "y": y}, "kappa"),
+        ("intertwine", {"field": "r", "f": dict(gauss, kappa=[1.0, -1e400]), "y": y}, "kappa"),
+        ("fourier", {"field": "r", "f": dict(gauss, ell=[1e400, 0.0])}, "ell"),
+        ("intertwine", {"field": "r", "f": dict(gauss, ell=[0.0, 0.0, 0.0]), "y": y}, "ell"),
+        ("fourier", {"field": "r", "f": dict(gauss, ell=[0.0])}, "ell"),
+        ("fourier", {"field": "qp", "p": 3, "f": sb(["0"])}, "center"),
+        ("fourier", {"field": "qp", "p": 3, "f": sb(["0", "0", "1/3"])}, "center"),
+    ):
+        inp = tmp_path / "spec.json"
+        # json.dumps writes 1e400 (inf) as Infinity; the number is what a user writes
+        inp.write_text(json.dumps(spec).replace("Infinity", "1e400"))
+        capsys.readouterr()
+        assert main(["compute", op, "--input", str(inp)]) == 2, spec
+        captured = capsys.readouterr()
+        assert captured.out == "", spec
+        assert captured.err.startswith("config error:") and captured.err.count("\n") == 1, spec
+        assert named in captured.err, (spec, captured.err)
 
 
 def test_cli_compute_fourier(tmp_path):
