@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
 
+from .fields import COMPLEX
 from .functions import _json_complex, function_from_json
 from .geometry import as_matrix, as_scalar, space_X
 from .hilbert import inner_X
@@ -85,9 +87,17 @@ def _parse_matrix(obj, fd, rows, cols, name):
 
 
 def _parse_scalar(x, fd, name):
-    if isinstance(x, (list, tuple)):
+    """A matrix entry: a finite number or a rational string, or over C also an
+    [re, im] pair; else a ValueError naming the entry."""
+    if isinstance(x, (list, tuple)) and fd.kind == COMPLEX:
         return _json_complex(x, name)
-    return as_scalar(Fraction(x) if isinstance(x, str) else x, fd)
+    try:
+        v = as_scalar(Fraction(x) if isinstance(x, str) else x, fd)
+    except (TypeError, ValueError, ArithmeticError):
+        v = None
+    if v is None or fd.is_archimedean and not math.isfinite(v):
+        raise ValueError(f"{name} must be a finite number or a rational string, got {x!r}")
+    return v
 
 
 def cmd_verify(args) -> int:

@@ -213,6 +213,24 @@ def test_engine_memory_stays_within_a_chunk(monkeypatch):
     assert peak < 8 * 50 * point_bytes
 
 
+def test_default_chunk_keeps_the_working_set_small():
+    # at the default _CHUNK, one d = 6 integral at order 12 (the default
+    # order at d = 6) keeps its traced peak allocation under 3 MB, so that a
+    # call's working set fits in L2: with 65,536-point calls it was 11.1 MB,
+    # with 8,192-point calls it is 1.2 MB
+    d, order = 6, 12
+    Q, center, ell = _random_gaussian_input(d)
+    fn = _smooth(center, ell)
+    integrate_gauss_hermite(fn, Q, center, order=order)  # fills the rule cache
+    tracemalloc.start()
+    try:
+        integrate_gauss_hermite(fn, Q, center, order=order)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
+
+
 def test_weight_overflow_raises():
     ones = lambda pts: np.ones(len(pts), dtype=complex)
     # half-widths near 1e308: the weights exceed the float range (and so

@@ -234,14 +234,17 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 
 
 def test_cli_compute_malformed_numbers(tmp_path, capsys):
-    """Short [re, im] pairs, non-finite numbers and vectors of the wrong
-    length exit 2 with one line naming the field, at the JSON boundary."""
+    """Short [re, im] pairs, non-finite numbers, zero denominators, pairs on
+    a field without them and vectors of the wrong length exit 2 with one
+    line naming the field, at the JSON boundary."""
     gauss = {"type": "gaussian", "Q": [[1.0, 0.0], [0.0, 1.0]]}
     gauss_c = {"type": "gaussian", "Q": np.eye(4).tolist()}
     y = [[1.0, 0.0]]
 
     def sb(center):
         return {"type": "sb", "terms": [{"coeff": "1", "center": center, "basis": [["1", "0"], ["0", "1"]]}]}
+
+    qp = {"field": "qp", "p": 3, "f": sb(["0", "0"])}
 
     for op, spec, named in (
         ("intertwine", {"field": "r", "f": dict(gauss, kappa=[1.0]), "y": y}, "kappa"),
@@ -256,9 +259,23 @@ def test_cli_compute_malformed_numbers(tmp_path, capsys):
         ("fourier", {"field": "r", "f": dict(gauss, ell=[0.0])}, "ell"),
         ("fourier", {"field": "qp", "p": 3, "f": sb(["0"])}, "center"),
         ("fourier", {"field": "qp", "p": 3, "f": sb(["0", "0", "1/3"])}, "center"),
+        # matrix entries of y, points and a_grid
+        ("intertwine", dict(qp, y=[[1e400, 0]]), "y entry"),
+        ("intertwine", dict(qp, y=[[float("nan"), 0]]), "y entry"),
+        ("intertwine", dict(qp, y=[["1/0", "0"]]), "y entry"),
+        ("intertwine", dict(qp, y=[[[1.0, 0.5], 0]]), "y entry"),
+        ("fourier", dict(qp, points=[[["0", "1/0"]]]), "points entry"),
+        ("intertwine", {"field": "r", "f": gauss, "y": [["1/0", 0.0]]}, "y entry"),
+        ("intertwine", {"field": "r", "f": gauss, "y": [[1e400, 0.0]]}, "y entry"),
+        ("intertwine", {"field": "r", "f": gauss, "y": [["1e400", 0.0]]}, "y entry"),
+        ("intertwine", {"field": "r", "f": gauss, "y": [[float("nan"), 0.0]]}, "y entry"),
+        ("intertwine", {"field": "r", "f": gauss, "y": [[[1.0, 0.5], 0.0]]}, "y entry"),
+        ("inner-product", {"field": "r", "f": gauss, "h": gauss, "a_grid": [[[1e400]]]}, "a_grid entry"),
+        ("intertwine", {"field": "c", "f": gauss_c, "y": [[float("nan"), 0.0]]}, "y entry"),
     ):
         inp = tmp_path / "spec.json"
-        # json.dumps writes 1e400 (inf) as Infinity; the number is what a user writes
+        # json.dumps writes 1e400 (inf) as Infinity; the number is what a user
+        # writes.  NaN stays: Python's json module reads it
         inp.write_text(json.dumps(spec).replace("Infinity", "1e400"))
         capsys.readouterr()
         assert main(["compute", op, "--input", str(inp)]) == 2, spec
