@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import fields
 from fractions import Fraction
@@ -22,8 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from .fields import COMPLEX
-from .functions import _json_complex, function_from_json
-from .geometry import as_matrix, as_scalar, space_X
+from .functions import function_from_json, json_matrix
+from .geometry import as_matrix, space_X
 from .hilbert import inner_X
 from .suite import (
     CHECKS,
@@ -80,24 +79,12 @@ def _emit(payload: str, out: str | None):
 
 
 def _parse_matrix(obj, fd, rows, cols, name):
-    m = as_matrix([[_parse_scalar(x, fd, f"{name} entry") for x in row] for row in obj], fd)
+    """A matrix of the field; over C its entries may be [re, im] pairs."""
+    kind = complex if fd.kind == COMPLEX else float if fd.is_archimedean else Fraction
+    m = as_matrix(json_matrix(obj, name, kind), fd)
     if np.shape(m) != (rows, cols):
         raise ValueError(f"{name} must be a {rows}x{cols} matrix")
     return m
-
-
-def _parse_scalar(x, fd, name):
-    """A matrix entry: a finite number or a rational string, or over C also an
-    [re, im] pair; else a ValueError naming the entry."""
-    if isinstance(x, (list, tuple)) and fd.kind == COMPLEX:
-        return _json_complex(x, name)
-    try:
-        v = as_scalar(Fraction(x) if isinstance(x, str) else x, fd)
-    except (TypeError, ValueError, ArithmeticError):
-        v = None
-    if v is None or fd.is_archimedean and not math.isfinite(v):
-        raise ValueError(f"{name} must be a finite number or a rational string, got {x!r}")
-    return v
 
 
 def cmd_verify(args) -> int:
@@ -161,9 +148,7 @@ def _compute(operation: str, spec: dict) -> dict:
     # report_to_json's serializer
     if operation == "fourier":
         fhat = fourier(function_from_json(spec["f"], X))
-        result = {}
-        if hasattr(fhat, "to_json"):  # quadrature-backed results are value-only
-            result["transform"] = fhat.to_json()
+        result = {"transform": fhat.to_json()}
         if "points" in spec:
             result["values"] = [
                 fhat.value(_parse_matrix(pt, fd, n, n + 1, "points")) for pt in spec["points"]

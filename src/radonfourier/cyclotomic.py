@@ -233,7 +233,7 @@ class CyclotomicValue:
     def from_json(cls, obj, p=None) -> "CyclotomicValue":
         N = int(obj["conductor"])
         coeffs = [Fraction(c) for c in obj["coeffs"]]
-        if N == 1:
+        if N == 1 and len(coeffs) == 1:
             return cls.from_rational(coeffs[0])
         if p is None:
             p = _smallest_prime_factor(N)

@@ -31,8 +31,8 @@ import numpy as np
 from . import exactlinalg as xl
 from . import quadrature as quad
 from .cyclotomic import CyclotomicValue, ExactValue
-from .fields import FieldDescriptor, add_char
-from .geometry import MatrixSpace, entry_dim, flatten_linear, meye
+from .fields import add_char
+from .geometry import MatrixSpace, flatten_linear, meye
 from .lattices import Coset, Lattice
 
 
@@ -88,14 +88,12 @@ class GaussianForm:
         expo = -np.pi * (self.ell @ np.linalg.solve(self.Q, self.ell))
         return self.kappa * d ** (-0.5) * cmath.exp(complex(expo))
 
-    def pullback_affine(self, M, offset=None) -> "GaussianForm":
-        """The Gaussian z -> f(offset + M z); M must be injective."""
+    def pullback_affine(self, M, space: MatrixSpace, offset=None) -> "GaussianForm":
+        """The Gaussian z -> f(offset + M z) on ``space``; M must be injective."""
         M = np.asarray(M, dtype=float)
-        dz = M.shape[1]
         Qp = M.T @ self.Q @ M
         if np.linalg.eigvalsh((Qp + Qp.T) / 2)[0] <= 0:
             raise ValueError("pullback along a non-injective map loses positivity")
-        space = _coords_space(self.space.fd, dz)
         if offset is None:
             return GaussianForm(space, (Qp + Qp.T) / 2, self.kappa, M.T @ self.ell)
         x0 = np.asarray(offset, dtype=float)
@@ -118,12 +116,13 @@ class GaussianForm:
             self.space, self.Q + other.Q, self.kappa * other.kappa, self.ell + other.ell
         )
 
-    def marginalize(self, keep) -> "GaussianForm":
-        """Integrate out the coordinates not in ``keep`` (Schur complement)."""
+    def marginalize(self, keep, space: MatrixSpace) -> "GaussianForm":
+        """Integrate out the coordinates not in ``keep`` (Schur complement),
+        leaving a Gaussian on ``space``."""
         keep = list(keep)
         drop = [i for i in range(self.space.dim) if i not in keep]
         if not drop:
-            return self
+            return GaussianForm(space, self.Q, self.kappa, self.ell)
         Qkk = self.Q[np.ix_(keep, keep)]
         Qkd = self.Q[np.ix_(keep, drop)]
         Qdd = self.Q[np.ix_(drop, drop)]
@@ -137,7 +136,7 @@ class GaussianForm:
             * np.linalg.det(Qdd) ** (-0.5)
             * cmath.exp(complex(-np.pi * (ell_d @ sol)))
         )
-        return GaussianForm(_coords_space(self.space.fd, len(keep)), (Qp + Qp.T) / 2, kp, ellp)
+        return GaussianForm(space, (Qp + Qp.T) / 2, kp, ellp)
 
     def fourier(self, P, target: MatrixSpace) -> "GaussianForm":
         """Closed-form transform against the kernel with pairing y'P x.
@@ -201,14 +200,6 @@ def _quadratic_form(pts, Q) -> np.ndarray:
     return out
 
 
-def _coords_space(fd: FieldDescriptor, dim: int) -> MatrixSpace:
-    """A flat stand-in space when a pullback leaves matrix shape behind."""
-    per = entry_dim(fd)
-    if dim % per:
-        raise ValueError("dimension incompatible with the field")
-    return MatrixSpace(fd, 1, dim // per)
-
-
 # ---------------------------------------------------------------------
 # Envelopes and evaluables
 # ---------------------------------------------------------------------
@@ -266,11 +257,9 @@ class Evaluable:
         env = Envelope(self.env.C * abs(c), self.env.Q, self.env.center, self.env.radius)
         return Evaluable(self.space, lambda p: c * np.asarray(self.fn(p)), env, self.label)
 
-    def pullback_affine(self, M, offset=None) -> "Evaluable":
+    def pullback_affine(self, M, space: MatrixSpace, offset=None) -> "Evaluable":
         M = np.asarray(M, dtype=float)
-        dz = M.shape[1]
         x0 = np.zeros(M.shape[0]) if offset is None else np.asarray(offset, dtype=float)
-        space = _coords_space(self.space.fd, dz)
         fn = self.fn
 
         def pulled(pts):
@@ -415,10 +404,9 @@ class SBFunction:
                     out.append((c1 * c2, inter))
         return SBFunction(self.space, out)
 
-    def pullback_affine(self, M, offset=None) -> "SBFunction":
-        """z -> f(offset + M z) with M an injective Fraction matrix."""
+    def pullback_affine(self, M, space: MatrixSpace, offset=None) -> "SBFunction":
+        """z -> f(offset + M z) on ``space``, M an injective Fraction matrix."""
         M = xl.mat(M)
-        dz = len(M[0])
         offset = (
             tuple(Fraction(0) for _ in range(len(M)))
             if offset is None
@@ -429,15 +417,16 @@ class SBFunction:
             pre = coset.affine_preimage(offset, M)
             if pre is not None:
                 out.append((coeff, pre))
-        return SBFunction(_coords_space(self.space.fd, dz), out)
+        return SBFunction(space, out)
 
-    def partial_integral(self, keep) -> "SBFunction":
-        """Integrate out the coordinates not in ``keep`` (exact Fubini)."""
+    def partial_integral(self, keep, space: MatrixSpace) -> "SBFunction":
+        """Integrate out the coordinates not in ``keep`` (exact Fubini),
+        leaving a function on ``space``."""
         out = []
         for coeff, coset in self.terms:
             proj, vol = coset.project(keep)
             out.append((coeff * vol, proj))
-        return SBFunction(_coords_space(self.space.fd, len(tuple(keep))), out)
+        return SBFunction(space, out)
 
     def refine(self, lattice: Lattice) -> "SBFunction":
         """Rewrite every term over cosets of the given common sublattice."""
@@ -627,18 +616,7 @@ def translate_group(f, m, side: str = "right"):
         domain = MatrixSpace(fd, len(m[0]), space.cols)
     else:
         raise ValueError("side must be 'right' or 'left'")
-    g = f.pullback_affine(M)
-    return _with_space(g, domain)
-
-
-def _with_space(f, space: MatrixSpace):
-    if isinstance(f, GaussianForm):
-        return GaussianForm(space, f.Q, f.kappa, f.ell)
-    if isinstance(f, SBFunction):
-        return SBFunction(space, f.terms)
-    if isinstance(f, Evaluable):
-        return Evaluable(space, f.fn, f.env, f.label)
-    raise TypeError(f"unknown function class {type(f).__name__}")
+    return f.pullback_affine(M, domain)
 
 
 def _envelope_of(f) -> Envelope:
@@ -691,13 +669,9 @@ def _product_envelope(ea: Envelope, eb: Envelope) -> Envelope:
 
 def fiber_restrict(f, fiber):
     """Restrict a function on X to an affine fiber, as a function of z in F^n."""
-    space = f.space
-    fd = space.fd
-    zspace = MatrixSpace(fd, 1, fiber.n)
+    fd = f.space.fd
     M = flatten_linear(fiber.c, meye(fiber.n, fd), fd)
-    offset = space.coords(fiber.A)
-    g = f.pullback_affine(M, offset)
-    return _with_space(g, zspace)
+    return f.pullback_affine(M, MatrixSpace(fd, 1, fiber.n), f.space.coords(fiber.A))
 
 
 def integrate(f, with_error: bool = False, order: int = None):
@@ -752,28 +726,19 @@ def function_from_json(obj: dict, space: MatrixSpace):
 
     Formats: {"type": "gaussian", "Q": [[...]], "kappa": ..., "ell": [...]},
     {"type": "sb", "terms": [{"coeff": ..., "center": [...], "basis": [[...]]}]},
-    {"type": "product", "of": [...]}.  Scalars may be numbers, [re, im]
-    pairs, or rational strings "num/den" as appropriate to the field.
+    {"type": "product", "of": [...]}.  Every number is read by ``json_number``.
     """
-    t = obj.get("type")
+    t = _json_of(dict, obj, "a function spec").get("type")
     if t == "gaussian":
-        kappa = _json_complex(obj.get("kappa", 1.0), "kappa")
-        ell = [_json_complex(z, "ell") for z in obj.get("ell", [])] or None
-        if ell is not None and len(ell) != space.dim:
+        kappa = json_number(obj.get("kappa", 1.0), "kappa", complex)
+        ell = [json_number(z, "ell", complex) for z in _json_of(list, obj.get("ell", []), "ell")]
+        if ell and len(ell) != space.dim:
             raise ValueError(f"ell must have {space.dim} entries, got {len(ell)}")
         Q = obj.get("Q")
-        return GaussianForm(space, Q=Q, kappa=kappa, ell=ell)
+        return GaussianForm(space, Q if Q is None else json_matrix(Q, "Q"), kappa, ell or None)
     if t == "sb":
-        p = space.fd.p
-        terms = []
-        for term in obj["terms"]:
-            coeff = _json_exact(term.get("coeff", "1"), p)
-            center = [Fraction(x) for x in term["center"]]
-            if len(center) != space.dim:
-                raise ValueError(f"sb center must have {space.dim} entries, got {len(center)}")
-            basis = [[Fraction(x) for x in row] for row in term["basis"]]
-            terms.append((coeff, Coset(Lattice(p, basis), center)))
-        return SBFunction(space, terms)
+        # a generator: SBFunction refuses an archimedean space before any term is read
+        return SBFunction(space, _json_sb_terms(obj, space))
     if t == "product":
         parts = [function_from_json(o, space) for o in obj["of"]]
         if not parts:
@@ -785,24 +750,64 @@ def function_from_json(obj: dict, space: MatrixSpace):
     raise ValueError(f"unknown function spec type {t!r}")
 
 
-def _json_complex(v, name: str) -> complex:
-    """A JSON number or [re, im] pair as a complex: exactly one or two finite
-    numbers, else a ValueError naming the field."""
-    parts = v if isinstance(v, (list, tuple)) else (v, 0.0)
+def json_number(v, name: str, kind=float):
+    """The one parse of a number read from JSON, as ``kind`` (float, complex
+    or Fraction): a finite int or float, or a rational string "num/den" with a
+    nonzero denominator, never a boolean; a complex may also be an [re, im]
+    pair of two such.  Anything else is a ValueError naming the field."""
     try:
-        z = complex(*map(float, parts)) if len(parts) == 2 else None
-    except (TypeError, ValueError):
-        z = None
-    if z is None or not cmath.isfinite(z):
-        raise ValueError(f"{name} must be a finite number or an [re, im] pair of them, got {v!r}")
-    return z
+        if kind is not complex or not isinstance(v, list):
+            return kind(_json_scalar(v))
+        if len(v) == 2:
+            return complex(*(float(_json_scalar(x)) for x in v))
+    except (TypeError, ValueError, ArithmeticError):
+        pass
+    pair = " or an [re, im] pair of them" if kind is complex else ""
+    raise ValueError(f"{name} must be a finite number or a rational string{pair}, got {v!r}")
+
+
+def _json_scalar(v):
+    """A JSON number as itself, a rational string as its Fraction."""
+    if isinstance(v, bool) or not isinstance(v, (str, int, float)):
+        raise TypeError(v)
+    q = Fraction(v)  # raises on "1/0", "x", inf and nan
+    return q if isinstance(v, str) else v
+
+
+def json_matrix(obj, name: str, kind=float) -> list:
+    """A list of rows of numbers, each read by ``json_number`` as a ``name`` entry."""
+    if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
+        raise ValueError(f"{name} must be a list of rows, got {obj!r}")
+    return [[json_number(x, f"{name} entry", kind) for x in row] for row in obj]
+
+
+def _json_of(kind, v, name: str):
+    """``v`` if it is a JSON array (``kind`` list) or object (dict)."""
+    if not isinstance(v, kind):
+        raise ValueError(f"{name} must be a JSON {'array' if kind is list else 'object'}, got {v!r}")
+    return v
+
+
+def _json_sb_terms(obj: dict, space: MatrixSpace):
+    """The (coefficient, coset) pairs of an sb spec, parsed one at a time."""
+    p = space.fd.p
+    for term in _json_of(list, obj["terms"], "sb terms"):
+        term = _json_of(dict, term, "sb term")
+        coeff = _json_exact(term.get("coeff", "1"), p)
+        center = [json_number(x, "sb center", Fraction) for x in _json_of(list, term["center"], "sb center")]
+        if len(center) != space.dim:
+            raise ValueError(f"sb center must have {space.dim} entries, got {len(center)}")
+        yield coeff, Coset(Lattice(p, json_matrix(term["basis"], "sb basis", Fraction)), center)
 
 
 def _json_exact(v, p: int) -> ExactValue:
-    if isinstance(v, dict):
-        if "cyclotomic" in v:
-            return ExactValue(
-                p, Fraction(v.get("qexp", 0)), CyclotomicValue.from_json(v["cyclotomic"], p)
-            )
-        return ExactValue.from_cyclo(p, CyclotomicValue.from_json(v, p))
-    return ExactValue.from_cyclo(p, Fraction(v))
+    """An sb coeff: a rational, a cyclotomic value, or {"qexp", "cyclotomic"}."""
+    if not isinstance(v, dict):
+        return ExactValue.from_cyclo(p, json_number(v, "sb coeff", Fraction))
+    qexp = json_number(v.get("qexp", 0), "sb coeff qexp", Fraction) if "cyclotomic" in v else 0
+    cyc = _json_of(dict, v.get("cyclotomic", v), "sb coeff cyclotomic")
+    N = json_number(cyc.get("conductor"), "sb coeff conductor", Fraction)
+    if N.denominator != 1 or N < 1:
+        raise ValueError(f"sb coeff conductor must be an integer >= 1, got {cyc.get('conductor')!r}")
+    coeffs = [json_number(c, "sb coeff", Fraction) for c in _json_of(list, cyc.get("coeffs"), "sb coeff coeffs")]
+    return ExactValue(p, qexp, CyclotomicValue.from_json({"conductor": int(N), "coeffs": coeffs}, p))

@@ -352,7 +352,6 @@ class Fiber:
     from the unipotent group through a unimodular completion).
     """
 
-    y: object
     A: object
     c: object
     n: int
@@ -375,7 +374,7 @@ def fiber_param(y, n: int, fd: FieldDescriptor, rng=None, tol: float = 1e-10) ->
     """Fiber of the intertwining kernel over a regular y."""
     g = unimodular_completion(y, n, fd, rng=rng, tol=tol)
     c = as_matrix([row[n:] for row in g], fd)
-    return Fiber(y=y, A=b_map(g, n, fd), c=c, n=n, fd=fd)
+    return Fiber(A=b_map(g, n, fd), c=c, n=n, fd=fd)
 
 
 # ---------------------------------------------------------------------

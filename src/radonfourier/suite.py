@@ -9,7 +9,8 @@ serializes exactly.
 
 The ``perturb`` block deliberately mis-wires one constant at a time (the
 gamma exponent, the fiber measure, the equivariance exponent sign) so the
-negative controls can demonstrate that each check discriminates.
+negative controls can demonstrate that each check discriminates.  The knobs
+live in the verification functions, never in the operators they compare.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from . import __version__, sampling
 from . import exactlinalg as xl
 from .fields import FieldDescriptor, complex_field, padic_field, padic_valuation, real_field
 from .functions import GaussianForm, SBFunction
-from .geometry import base_point_y, fiber_param, rho_weight, rho_weight_exponents, space_X
+from .geometry import as_scalar, base_point_y, fiber_param, rho_weight, rho_weight_exponents, space_X
 from .hilbert import decay_bound_check, truncation_sequence
 from .lattices import Coset, Lattice
 from .transforms import (
@@ -365,11 +366,11 @@ def _check_fiber(cfg: SuiteConfig) -> dict:
     factor = cfg.perturb.get("fiber_measure_factor", 1)
     for _ in range(count):
         y = sampling.rand_regular_point(rng, X.transpose_space())
-        base = intertwine_I(f, y, fiber=fiber_param(y, cfg.n, fd), measure_factor=factor)
-        vals = [
-            intertwine_I(f, y, fiber=fiber_param(y, cfg.n, fd, rng=rng), measure_factor=factor)
-            for _ in range(5)
-        ]
+        base = intertwine_I(f, y, fiber=fiber_param(y, cfg.n, fd))
+        vals = [intertwine_I(f, y, fiber=fiber_param(y, cfg.n, fd, rng=rng)) for _ in range(5)]
+        if factor != 1:  # the measure knob scales both sides alike
+            c = as_scalar(factor, fd)
+            base, vals = base * c, [val * c for val in vals]
         if fd.is_archimedean:
             worst = max(abs(val - base) for val in vals)
             good = worst <= 1e-10

@@ -26,9 +26,9 @@ diverges pointwise for generic inputs (the fiber integrand decays like
 1/||z||), so the composition is exposed only through the kernel and slice
 reformulations, plus a p-adic shell-stabilized evaluation whose convergence
 is certified by exact vanishing of character sums on successive shells.
-Several operations take deliberate perturbation knobs (exponent shifts, a
-measure factor, a sign flip) so the negative controls can demonstrate that
-each identity actually discriminates.
+The negative-control knobs (an exponent shift, a measure factor, a sign
+flip) live in the verification functions, which apply each one where they
+put the two sides together; the operators take none.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .functions import (
     Evaluable,
     GaussianForm,
     SBFunction,
-    _with_space,
     fiber_restrict,
     integrate,
     translate_group,
@@ -59,7 +58,6 @@ from .geometry import (
     det_power,
     entry_dim,
     fiber_param,
-    flatten_linear,
     is_regular,
     meye,
     minv,
@@ -162,14 +160,13 @@ def _fourier_evaluable(f: Evaluable, P, target: MatrixSpace):
 # ---------------------------------------------------------------------
 
 
-def gamma_n(a, fd: FieldDescriptor, exponent_shift: Fraction = Fraction(0)):
+def gamma_n(a, fd: FieldDescriptor):
     """gamma_n(a) = |det a|^((1-n)/2) chi(Tr(a^(-1))).
 
-    ``exponent_shift`` perturbs the magnitude exponent and exists purely for
-    the negative controls.  Archimedean values are complex; p-adic values are
-    exact (a formal q-power times a root of unity).
+    Archimedean values are complex; p-adic values are exact (a formal q-power
+    times a root of unity).
     """
-    mag = det_power(a, Fraction(1 - len(a), 2) + exponent_shift, fd)
+    mag = det_power(a, Fraction(1 - len(a), 2), fd)
     return mag * add_char(mtrace(minv(a, fd), fd), fd)
 
 
@@ -186,7 +183,8 @@ def kernel_identity_check(
     phases as angles, both at ``tol``; p-adic: exact equality of q-powers and
     roots of unity.  The report keeps the first ``_KERNEL_ROWS`` sample records
     and every failing record (failures always carry the discriminating input
-    for replay).
+    for replay).  The negative control ``exponent_shift`` s shifts gamma_n's
+    exponent: over Q_p, the left side takes the factor |det a|^(-s).
     """
     rows = []
     ok = True
@@ -221,9 +219,7 @@ def kernel_identity_check(
             )
     else:
         for a in samples:
-            lhs = det_power(a, Fraction(1 - n, 2), fd) * gamma_n(
-                xl.inv(a), fd, exponent_shift
-            )
+            lhs = det_power(a, Fraction(1 - n, 2) - exponent_shift, fd) * gamma_n(xl.inv(a), fd)
             rhs = ExactValue.from_cyclo(fd.p, add_char(xl.trace(a), fd))
             good = lhs == rhs
             ok = ok and good
@@ -238,71 +234,58 @@ def kernel_identity_check(
 # ---------------------------------------------------------------------
 
 
-def slice_transform(f, y, a, fiber: Fiber = None, measure_factor=1):
+def slice_transform(f, y, a, fiber: Fiber = None):
     """T(f)(y, a): integral of f over the affine fiber {x : y x = a}.
 
     Parametrized as x = A a + c w for w in F^n, where (A, c) comes from a
     unimodular completion of y (y A = I_n, y c = 0), so the fiber measure is
-    plain Lebesgue dw.  ``measure_factor`` rescales dw and exists for the
-    negative controls.  The integral is that of ``intertwine_I`` over the
+    plain Lebesgue dw.  The integral is that of ``intertwine_I`` over the
     shifted fiber (A a, c).
     """
     fd = f.space.fd
     n = f.space.cols
     if fiber is None:
         fiber = fiber_param(y, n, fd)
-    shifted = Fiber(y=y, A=mmul(fiber.A, a, fd), c=fiber.c, n=n, fd=fd)
-    return intertwine_I(f, y, fiber=shifted, measure_factor=measure_factor)
+    shifted = Fiber(A=mmul(fiber.A, a, fd), c=fiber.c, n=n, fd=fd)
+    return intertwine_I(f, y, fiber=shifted)
 
 
-def intertwine_I(f, y, fiber: Fiber = None, measure_factor=1, with_error: bool = False):
+def intertwine_I(f, y, fiber: Fiber = None, with_error: bool = False):
     """The standard intertwining integral I(f)(y) = T(f)(y, I_n).
 
     Divergent inputs (an Evaluable whose restricted envelope does not decay)
     raise, reporting insufficient decay.
     """
-    space = f.space
-    fd = space.fd
-    n = space.cols
     if fiber is None:
-        fiber = fiber_param(y, n, fd)
+        fiber = fiber_param(y, f.space.cols, f.space.fd)
     g = fiber_restrict(f, fiber)
     if isinstance(g, Evaluable) and not g.env.integrable():
         raise ValueError("fiber integral diverges: restricted function has no decay")
     val, err = integrate(g, with_error=True)
-    if measure_factor != 1:
-        val = val * as_scalar(measure_factor, fd)
     return (val, err) if with_error else val
 
 
-def slice_family(f, y, fiber: Fiber = None, measure_factor=1):
+def slice_family(f, y, fiber: Fiber = None):
     """T(f)(y, .) as a function on the n x n matrix space.
 
-    Pulls f back along the joint linear map (a, w) -> A a + c w (a bijection
-    of coordinate spaces since [A | c] completes to determinant one) and
-    integrates out the w block: Gaussians by Schur complement, lattice-coset
-    functions by exact Fubini.
+    The left translate of f by [A | c] is [a; w] -> f(A a + c w) on the
+    (n+1) x n matrices (a bijection of coordinate spaces, since [A | c]
+    completes to determinant one); integrating out the w block, the last
+    coordinates, leaves T(f)(y, a): Gaussians by Schur complement,
+    lattice-coset functions by exact Fubini.
     """
-    space = f.space
-    fd = space.fd
-    n = space.cols
+    fd = f.space.fd
+    n = f.space.cols
     if fiber is None:
         fiber = fiber_param(y, n, fd)
+    g = translate_group(f, [[*ra, *rc] for ra, rc in zip(fiber.A, fiber.c)], side="left")
     Lsp = space_L(n, fd)
-    da = Lsp.dim
-    Ac = [[*ra, *rc] for ra, rc in zip(fiber.A, fiber.c)]
-    g = f.pullback_affine(flatten_linear(Ac, meye(n, fd), fd))
-    keep = list(range(da))
+    keep = list(range(Lsp.dim))
     if isinstance(g, GaussianForm):
-        out = g.marginalize(keep)
-    elif isinstance(g, SBFunction):
-        out = g.partial_integral(keep)
-    else:
-        raise TypeError("slice family needs a Gaussian or Schwartz-Bruhat input")
-    out = _with_space(out, Lsp)
-    if measure_factor != 1:
-        out = out.scale(as_scalar(measure_factor, fd))
-    return out
+        return g.marginalize(keep, Lsp)
+    if isinstance(g, SBFunction):
+        return g.partial_integral(keep, Lsp)
+    raise TypeError("slice family needs a Gaussian or Schwartz-Bruhat input")
 
 
 def trace_form_coords(n: int, fd: FieldDescriptor):
@@ -310,20 +293,18 @@ def trace_form_coords(n: int, fd: FieldDescriptor):
     return space_L(n, fd).coords(meye(n, fd))
 
 
-def integrate_against_trace_character(g, n: int):
-    """integral of g(a) chi(Tr a) da over the n x n matrix space.
+def integrate_against_trace_character(g):
+    """integral of g(a) chi(Tr a) da over g's space of n x n matrices.
 
     Gaussian g: closed form (the transform of g evaluated at the identity).
     Schwartz-Bruhat g: exact character sum.
     """
-    fd = g.space.fd
-    Lsp = space_L(n, fd)
+    Lsp = g.space
+    n, fd = Lsp.cols, Lsp.fd
     if isinstance(g, GaussianForm):
-        P = pairing_matrix(Lsp, Lsp)
-        return g.fourier(P, Lsp).value(meye(n, fd))
+        return g.fourier(pairing_matrix(Lsp, Lsp), Lsp).value(meye(n, fd))
     if isinstance(g, SBFunction):
-        lam = trace_form_coords(n, fd)
-        return g.integrate_against_character(lam)
+        return g.integrate_against_character(trace_form_coords(n, fd))
     raise TypeError("need a Gaussian or Schwartz-Bruhat slice family")
 
 
@@ -356,7 +337,7 @@ def convolve_gamma(f, x):
     """
     if not is_regular(x, f.space.fd):
         raise ValueError("point is not regular (rank deficient)")
-    return integrate_against_trace_character(translate_group(f, x, side="left"), f.space.cols)
+    return integrate_against_trace_character(translate_group(f, x, side="left"))
 
 
 def compose_shell_stabilized(f: SBFunction, y, k_max: int = 8, fiber: Fiber = None):
@@ -472,7 +453,8 @@ def fourier_slice_verify(
     inputs ``rhs_method='quadrature'`` takes the a-integral of pointwise
     slice values by envelope-whitened Gauss-Hermite quadrature instead of
     the closed form; a row then also fails when the quadrature's error
-    estimate exceeds ``tol``.
+    estimate exceeds ``tol``.  The negative control ``measure_factor`` scales
+    the right side and its error estimate, as a rescaled fiber measure would.
     """
     space = f.space
     fd = space.fd
@@ -486,7 +468,7 @@ def fourier_slice_verify(
     ok = True
     for y in y_samples:
         lhs = fhat.value(y)
-        fam = slice_family(f, y, measure_factor=measure_factor)
+        fam = slice_family(f, y)
         if rhs_method == "quadrature":
             fib = fiber_param(y, n, fd)
 
@@ -494,16 +476,17 @@ def fourier_slice_verify(
                 out = np.empty(len(apts), dtype=complex)
                 for i, av in enumerate(apts[:, 0]):
                     a = np.array([[av]])
-                    out[i] = slice_transform(
-                        f, y, a, fiber=fib, measure_factor=measure_factor
-                    ) * add_char(av, fd)
+                    out[i] = slice_transform(f, y, a, fiber=fib) * add_char(av, fd)
                 return out
 
             integrand = Evaluable(fam.space, point_slice, fam.envelope(), "slice")
             rhs, err = integrate(integrand, with_error=True)
         else:
-            rhs = integrate_against_trace_character(fam, n)
+            rhs = integrate_against_trace_character(fam)
             err = 0.0
+        if measure_factor != 1:
+            c = as_scalar(measure_factor, fd)
+            rhs, err = rhs * c, err * abs(c)
         if fd.is_archimedean:
             good = abs(lhs - rhs) <= tol and err <= tol
             rows.append(

@@ -26,7 +26,7 @@ from radonfourier import (
 from radonfourier import complex_field, padic_field, padic_valuation, real_field
 from radonfourier import exactlinalg as xl
 from radonfourier.fields import add_char
-from radonfourier.functions import _coords_space, _quadratic_form
+from radonfourier.functions import _quadratic_form
 from radonfourier.geometry import MatrixSpace, base_point_x, mmul
 from radonfourier.sampling import rand_fraction, rand_gaussian, rand_matrix, rand_sb_function
 from radonfourier.transforms import pairing_matrix
@@ -54,15 +54,15 @@ def test_evaluate_examples(fr, f3):
 def test_pullback_examples(fr, f3):
     X = space_X(1, fr)
     f = GaussianForm.standard(X)
-    g = f.pullback_affine(np.eye(2))
+    g = f.pullback_affine(np.eye(2), X)
     assert np.allclose(g.Q, f.Q) and g.kappa == f.kappa
-    h = f.pullback_affine(2.0 * np.eye(2))
+    h = f.pullback_affine(2.0 * np.eye(2), X)
     assert np.allclose(h.Q, 4.0 * np.eye(2))
     with pytest.raises(ValueError):
-        f.pullback_affine(np.array([[1.0], [1.0]]) @ np.array([[1.0, 1.0]]))
+        f.pullback_affine(np.array([[1.0], [1.0]]) @ np.array([[1.0, 1.0]]), X)
     D1 = MatrixSpace(f3, 1, 1)
     ind = SBFunction.indicator(D1, Coset(Lattice.standard(3, 1), (Fraction(0),)))
-    pre = ind.pullback_affine(((Fraction(3),),))
+    pre = ind.pullback_affine(((Fraction(3),),), D1)
     assert pre.terms[0][1].lattice == Lattice.scaled_standard(3, 1, -1)
 
 
@@ -282,7 +282,7 @@ def test_gaussian_closed_form_vs_quadrature(rng, fr):
     # dims up to 6, mostly small; the envelope is exact so the rule converges fast
     dims = [2, 2, 3, 3, 4, 4, 2, 3, 4, 2, 3, 2, 4, 3, 2, 2, 3, 4, 6, 6]
     for d in dims:
-        sp = _coords_space(fr, d)
+        sp = MatrixSpace(fr, 1, d)
         g = rand_gaussian(rng, sp, with_phase=bool(rng.integers(0, 2)))
         ev = Evaluable(sp, g.eval_coords, g.envelope(), "g")
         got, err = integrate(ev, with_error=True)

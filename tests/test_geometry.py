@@ -212,7 +212,7 @@ def test_measure_scale(rng, fr, f3):
     for a in [np.array([[1.7]]), rand_gl(rng, 1, fr)]:
         M = flatten_linear(meye(n + 1, fr), a, fr)
         fa = Evaluable(X, lambda p, M=M: f.eval_coords(p @ M.T),
-                       f.pullback_affine(M).envelope(), "f(xa)")
+                       f.pullback_affine(M, X).envelope(), "f(xa)")
         lhs = integrate(fa)
         rhs = measure_scale(a, fr) * f.integral()
         assert abs(lhs - rhs) < 1e-8 * abs(rhs)

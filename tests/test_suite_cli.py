@@ -234,8 +234,9 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 
 
 def test_cli_compute_malformed_numbers(tmp_path, capsys):
-    """Short [re, im] pairs, non-finite numbers, zero denominators, pairs on
-    a field without them and vectors of the wrong length exit 2 with one
+    """Short [re, im] pairs, non-finite numbers, zero denominators, JSON
+    booleans, pairs on a field without them, vectors of the wrong length, an
+    sb terms value that is not a list and an sb spec off Q_p exit 2 with one
     line naming the field, at the JSON boundary."""
     gauss = {"type": "gaussian", "Q": [[1.0, 0.0], [0.0, 1.0]]}
     gauss_c = {"type": "gaussian", "Q": np.eye(4).tolist()}
@@ -245,6 +246,10 @@ def test_cli_compute_malformed_numbers(tmp_path, capsys):
         return {"type": "sb", "terms": [{"coeff": "1", "center": center, "basis": [["1", "0"], ["0", "1"]]}]}
 
     qp = {"field": "qp", "p": 3, "f": sb(["0", "0"])}
+
+    def qp_term(**entries):
+        term = {"coeff": "1", "center": ["0", "0"], "basis": [["1", "0"], ["0", "1"]], **entries}
+        return {"field": "qp", "p": 3, "f": {"type": "sb", "terms": [term]}}
 
     for op, spec, named in (
         ("intertwine", {"field": "r", "f": dict(gauss, kappa=[1.0]), "y": y}, "kappa"),
@@ -272,6 +277,28 @@ def test_cli_compute_malformed_numbers(tmp_path, capsys):
         ("intertwine", {"field": "r", "f": gauss, "y": [[[1.0, 0.5], 0.0]]}, "y entry"),
         ("inner-product", {"field": "r", "f": gauss, "h": gauss, "a_grid": [[[1e400]]]}, "a_grid entry"),
         ("intertwine", {"field": "c", "f": gauss_c, "y": [[float("nan"), 0.0]]}, "y entry"),
+        # sb numbers and the terms list
+        ("fourier", qp_term(coeff="1/0"), "coeff"),
+        ("fourier", qp_term(center=["1/0", "0"]), "center"),
+        ("fourier", qp_term(basis=[["1/0", "0"], ["0", "1"]]), "basis"),
+        ("fourier", qp_term(coeff=1e400), "coeff"),
+        ("fourier", {"field": "qp", "p": 3, "f": {"type": "sb", "terms": "x"}}, "terms"),
+        ("fourier", qp_term(coeff={"conductor": 1e400, "coeffs": ["1"]}), "conductor"),
+        ("fourier", qp_term(coeff={"conductor": 1, "coeffs": []}), "conductor"),
+        # a JSON true or false is not a number
+        ("intertwine", {"field": "r", "f": dict(gauss, kappa=True), "y": y}, "kappa"),
+        ("intertwine", {"field": "r", "f": dict(gauss, Q=[[True, False], [False, True]]), "y": y}, "Q"),
+        ("intertwine", {"field": "r", "f": dict(gauss, ell=[True, 0.0]), "y": y}, "ell"),
+        ("fourier", qp_term(coeff=True), "coeff"),
+        ("fourier", qp_term(center=[False, "0"]), "center"),
+        ("fourier", qp_term(basis=[[True, "0"], ["0", "1"]]), "basis"),
+        ("intertwine", {"field": "r", "f": gauss, "y": [[True, False]]}, "y entry"),
+        ("intertwine", dict(qp, y=[[True, 0]]), "y entry"),
+        ("fourier", {"field": "r", "f": gauss, "points": [[[True, 0.0]]]}, "points entry"),
+        ("inner-product", {"field": "r", "f": gauss, "h": gauss, "a_grid": [[[True]]]}, "a_grid entry"),
+        # an sb spec off Q_p is refused before any term is read
+        ("fourier", {"field": "r", "f": sb(["0", "0"])}, "live on p-adic spaces"),
+        ("fourier", {"field": "c", "f": sb(["0", "0"])}, "live on p-adic spaces"),
     ):
         inp = tmp_path / "spec.json"
         # json.dumps writes 1e400 (inf) as Infinity; the number is what a user

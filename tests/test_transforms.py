@@ -31,7 +31,7 @@ from radonfourier import (
     unitarity_verify,
 )
 from radonfourier import exactlinalg as xl
-from radonfourier.geometry import mmul, mtrace, space_L
+from radonfourier.geometry import det_power, minv, mmul, mtrace, space_L
 from radonfourier.sampling import (
     rand_fraction,
     rand_gaussian,
@@ -393,6 +393,25 @@ def test_kernel_identity_all_fields(rng, fr, fc, f2, f3):
         assert not bad["pass"]
 
 
+def test_kernel_identity_shift_matches_shifted_gamma(rng, f2, f3):
+    # the reference keeps the shift inside gamma_n's exponent, on a^(-1)
+    def shifted_lhs(a, fd, n, s):
+        ai = xl.inv(a)
+        gamma = det_power(ai, Fraction(1 - n, 2) + s, fd) * add_char(mtrace(minv(ai, fd), fd), fd)
+        return det_power(a, Fraction(1 - n, 2), fd) * gamma
+
+    for fd in (f2, f3):
+        for n in (1, 2):
+            # ten samples: the report keeps a row for each, in order
+            samples = [rand_gl(rng, n, fd) for _ in range(10)]
+            samples[0] = tuple(tuple(x * fd.p for x in row) for row in samples[0])
+            for s in (Fraction(1, 2), Fraction(-1, 2)):
+                rep = kernel_identity_check(fd, n, samples, exponent_shift=s)
+                assert not rep["pass"] and len(rep["samples"]) == len(samples)
+                for a, row in zip(samples, rep["samples"]):
+                    assert row["lhs"] == shifted_lhs(a, fd, n, s).to_json(), (str(fd), n, s)
+
+
 def test_kernel_identity_base_cases(fr):
     for n in (1, 2, 3):
         rep = kernel_identity_check(fr, n, [np.eye(n)])
@@ -458,7 +477,7 @@ def test_convolve_C_matches_gamma_on_truncations(fr):
     from radonfourier.geometry import flatten_linear, meye
 
     M = flatten_linear(x, meye(1, fr), fr)
-    fx = f.pullback_affine(M)
+    fx = f.pullback_affine(M, Lsp)
 
     def hole(R):
         return integrate_box(
@@ -633,6 +652,33 @@ def test_fourier_slice_negative_control(rng, fr, f3):
     ball = SBFunction.standard_ball(Xp)
     badp = fourier_slice_verify(ball, [xl.mat([[1, 0]])], measure_factor=3)
     assert not badp["pass"]
+
+
+def test_fourier_slice_measure_factor_scales_rhs(rng, fr, f3):
+    # exact over Q_3: every perturbed rhs is 3 times the unperturbed one
+    def exact(obj):
+        return ExactValue(3, Fraction(obj["qexp"]), CyclotomicValue.from_json(obj["cyclotomic"], 3))
+
+    Xp = space_X(1, f3)
+    for f in (SBFunction.standard_ball(Xp), rand_sb_function(rng, Xp)):
+        ys = [xl.mat([[1, 0]])] + [rand_regular_point(rng, Xp.transpose_space()) for _ in range(3)]
+        good = fourier_slice_verify(f, ys)["samples"]
+        bad = fourier_slice_verify(f, ys, measure_factor=3)["samples"]
+        assert any(not exact(row["rhs"]).is_zero() for row in good)
+        for g, b in zip(good, bad):
+            assert exact(b["rhs"]) == exact(g["rhs"]) * 3
+    # over R at c = 2 on both routes; the quadrature route scales its error too
+    X = space_X(1, fr)
+    f = rand_gaussian(rng, X)
+    ys = [np.array([[1.0, 0.0]])] + [rand_regular_point(rng, X.transpose_space()) for _ in range(3)]
+    for method in ("auto", "quadrature"):
+        good = fourier_slice_verify(f, ys, rhs_method=method)["samples"]
+        bad = fourier_slice_verify(f, ys, rhs_method=method, measure_factor=2.0)["samples"]
+        for g, b in zip(good, bad):
+            want = 2.0 * complex(*g["rhs"])
+            assert abs(complex(*b["rhs"]) - want) <= 1e-15 * abs(want), method
+            want_err = 2.0 * g["rhs_quadrature_error"]
+            assert abs(b["rhs_quadrature_error"] - want_err) <= 1e-15 * want_err, method
 
 
 def test_unitarity(rng, fr, f3):
