@@ -36,16 +36,10 @@ from .geometry import (  # noqa: F401
     Fiber,
     KAKFactors,
     MatrixSpace,
-    act_g_x,
-    act_g_y,
-    act_x_a,
-    act_y_a,
     b_map,
     bbar_map,
-    cartan_theta,
     fiber_param,
     kak,
-    measure_scale,
     rho_weight,
     rho_weight_exponents,
     space_L,
@@ -57,21 +51,16 @@ from .hilbert import (  # noqa: F401
     LFunction,
     act_g,
     act_module_X,
-    act_module_X_phi,
     act_module_Xbar,
     decay_bound_check,
-    hc_dominance_report,
     inner_X,
     inner_Xbar,
     truncation_sequence,
 )
-from .geometry import hc_majorant  # noqa: F401
 from .lattices import Coset, Lattice  # noqa: F401
 from .suite import SuiteConfig, explain_check, run_suite  # noqa: F401
 from .transforms import (  # noqa: F401
     compose_shell_stabilized,
-    convolve_C,
-    convolve_gamma,
     fourier,
     fourier_equivariance_check,
     fourier_slice_verify,

@@ -21,8 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from .fields import COMPLEX
-from .functions import function_from_json, json_matrix
-from .geometry import as_matrix, space_X
+from .functions import _json_of, function_from_json, json_matrix
+from .geometry import as_matrix, is_regular, space_X
 from .hilbert import inner_X
 from .suite import (
     CHECKS,
@@ -151,7 +151,8 @@ def _compute(operation: str, spec: dict) -> dict:
         result = {"transform": fhat.to_json()}
         if "points" in spec:
             result["values"] = [
-                fhat.value(_parse_matrix(pt, fd, n, n + 1, "points")) for pt in spec["points"]
+                fhat.value(_parse_matrix(pt, fd, n, n + 1, "points"))
+                for pt in _json_of(list, spec["points"], "points")
             ]
         return result
 
@@ -166,8 +167,10 @@ def _compute(operation: str, spec: dict) -> dict:
     h = function_from_json(spec["h"], X)
     pairing = inner_X(f, h)
     rows = []
-    for a_obj in spec["a_grid"]:
+    for i, a_obj in enumerate(_json_of(list, spec["a_grid"], "a_grid")):
         a = _parse_matrix(a_obj, fd, n, n, "a_grid")
+        if not is_regular(a, fd):
+            raise ValueError(f"a_grid[{i}] must be invertible, got a singular matrix")
         val, err = pairing.with_error(a)
         rows.append({"a": a, "value": val, "error_estimate": _error_json(err, fd)})
     return {"rows": rows, "provenance": pairing.provenance}

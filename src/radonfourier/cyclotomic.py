@@ -229,22 +229,6 @@ class CyclotomicValue:
             "coeffs": [f"{c.numerator}/{c.denominator}" for c in self.coeffs],
         }
 
-    @classmethod
-    def from_json(cls, obj, p=None) -> "CyclotomicValue":
-        N = int(obj["conductor"])
-        coeffs = [Fraction(c) for c in obj["coeffs"]]
-        if N == 1 and len(coeffs) == 1:
-            return cls.from_rational(coeffs[0])
-        if p is None:
-            p = _smallest_prime_factor(N)
-        M = _power_of(N, p)
-        if len(coeffs) != _phi_prime_power(p, M):
-            raise ValueError("coefficient vector length must be phi(conductor)")
-        dense = [Fraction(0)] * N
-        for j, c in enumerate(coeffs):
-            dense[j] = c
-        return cls(p, M, _reduce_dense(p, M, dense))
-
 
 def _coerce(x) -> CyclotomicValue:
     if isinstance(x, CyclotomicValue):
@@ -263,15 +247,6 @@ def _power_of(N: int, p: int) -> int:
         n //= p
         M += 1
     return M
-
-
-def _smallest_prime_factor(N: int) -> int:
-    f = 2
-    while f * f <= N:
-        if N % f == 0:
-            return f
-        f += 1
-    return N
 
 
 def _reduce_dense(p: int, M: int, dense: list) -> list:

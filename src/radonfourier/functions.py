@@ -1,6 +1,7 @@
-"""Test functions on matrix spaces: Gaussians, Schwartz-Bruhat sums, evaluables.
+"""Test functions on matrix spaces: Gaussians and Schwartz-Bruhat sums,
+plus the integrand class that feeds quadrature.
 
-Three classes populate the dense submodule on which every transform and
+Two classes populate the dense submodule on which every transform and
 inner product is computed:
 
 * ``GaussianForm``: kappa * exp(-pi <xi, Q xi> + 2 pi i <ell, xi>) in the
@@ -11,13 +12,15 @@ inner product is computed:
 * ``SBFunction``: a finite combination of indicators of lattice cosets over
   Q_p with exact cyclotomic coefficients.  Closed under the same operations,
   with every result computed exactly.
-* ``Evaluable``: an arbitrary vectorized integrand with declared decay
-  metadata (a Gaussian envelope and/or a support radius) driving quadrature.
-  Products of Gaussians with cutoffs land here.
+
+A third, ``Evaluable``, is an integrand for ``integrate``: a vectorized
+function with declared decay (a Gaussian envelope and/or a support radius)
+that picks the quadrature rule.
 
 Free functions at the bottom (`evaluate`, `translate_group`, `pointwise_mul`,
 `fiber_restrict`, `integrate`, ...) dispatch on the class and are the
-package-level vocabulary.
+package-level vocabulary; the operators among them refuse an ``Evaluable``
+with a TypeError.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from . import exactlinalg as xl
 from . import quadrature as quad
-from .cyclotomic import CyclotomicValue, ExactValue
+from .cyclotomic import CyclotomicValue, ExactValue, _phi_prime_power, _power_of
 from .fields import add_char
 from .geometry import MatrixSpace, flatten_linear, meye
 from .lattices import Coset, Lattice
@@ -231,9 +234,10 @@ class Envelope:
 
 
 class Evaluable:
-    """A vectorized integrand with declared decay metadata."""
-
-    kind = "evaluable"
+    """An integrand for ``integrate``: ``fn`` maps an (N, d) array of flat
+    coordinates to N complex values, and the envelope picks the rule
+    (Gauss-Hermite under a Gaussian bound, a box rule under a support
+    radius).  It is not a test function: the operators refuse it."""
 
     def __init__(self, space: MatrixSpace, fn, envelope: Envelope, label: str = ""):
         self.space = space
@@ -247,62 +251,8 @@ class Evaluable:
     def value(self, x):
         return complex(self.eval_coords(self.space.coords(x)[None, :])[0])
 
-    def conjugate(self) -> "Evaluable":
-        return Evaluable(
-            self.space, lambda p: np.conj(self.fn(p)), self.env, f"conj({self.label})"
-        )
-
-    def scale(self, c) -> "Evaluable":
-        c = complex(c)
-        env = Envelope(self.env.C * abs(c), self.env.Q, self.env.center, self.env.radius)
-        return Evaluable(self.space, lambda p: c * np.asarray(self.fn(p)), env, self.label)
-
-    def pullback_affine(self, M, space: MatrixSpace, offset=None) -> "Evaluable":
-        M = np.asarray(M, dtype=float)
-        x0 = np.zeros(M.shape[0]) if offset is None else np.asarray(offset, dtype=float)
-        fn = self.fn
-
-        def pulled(pts):
-            return fn(pts @ M.T + x0[None, :])
-
-        env = _pullback_envelope(self.env, M, x0)
-        return Evaluable(space, pulled, env, f"{self.label}.affine")
-
     def __repr__(self):
         return f"Evaluable({self.label or 'anonymous'}, dim={self.space.dim})"
-
-
-def _pullback_envelope(env: Envelope, M, x0) -> Envelope:
-    Qp = centerp = None
-    if env.Q is not None:
-        Q = np.asarray(env.Q)
-        c = np.zeros(M.shape[0]) if env.center is None else np.asarray(env.center)
-        Qp = M.T @ Q @ M
-        Qp = (Qp + Qp.T) / 2
-        if np.linalg.eigvalsh(Qp)[0] <= 0:
-            Qp = None  # not injective; fall back to radius data only
-        else:
-            shift = x0 - c
-            centerp = -np.linalg.solve(Qp, M.T @ (Q @ shift))
-            minval = float(shift @ Q @ shift) - float(
-                (M.T @ (Q @ shift)) @ np.linalg.solve(Qp, M.T @ (Q @ shift))
-            )
-            return Envelope(
-                C=env.C * float(np.exp(-np.pi * max(minval, 0.0))),
-                Q=Qp,
-                center=centerp,
-                radius=_pullback_radius(env.radius, M, x0),
-            )
-    return Envelope(C=env.C, Q=Qp, center=centerp, radius=_pullback_radius(env.radius, M, x0))
-
-
-def _pullback_radius(radius, M, x0):
-    if radius is None:
-        return None
-    smin = np.linalg.svd(M, compute_uv=False)[-1]
-    if smin <= 0:
-        return None
-    return (radius + float(np.linalg.norm(x0))) / float(smin)
 
 
 # ---------------------------------------------------------------------
@@ -449,10 +399,11 @@ class SBFunction:
         """
         if not self.terms:
             return True
-        common = self.terms[0][1].lattice
+        zero = tuple(Fraction(0) for _ in range(self.space.dim))
+        common = Coset(self.terms[0][1].lattice, zero)
         for _, coset in self.terms[1:]:
-            common = common.intersect(coset.lattice)
-        return not self.refine(common).terms
+            common = common.intersect(Coset(coset.lattice, zero))
+        return not self.refine(common.lattice).terms
 
     def equals(self, other: "SBFunction") -> bool:
         return (self - other).is_zero_function()
@@ -606,6 +557,7 @@ def translate_group(f, m, side: str = "right"):
     r x len(m) matrices (m has c columns), the left one on len(m[0]) x c
     matrices (m has r rows).
     """
+    require_test_function(f, "translate")
     space = f.space
     fd = space.fd
     if side == "right":
@@ -619,56 +571,24 @@ def translate_group(f, m, side: str = "right"):
     return f.pullback_affine(M, domain)
 
 
-def _envelope_of(f) -> Envelope:
-    if isinstance(f, GaussianForm):
-        return f.envelope()
-    if isinstance(f, Evaluable):
-        return f.env
-    raise TypeError(f"no envelope for {type(f).__name__}")
+def require_test_function(f, op: str):
+    """Raise TypeError unless f is a Gaussian or Schwartz-Bruhat function."""
+    if not isinstance(f, (GaussianForm, SBFunction)):
+        raise TypeError(f"cannot {op} {type(f).__name__}: need a GaussianForm or SBFunction")
 
 
 def pointwise_mul(f, g):
-    """Pointwise product, staying exact or inheriting envelopes as available."""
+    """Pointwise product of two Gaussians or two Schwartz-Bruhat functions."""
     if isinstance(f, SBFunction) and isinstance(g, SBFunction):
         return f.product(g)
     if isinstance(f, GaussianForm) and isinstance(g, GaussianForm):
         return f.product(g)
-    if isinstance(f, (GaussianForm, Evaluable)) and isinstance(g, (GaussianForm, Evaluable)):
-        a, b = f, g
-        env = _product_envelope(_envelope_of(a), _envelope_of(b))
-
-        def fn(pts):
-            return np.asarray(a.eval_coords(pts)) * np.asarray(b.eval_coords(pts))
-
-        return Evaluable(a.space, fn, env, label="product")
-    raise TypeError("unsupported product")
-
-
-def _product_envelope(ea: Envelope, eb: Envelope) -> Envelope:
-    C = ea.C * eb.C
-    Qs = [np.asarray(e.Q) for e in (ea, eb) if e.Q is not None]
-    centers = [
-        np.zeros(q.shape[0]) if e.center is None else np.asarray(e.center)
-        for e, q in zip((e for e in (ea, eb) if e.Q is not None), Qs)
-    ]
-    radius = None
-    for e in (ea, eb):
-        if e.radius is not None:
-            radius = e.radius if radius is None else min(radius, e.radius)
-    if not Qs:
-        return Envelope(C=C, radius=radius)
-    if len(Qs) == 1:
-        return Envelope(C=C, Q=Qs[0], center=centers[0], radius=radius)
-    Q = Qs[0] + Qs[1]
-    rhs = Qs[0] @ centers[0] + Qs[1] @ centers[1]
-    center = np.linalg.solve(Q, rhs)
-    # the completed square leaves a nonnegative constant; absorbing it into C
-    # only loosens the bound, which envelopes are allowed to do
-    return Envelope(C=C, Q=Q, center=center, radius=radius)
+    raise TypeError(f"cannot multiply {type(f).__name__} by {type(g).__name__}")
 
 
 def fiber_restrict(f, fiber):
     """Restrict a function on X to an affine fiber, as a function of z in F^n."""
+    require_test_function(f, "restrict")
     fd = f.space.fd
     M = flatten_linear(fiber.c, meye(fiber.n, fd), fd)
     return f.pullback_affine(M, MatrixSpace(fd, 1, fiber.n), f.space.coords(fiber.A))
@@ -740,7 +660,7 @@ def function_from_json(obj: dict, space: MatrixSpace):
         # a generator: SBFunction refuses an archimedean space before any term is read
         return SBFunction(space, _json_sb_terms(obj, space))
     if t == "product":
-        parts = [function_from_json(o, space) for o in obj["of"]]
+        parts = [function_from_json(o, space) for o in _json_of(list, obj["of"], "product of")]
         if not parts:
             raise ValueError("a product needs at least one factor")
         out = parts[0]
@@ -810,4 +730,9 @@ def _json_exact(v, p: int) -> ExactValue:
     if N.denominator != 1 or N < 1:
         raise ValueError(f"sb coeff conductor must be an integer >= 1, got {cyc.get('conductor')!r}")
     coeffs = [json_number(c, "sb coeff", Fraction) for c in _json_of(list, cyc.get("coeffs"), "sb coeff coeffs")]
-    return ExactValue(p, qexp, CyclotomicValue.from_json({"conductor": int(N), "coeffs": coeffs}, p))
+    M = _power_of(int(N), p)  # raises unless N is a power of p
+    phi = _phi_prime_power(p, M)
+    if len(coeffs) != phi:
+        raise ValueError(f"sb coeff coeffs must have phi(conductor) = {phi} entries, got {len(coeffs)}")
+    # power-basis coefficients: the constructor only minimizes the conductor
+    return ExactValue(p, qexp, CyclotomicValue(p, M, coeffs))

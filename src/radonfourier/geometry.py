@@ -70,12 +70,6 @@ def meye(n: int, fd: FieldDescriptor):
     return as_matrix([[int(i == j) for j in range(n)] for i in range(n)], fd)
 
 
-def mat_close(a, b, fd: FieldDescriptor, tol: float = 1e-10) -> bool:
-    if fd.is_archimedean:
-        return bool(np.allclose(np.asarray(a), np.asarray(b), atol=tol, rtol=tol))
-    return xl.mat(a) == xl.mat(b)
-
-
 def det_power(a, s, fd: FieldDescriptor):
     """|det a|^s: a float archimedean, the exact q-power q^(-v_p(det a) s) p-adic."""
     d = mdet(a, fd)
@@ -190,28 +184,8 @@ def flatten_linear(A, B, fd: FieldDescriptor):
 
 
 # ---------------------------------------------------------------------
-# Actions and quotient maps
+# Quotient maps
 # ---------------------------------------------------------------------
-
-
-def act_g_x(g, x, fd: FieldDescriptor):
-    """Left action g.x = g x on the space X."""
-    return mmul(g, x, fd)
-
-
-def act_x_a(x, a, fd: FieldDescriptor):
-    """Right action x.a = x a on the space X."""
-    return mmul(x, a, fd)
-
-
-def act_g_y(g, y, fd: FieldDescriptor):
-    """Left action g.y = y g^(-1) on the opposite space."""
-    return mmul(y, minv(g, fd), fd)
-
-
-def act_y_a(y, a, fd: FieldDescriptor):
-    """Right action y.a = a^(-1) y on the opposite space."""
-    return mmul(minv(a, fd), y, fd)
 
 
 def b_map(g, n: int, fd: FieldDescriptor):
@@ -224,58 +198,8 @@ def bbar_map(g, n: int, fd: FieldDescriptor):
     return minv(g, fd)[:n]
 
 
-def base_point_x(n: int, fd: FieldDescriptor):
-    """x0 = [I_n; 0], the base point whose stabilizer is the unipotent radical."""
-    return b_map(meye(n + 1, fd), n, fd)
-
-
 def base_point_y(n: int, fd: FieldDescriptor):
     return bbar_map(meye(n + 1, fd), n, fd)
-
-
-def n_element(u, n: int, fd: FieldDescriptor):
-    """Upper unipotent [[I_n, u], [0, 1]] for a column u in F^n."""
-    m = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(n):
-        m[i][i] = 1
-    m[n][n] = 1
-    for i in range(n):
-        m[i][n] = u[i]
-    return as_matrix(m, fd)
-
-
-def nbar_element(u, n: int, fd: FieldDescriptor):
-    """Lower unipotent [[I_n, 0], [u, 1]] for a row u in F^n."""
-    m = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(n):
-        m[i][i] = 1
-    m[n][n] = 1
-    for j in range(n):
-        m[n][j] = u[j]
-    return as_matrix(m, fd)
-
-
-def embed_l(a, fd: FieldDescriptor):
-    """Embedding of GL(n) into G as [[a, 0], [0, det(a)^(-1)]]."""
-    a = as_matrix(a, fd)
-    n = len(a)
-    rows = [list(row) + [0] for row in a]
-    rows.append([0] * n + [1 / mdet(a, fd)])
-    return as_matrix(rows, fd)
-
-
-def in_unipotent(m, n: int, fd: FieldDescriptor, tol: float = 1e-10) -> bool:
-    """Membership test for the upper unipotent radical."""
-    m_ = as_matrix(m, fd)
-    expect = n_element([m_[i][n] for i in range(n)], n, fd)
-    return mat_close(m_, expect, fd, tol)
-
-
-def cartan_theta(g, fd: FieldDescriptor):
-    """Cartan involution: conjugate-transpose inverse."""
-    if fd.is_archimedean:
-        return np.linalg.inv(np.asarray(g)).conj().T
-    return xl.transpose(xl.inv(g))
 
 
 # ---------------------------------------------------------------------
@@ -458,18 +382,3 @@ def rho_weight_exponents(log_sizes, n: int):
     mid = -Fraction(n - 1, 2) * total
     low = -Fraction(n + 1, 2) * total
     return rho, mid, low
-
-
-def measure_scale(a, fd: FieldDescriptor):
-    """Haar scaling |det a|^-(n+1) of the X measure under x -> x a (a float
-    archimedean, an exact Fraction p-adic)."""
-    return abs_norm(mdet(a, fd), fd) ** (-(len(a) + 1))
-
-
-def hc_majorant(diag, p_exponent: float, C_p: float, n: int, fd: FieldDescriptor) -> float:
-    """Harish-Chandra style majorant C_p * rho_weight / (1 + ||log a||)^p."""
-    logs = [np.log(float(ai)) for ai in diag] if fd.is_archimedean else [
-        float(padic_valuation(ai, fd.p)) * np.log(float(fd.p)) * -1.0 for ai in diag
-    ]
-    norm = float(np.sqrt(sum(x * x for x in logs)))
-    return C_p * rho_weight(diag, n, fd) / (1.0 + norm) ** p_exponent

@@ -9,10 +9,9 @@ element a is
 
 These pairings take values in functions on GL(n); here they are realized as
 ``LFunction`` evaluation objects (closed-form for Gaussian pairs, exact for
-Schwartz-Bruhat pairs, quadrature otherwise).  The decay diagnostics at the
-bottom (Schwartz estimate with explicit constant, spherical majorant fit,
-truncation sequence) are the computable surrogates for membership of the
-pairings in the reduced group C*-algebra.
+Schwartz-Bruhat pairs).  The decay diagnostics at the bottom (Schwartz
+estimate with explicit constant, truncation sequence) are the computable
+surrogates for membership of the pairings in the reduced group C*-algebra.
 """
 
 from __future__ import annotations
@@ -22,31 +21,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import exactlinalg as xl
 from . import quadrature as quad
 from .cyclotomic import ExactValue
 from .fields import FieldDescriptor, abs_norm, padic_valuation
 from .functions import (
-    Envelope,
-    Evaluable,
     GaussianForm,
     SBFunction,
     cutoff_ramps,
     integrate,
     pointwise_mul,
+    require_test_function,
     translate_group,
 )
-from .geometry import (
-    KAKFactors,
-    MatrixSpace,
-    det_power,
-    entry_dim,
-    flatten_linear,
-    hc_majorant,
-    meye,
-    minv,
-)
-from .lattices import Coset, Lattice
+from .geometry import KAKFactors, MatrixSpace, det_power, entry_dim, minv
+from .lattices import Lattice
 
 # relative roundoff slack of the archimedean decay-bound comparison
 _DECAY_SLACK = 1e-9
@@ -59,8 +47,9 @@ class LFunction:
     """Evaluation object a -> value on GL(n), with provenance.
 
     Values are complex (archimedean) or ExactValue (p-adic).  ``_eval``
-    returns (value, quadrature error estimate), the error 0 for closed-form
-    and exact paths; ``with_error`` returns both.
+    returns (value, error estimate); the pairings below are closed forms
+    or exact sums, so the error is 0 (0.0, or an exact 0 over Q_p).
+    ``with_error`` returns both.
     """
 
     fd: FieldDescriptor
@@ -77,6 +66,8 @@ class LFunction:
 
 def inner_X(f, h) -> LFunction:
     """The X-side pairing <f,h>_X as a function on GL(n)."""
+    for g in (f, h):
+        require_test_function(g, "pair")
     space = f.space
     fd = space.fd
     n = space.cols
@@ -85,15 +76,15 @@ def inner_X(f, h) -> LFunction:
         ha = translate_group(h, a, side="right")
         prod = pointwise_mul(f.conjugate(), ha)
         val, err = integrate(prod, with_error=True)
-        scale = det_power(a, Fraction(n + 1, 2), fd)
-        # a zero error (closed-form and exact paths) is passed through as is
-        return scale * val, (scale * err if err else err)
+        return det_power(a, Fraction(n + 1, 2), fd) * val, err
 
-    return LFunction(fd, n, ev, provenance=f"inner_X({_label(f)},{_label(h)})")
+    return LFunction(fd, n, ev, provenance=f"inner_X({f.kind},{h.kind})")
 
 
 def inner_Xbar(f, h) -> LFunction:
     """The opposite-side pairing <f,h>_Xbar as a function on GL(n)."""
+    for g in (f, h):
+        require_test_function(g, "pair")
     space = f.space
     fd = space.fd
     n = space.rows
@@ -102,14 +93,9 @@ def inner_Xbar(f, h) -> LFunction:
         ha = translate_group(h, minv(a, fd), side="left")
         prod = pointwise_mul(f.conjugate(), ha)
         val, err = integrate(prod, with_error=True)
-        scale = det_power(a, Fraction(-(n + 1), 2), fd)
-        return scale * val, (scale * err if err else err)
+        return det_power(a, Fraction(-(n + 1), 2), fd) * val, err
 
-    return LFunction(fd, n, ev, provenance=f"inner_Xbar({_label(f)},{_label(h)})")
-
-
-def _label(f):
-    return getattr(f, "kind", type(f).__name__)
+    return LFunction(fd, n, ev, provenance=f"inner_Xbar({f.kind},{h.kind})")
 
 
 # ---------------------------------------------------------------------
@@ -141,132 +127,6 @@ def act_g(f, g, side: str):
     if side == "xbar":
         return translate_group(f, g, side="right")
     raise ValueError("side must be 'x' or 'xbar'")
-
-
-def act_module_X_phi(f, phi, support=None, order: int = 24):
-    """Integrated action f.phi(x) = int f(x a^(-1)) phi(a) |det a|^(-(n+1)/2) dxa.
-
-    Archimedean: phi is an Evaluable on the n x n matrix space with a compact
-    support box ``support = (lows, highs)`` staying inside GL(n); the result
-    is an Evaluable computed by tensor quadrature of the given order over the
-    support (the multiplicative measure dxa = |det a|^(-n) da is part of the
-    weight).
-
-    p-adic: phi is an SBFunction whose cosets a0 + L must be multiplicatively
-    safe: a0 invertible, W = a0^(-1) L inside p M_n(Z_p) and W W inside W.
-    Each coset then inverts to the coset a0^(-1) + W a0^(-1) with constant
-    |det|, and the action evaluates exactly, pointwise.
-    """
-    fd = f.space.fd
-    n = f.space.cols
-    if fd.is_archimedean:
-        if support is None:
-            raise ValueError("compact support box required for the integrated action")
-        return _act_module_phi_arch(f, phi, support, n, order)
-    return _act_module_phi_padic(f, phi)
-
-
-def _act_module_phi_arch(f, phi, support, n: int, order: int):
-    fd = f.space.fd
-    lows = np.asarray(support[0], dtype=float)
-    highs = np.asarray(support[1], dtype=float)
-    Lspace = MatrixSpace(fd, n, n)
-    xg, wg = quad.gauss_legendre_rule(order)
-    axes = []
-    for lo, hi in zip(lows, highs):
-        half = 0.5 * (hi - lo)
-        axes.append((lo + half * (xg + 1.0), wg * half))
-    mesh = np.meshgrid(*[a for a, _ in axes], indexing="ij")
-    nodes = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    wmesh = np.meshgrid(*[w for _, w in axes], indexing="ij")
-    weights = np.ones(len(nodes))
-    for w in wmesh:
-        weights = weights * w.reshape(-1)
-    phivals = phi.eval_coords(nodes)
-    amats = [Lspace.from_coords(v) for v in nodes]
-    dets = np.array([abs_norm(np.linalg.det(am), fd) for am in amats])
-    if np.any(dets < 1e-12):
-        raise ValueError("support box touches the singular set")
-    totw = weights * phivals * dets ** (-(n + 1) / 2.0 - float(n))
-    eye = meye(f.space.rows, fd)
-    pulls = [flatten_linear(eye, np.linalg.inv(am), fd) for am in amats]
-    fenv = f.envelope() if isinstance(f, GaussianForm) else f.env
-    if fenv.center is not None:
-        raise NotImplementedError("integrated action needs a centered envelope")
-
-    def fn(pts):
-        acc = np.zeros(len(pts), dtype=complex)
-        for M, w in zip(pulls, totw):
-            if w == 0:
-                continue
-            acc += w * np.asarray(f.eval_coords(pts @ M.T))
-        return acc
-
-    mass = float(np.sum(np.abs(totw)))
-    if fenv.Q is not None:
-        lam = min(float(np.linalg.eigvalsh(M.T @ np.asarray(fenv.Q) @ M)[0]) for M in pulls)
-        env = Envelope(C=mass * fenv.C, Q=lam * 0.999 * np.eye(f.space.dim))
-    else:
-        smax = max(float(np.linalg.norm(am, 2)) for am in amats)
-        env = Envelope(
-            C=mass * fenv.C,
-            radius=None if fenv.radius is None else fenv.radius * smax,
-        )
-    return Evaluable(f.space, fn, env, label="f.phi")
-
-
-class PadicIntegratedAction:
-    """Exact pointwise evaluator for the p-adic integrated action f.phi."""
-
-    kind = "padic-action"
-
-    def __init__(self, f: SBFunction, pieces):
-        self.f = f
-        self.space = f.space
-        self.pieces = pieces  # [(weight ExactValue, inverted coset)]
-
-    def value(self, x) -> ExactValue:
-        fb = translate_group(self.f, x, side="left")
-        total = ExactValue.from_cyclo(self.space.fd.p, 0)
-        for weight, inv_coset in self.pieces:
-            box = SBFunction.indicator(fb.space, inv_coset)
-            total = total + weight * fb.product(box).integral()
-        return total
-
-
-def _act_module_phi_padic(f: SBFunction, phi: SBFunction) -> PadicIntegratedAction:
-    fd = f.space.fd
-    p = fd.p
-    n = f.space.cols
-    Lspace = MatrixSpace(fd, n, n)
-    pieces = []
-    for coeff, coset in phi.terms:
-        a0 = Lspace.from_coords(coset.center)
-        d0 = xl.det(a0)
-        if d0 == 0:
-            raise ValueError("phi support touches the singular set")
-        a0i = xl.inv(a0)
-        W = coset.lattice.map_by(flatten_linear(a0i, meye(n, fd), fd))
-        wmin = xl.val_min_entry(W.basis, p)
-        if wmin is None or wmin < 1:
-            raise ValueError(
-                "phi coset not multiplicatively safe: a0^(-1) L must sit in p*M_n(Z_p)"
-            )
-        gens = [Lspace.from_coords(col) for col in zip(*W.basis)]
-        for wi in gens:
-            for wj in gens:
-                if not W.contains(Lspace.coords(xl.matmul(wi, wj))):
-                    raise ValueError(
-                        "phi coset not multiplicatively safe: W W must sit in W"
-                    )
-        inv_lat = W.map_by(flatten_linear(meye(n, fd), a0i, fd))
-        inv_coset = Coset(inv_lat, Lspace.coords(a0i))
-        # after b = a^(-1): weight |det b|^((n+1)/2 - n) db with
-        # |det b| = |det a0|^(-1) = q^v constant on the inverted coset
-        v = padic_valuation(d0, p)
-        weight = coeff * ExactValue(p, Fraction(v * (1 - n), 2), 1)
-        pieces.append((weight, inv_coset))
-    return PadicIntegratedAction(f, pieces)
 
 
 # ---------------------------------------------------------------------
@@ -397,29 +257,6 @@ def _mat_json(m, fd: FieldDescriptor):
             [z.real, z.imag] for z in np.asarray(m).reshape(-1)
         ]
     return [[str(x) for x in row] for row in m]
-
-
-def hc_dominance_report(f, p_exponent: float, grids) -> dict:
-    """Fit the majorant constant C_p on nested grids and test stability.
-
-    For each grid of KAK triples, C_p is the largest observed ratio
-    |<f,f>_X(k1 a k2)| * (1 + ||log a||)^p / rho_weight(a).  The fit must be
-    finite on every grid and stable (no blow-up) under refinement.
-    """
-    fd = f.space.fd
-    n = f.space.cols
-    pairing = inner_X(f, f)
-    fits = []
-    for grid in grids:
-        cmax = 0.0
-        for k1, diag, k2 in grid:
-            val = abs(complex(pairing(KAKFactors(k1, diag, k2, fd).reconstruct())))
-            m = hc_majorant(diag, p_exponent, 1.0, n, fd)
-            cmax = max(cmax, val / m)
-        fits.append(cmax)
-    finite = all(np.isfinite(c) for c in fits)
-    stable = all(b <= a * 1.05 + 1e-12 for a, b in zip(fits, fits[1:]))
-    return {"fits": fits, "finite": finite, "stable": stable, "pass": finite and stable}
 
 
 def truncation_sequence(f: GaussianForm, m_max: int, a_grid) -> dict:

@@ -120,18 +120,6 @@ class Lattice:
         """{y : <y, x> in Z_p for all x in the lattice} for the dot pairing."""
         return Lattice(self.p, xl.transpose(xl.inv(self.basis)))
 
-    def map_by(self, M) -> "Lattice":
-        """Image under an invertible matrix M."""
-        return Lattice(self.p, xl.matmul(xl.mat(M), self.basis))
-
-    def sum(self, other: "Lattice") -> "Lattice":
-        rows = tuple(ra + rb for ra, rb in zip(self.basis, other.basis))
-        return Lattice(self.p, rows)
-
-    def intersect(self, other: "Lattice") -> "Lattice":
-        zero = tuple(Fraction(0) for _ in range(self.dim))
-        return Coset(self, zero).intersect(Coset(other, zero)).lattice
-
     def quotient_representatives(self, sub: "Lattice"):
         """Coset representatives of (self / sub) for a sublattice sub.
 

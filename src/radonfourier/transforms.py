@@ -43,7 +43,6 @@ from . import exactlinalg as xl
 from .cyclotomic import ExactValue
 from .fields import FieldDescriptor, abs_norm, add_char, padic_valuation
 from .functions import (
-    Envelope,
     Evaluable,
     GaussianForm,
     SBFunction,
@@ -58,7 +57,6 @@ from .geometry import (
     det_power,
     entry_dim,
     fiber_param,
-    is_regular,
     meye,
     minv,
     mmul,
@@ -66,7 +64,7 @@ from .geometry import (
     space_L,
 )
 from .hilbert import (
-    _mat_json, act_g, act_module_X, act_module_X_phi, act_module_Xbar, inner_X, inner_Xbar,
+    _mat_json, act_g, act_module_X, act_module_Xbar, inner_X, inner_Xbar,
 )
 
 # passing sample rows a kernel-check report keeps (failing rows are all kept)
@@ -114,9 +112,7 @@ def fourier(f, inverse: bool = False):
     """Transform a function on X to one on Xbar (or back, with ``inverse``).
 
     Gaussians and Schwartz-Bruhat functions transform in closed form /
-    exactly; a bare Evaluable becomes an Evaluable computing values by
-    quadrature on demand (bounded, but with no certified decay, so it cannot
-    be integrated again).
+    exactly.
     """
     space = f.space
     target = space.transpose_space()
@@ -126,33 +122,7 @@ def fourier(f, inverse: bool = False):
         P = tuple(tuple(-v for v in row) for row in P)
     if isinstance(f, (GaussianForm, SBFunction)):
         return f.fourier(P, target)
-    if isinstance(f, Evaluable):
-        return _fourier_evaluable(f, P, target)
     raise TypeError(f"cannot transform {type(f).__name__}")
-
-
-def _fourier_evaluable(f: Evaluable, P, target: MatrixSpace):
-    Pm = np.asarray(P, dtype=float)
-    absf = Evaluable(
-        f.space, lambda pts: np.abs(np.asarray(f.fn(pts))), f.env, f"|{f.label}|"
-    )
-    mass = abs(integrate(absf))
-
-    def fn(ypts):
-        ypts = np.atleast_2d(ypts)
-        out = np.empty(len(ypts), dtype=complex)
-        for i, y in enumerate(ypts):
-            eta = Pm.T @ y
-
-            def integrand(xpts, eta=eta):
-                return np.asarray(f.fn(xpts)) * np.exp(-2j * np.pi * (xpts @ eta))
-
-            out[i] = integrate(
-                Evaluable(f.space, integrand, f.env, "fourier-integrand")
-            )
-        return out
-
-    return Evaluable(target, fn, Envelope(C=float(mass)), label=f"F({f.label})")
 
 
 # ---------------------------------------------------------------------
@@ -251,17 +221,10 @@ def slice_transform(f, y, a, fiber: Fiber = None):
 
 
 def intertwine_I(f, y, fiber: Fiber = None, with_error: bool = False):
-    """The standard intertwining integral I(f)(y) = T(f)(y, I_n).
-
-    Divergent inputs (an Evaluable whose restricted envelope does not decay)
-    raise, reporting insufficient decay.
-    """
+    """The standard intertwining integral I(f)(y) = T(f)(y, I_n)."""
     if fiber is None:
         fiber = fiber_param(y, f.space.cols, f.space.fd)
-    g = fiber_restrict(f, fiber)
-    if isinstance(g, Evaluable) and not g.env.integrable():
-        raise ValueError("fiber integral diverges: restricted function has no decay")
-    val, err = integrate(g, with_error=True)
+    val, err = integrate(fiber_restrict(f, fiber), with_error=True)
     return (val, err) if with_error else val
 
 
@@ -309,35 +272,8 @@ def integrate_against_trace_character(g):
 
 
 # ---------------------------------------------------------------------
-# Convolutions with the normalizing weight
+# Composition with the normalizing weight
 # ---------------------------------------------------------------------
-
-
-def convolve_C(f, T_fn, support, order: int = 24):
-    """Convolution C_T f(x) = int f(x a^(-1)) |det a|^(-(n+1)/2) T(a) dxa.
-
-    ``T_fn`` must come with compact support (a box archimedean, safe cosets
-    p-adic); unbounded weights are refused, since only the operational
-    gamma-form below makes sense for them.
-    """
-    if support is None:
-        raise ValueError(
-            "unbounded convolution weight: use the operational gamma form instead"
-        )
-    return act_module_X_phi(f, T_fn, support, order=order)
-
-
-def convolve_gamma(f, x):
-    """Operational form of convolution by gamma_n at a regular point x:
-
-        C_gamma f(x) = integral over M_n(F) of f(x b) chi(Tr b) db,
-
-    absolutely convergent for Gaussian f (the pullback b -> x b is injective
-    for regular x) and a finite exact character sum for Schwartz-Bruhat f.
-    """
-    if not is_regular(x, f.space.fd):
-        raise ValueError("point is not regular (rank deficient)")
-    return integrate_against_trace_character(translate_group(f, x, side="left"))
 
 
 def compose_shell_stabilized(f: SBFunction, y, k_max: int = 8, fiber: Fiber = None):
@@ -385,6 +321,7 @@ def compose_shell_stabilized(f: SBFunction, y, k_max: int = 8, fiber: Fiber = No
     lam = trace_form_coords(n, fd)
 
     def inner_value(z_vec):
+        # C_gamma f(x) = integral over M_n of f(x b) chi(Tr b) db at x = A + c z
         g = translate_group(f, fiber.point(tuple(z_vec)), side="left")
         return g.integrate_against_character(lam)
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from radonfourier import CyclotomicValue, ExactValue
+from radonfourier.functions import _json_exact
 
 
 def zeta(p, M, e=1):
@@ -65,9 +66,13 @@ def test_complex_embedding_consistency(rng):
 
 
 def test_json_round_trip():
+    # to_json is read back by the sb coeff parser of function specs
     v = zeta(3, 2, 4) * Fraction(2, 7) + Fraction(1, 3)
-    w = CyclotomicValue.from_json(v.to_json(), p=3)
-    assert v == w
+    w = _json_exact({"qexp": "0", "cyclotomic": v.to_json()}, 3)
+    assert w == ExactValue.from_cyclo(3, v)
+    for u in (zeta(3, 2, 3), CyclotomicValue.from_rational(Fraction(-5, 4)), zeta(2, 3, 5)):
+        p = u.p or 3
+        assert _json_exact(u.to_json(), p) == ExactValue.from_cyclo(p, u)
 
 
 def test_exact_value_normalization():

@@ -27,7 +27,7 @@ from radonfourier import complex_field, padic_field, padic_valuation, real_field
 from radonfourier import exactlinalg as xl
 from radonfourier.fields import add_char
 from radonfourier.functions import _quadratic_form
-from radonfourier.geometry import MatrixSpace, base_point_x, mmul
+from radonfourier.geometry import MatrixSpace, mmul
 from radonfourier.sampling import rand_fraction, rand_gaussian, rand_matrix, rand_sb_function
 from radonfourier.transforms import pairing_matrix
 
@@ -99,7 +99,7 @@ def test_cutoff_chi(rng, fr):
     n = 2
     X = space_X(n, fr)
     chi2 = cutoff_chi(2, X)
-    x0 = base_point_x(n, fr)
+    x0 = np.eye(n + 1)[:, :n]
     assert abs(evaluate(chi2, x0) - 1.0) < 1e-14  # sigma = 1, norm = sqrt(2) <= 2
     rank_def = np.zeros((3, 2))
     rank_def[0, 0] = 1.0
@@ -160,23 +160,19 @@ def test_cutoff_chi_vector_shapes(monkeypatch, fr, fc):
 def test_pointwise_mul(fr, f3):
     X = space_X(1, fr)
     f = GaussianForm.standard(X)
-    onefun = Evaluable(
-        X, lambda p: np.ones(len(p), dtype=complex), Envelope(C=1.0, radius=60.0), "one"
-    )
-    prod = pointwise_mul(f, onefun)
+    g = GaussianForm(X, np.array([[2.0, 0.5], [0.5, 1.0]]), kappa=0.5, ell=[0.3, -0.1])
     pts = np.random.default_rng(1).standard_normal((50, 2))
-    assert np.allclose(prod.eval_coords(pts), f.eval_coords(pts))
+    prod = pointwise_mul(f, g)
+    assert np.allclose(prod.eval_coords(pts), f.eval_coords(pts) * g.eval_coords(pts))
     # ball intersection: 1_{Z_p^2} * 1_{p Z_p^2} = 1_{p Z_p^2}
     Xp = space_X(1, f3)
     ball = SBFunction.standard_ball(Xp)
     small = SBFunction.standard_ball(Xp, 1)
     got = pointwise_mul(ball, small)
     assert got.terms == small.terms
-    # Gaussian * cutoff agrees with the Gaussian on the plateau
-    chi = cutoff_chi(3, X)
-    prod2 = pointwise_mul(f, chi)
-    mid = np.array([[1.0, 0.5], [0.3, -1.0], [0.5, 2.0]])
-    assert np.allclose(prod2.eval_coords(mid), f.eval_coords(mid))
+    # a cutoff is an integrand, not a factor of a test function
+    with pytest.raises(TypeError, match="GaussianForm by Evaluable"):
+        pointwise_mul(f, cutoff_chi(3, X))
 
 
 def test_sb_algebra_closure(rng, f3):
@@ -356,12 +352,12 @@ def test_fiber_restrict(fr, f3):
     bz = fiber_restrict(ball, fibp)
     assert evaluate(bz, xl.mat([[1]])) == one(3)
     assert evaluate(bz, xl.mat([[Fraction(1, 3)]])).is_zero()
-    # constant test envelope restricts to the constant
+    # an integrand has no restriction
     const = Evaluable(
         X, lambda p: np.ones(len(p), dtype=complex), Envelope(C=1.0, radius=50.0), "const"
     )
-    cz = fiber_restrict(const, fib)
-    assert abs(evaluate(cz, np.array([[0.3]])) - 1.0) < 1e-14
+    with pytest.raises(TypeError, match="Evaluable"):
+        fiber_restrict(const, fib)
 
 
 def test_evaluable_requires_decay(fr):

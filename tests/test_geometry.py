@@ -6,17 +6,11 @@ import pytest
 from radonfourier import (
     Evaluable,
     GaussianForm,
-    act_g_x,
-    act_g_y,
-    act_x_a,
-    act_y_a,
     b_map,
     bbar_map,
-    cartan_theta,
     fiber_param,
     integrate,
     kak,
-    measure_scale,
     rho_weight,
     rho_weight_exponents,
     space_X,
@@ -27,61 +21,56 @@ from radonfourier import exactlinalg as xl
 from radonfourier.geometry import (
     MatrixSpace,
     as_matrix,
-    base_point_x,
     base_point_y,
-    embed_l,
     flatten_linear,
-    in_unipotent,
     is_regular,
-    mat_close,
     meye,
     mmul,
-    n_element,
-    nbar_element,
 )
 from radonfourier.sampling import rand_gl, rand_matrix, rand_regular_point, rand_sl
 
 
-def test_actions_basic(fr, f3):
-    x = np.array([[1.0], [0.0]])
-    assert np.allclose(act_g_x(np.eye(2), x, fr), x)
-    assert np.allclose(act_x_a(x, np.array([[2.0]]), fr), np.array([[2.0], [0.0]]))
-    y = np.array([[1.0, 0.0]])
-    assert np.allclose(act_y_a(y, np.array([[2.0]]), fr), np.array([[0.5, 0.0]]))
-    assert np.allclose(act_g_y(np.eye(2), y, fr), y)
-    yp = xl.mat([[1, 0]])
-    assert act_y_a(yp, xl.mat([[2]]), f3) == xl.mat([[Fraction(1, 2), 0]])
+def _unipotent(u, n, lower=False):
+    """[[I_n, u], [0, 1]] for a column u, or [[I_n, 0], [u, 1]] for a row u."""
+    m = np.eye(n + 1)
+    if lower:
+        m[n, :n] = u
+    else:
+        m[:n, n] = u
+    return m
+
+
+def _is_unipotent(m, n, tol=1e-10):
+    """Whether m lies in the upper unipotent radical [[I_n, *], [0, 1]]."""
+    return np.allclose(m, _unipotent(m[:n, n], n), atol=tol, rtol=tol)
 
 
 def test_action_laws_and_rank(rng, fr):
+    # regular points stay regular under x -> x a and y -> a^(-1) y
     n = 2
     X = space_X(n, fr)
     for _ in range(20):
         x = rand_regular_point(rng, X)
         a = rand_gl(rng, n, fr)
-        b = rand_gl(rng, n, fr)
-        assert np.allclose(act_x_a(act_x_a(x, a, fr), b, fr), act_x_a(x, a @ b, fr))
-        assert is_regular(act_x_a(x, a, fr), fr)
+        assert is_regular(x @ a, fr)
         y = rand_regular_point(rng, space_Xbar(n, fr))
-        assert np.allclose(
-            act_y_a(act_y_a(y, a, fr), b, fr), act_y_a(y, a @ b, fr), atol=1e-9
-        )
+        assert is_regular(np.linalg.inv(a) @ y, fr)
 
 
 def test_b_map(rng, fr):
     n = 2
-    assert np.allclose(b_map(np.eye(n + 1), n, fr), base_point_x(n, fr))
+    assert np.allclose(b_map(np.eye(n + 1), n, fr), np.eye(n + 1)[:, :n])
     for _ in range(100):
         g = rand_sl(rng, n + 1, fr)
         assert is_regular(b_map(g, n, fr), fr)
     # unipotent stabilizer: b(g m) = b(g) for m upper unipotent
     for _ in range(20):
         g = rand_sl(rng, n + 1, fr)
-        m = n_element(rng.standard_normal(n), n, fr)
+        m = _unipotent(rng.standard_normal(n), n)
         assert np.allclose(b_map(g @ m, n, fr), b_map(g, n, fr))
         # and a generic right factor moves it
         h = rand_sl(rng, n + 1, fr)
-        if not in_unipotent(h, n, fr):
+        if not _is_unipotent(h, n):
             assert not np.allclose(b_map(g @ h, n, fr), b_map(g, n, fr))
 
 
@@ -92,7 +81,7 @@ def test_b_map_bijection_mod_unipotent(rng, fr):
         g = rand_sl(rng, n + 1, fr)
         gp = rand_sl(rng, n + 1, fr)
         same = np.allclose(b_map(g, n, fr), b_map(gp, n, fr), atol=1e-9)
-        member = in_unipotent(np.linalg.inv(g) @ gp, n, fr, tol=1e-7)
+        member = _is_unipotent(np.linalg.inv(g) @ gp, n, tol=1e-7)
         assert same == member
 
 
@@ -101,8 +90,12 @@ def test_b_map_l_equivariance(rng, fr):
     for _ in range(20):
         g = rand_sl(rng, n + 1, fr)
         a = rand_gl(rng, n, fr)
-        lhs = b_map(g @ embed_l(a, fr), n, fr)
-        rhs = act_x_a(b_map(g, n, fr), a, fr)
+        # L = GL(n) embeds in G as [[a, 0], [0, det(a)^(-1)]]
+        embed = np.eye(n + 1)
+        embed[:n, :n] = a
+        embed[n, n] = 1 / np.linalg.det(a)
+        lhs = b_map(g @ embed, n, fr)
+        rhs = b_map(g, n, fr) @ a
         assert np.allclose(lhs, rhs, atol=1e-8)
 
 
@@ -111,7 +104,7 @@ def test_bbar_map(rng, fr):
     assert np.allclose(bbar_map(np.eye(n + 1), n, fr), base_point_y(n, fr))
     for _ in range(20):
         g = rand_sl(rng, n + 1, fr)
-        m = nbar_element(rng.standard_normal(n), n, fr)
+        m = _unipotent(rng.standard_normal(n), n, lower=True)
         assert np.allclose(bbar_map(g @ m, n, fr), bbar_map(g, n, fr), atol=1e-9)
         h = rand_sl(rng, n + 1, fr)
         # equivariance: bbar(h g) = bbar(g) h^(-1)
@@ -201,11 +194,8 @@ def test_rho_chain_random(rng):
         assert rho >= mid >= low
 
 
-def test_measure_scale(rng, fr, f3):
-    assert measure_scale(np.eye(2), fr) == 1.0
-    assert abs(measure_scale(np.array([[2.0]]), fr) - 0.25) < 1e-14
-    assert measure_scale(xl.mat([[3]]), f3) == 9  # |3|_3 = 1/3 < 1 expands the measure
-    # quadrature oracle: integral of f(x a) = measure_scale * integral of f
+def test_measure_scale(rng, fr):
+    # quadrature oracle: integral of f(x a) = |det a|^(-(n+1)) integral of f
     n = 1
     X = space_X(n, fr)
     f = GaussianForm(X, np.array([[1.3, 0.2], [0.2, 0.9]]), kappa=1.1)
@@ -214,7 +204,7 @@ def test_measure_scale(rng, fr, f3):
         fa = Evaluable(X, lambda p, M=M: f.eval_coords(p @ M.T),
                        f.pullback_affine(M, X).envelope(), "f(xa)")
         lhs = integrate(fa)
-        rhs = measure_scale(a, fr) * f.integral()
+        rhs = abs(np.linalg.det(a)) ** -(n + 1) * f.integral()
         assert abs(lhs - rhs) < 1e-8 * abs(rhs)
 
 
@@ -258,23 +248,6 @@ def test_flatten_linear_matches_basis_push(rng, fr, fc, f2, f3):
                 else:
                     assert got == want, (fd.p, n)
                     assert all(type(v) is Fraction for row in got for v in row)
-
-
-def test_cartan_theta(rng, fr, fc, f3):
-    for fd in (fr, fc, f3):
-        eye = meye(3, fd)
-        assert mat_close(cartan_theta(eye, fd), eye, fd)
-    for fd in (fr, fc):
-        for _ in range(20):
-            g = rand_sl(rng, 3, fd)
-            assert np.allclose(cartan_theta(cartan_theta(g, fd), fd), g, atol=1e-8)
-            assert np.allclose(cartan_theta(g, fd) @ np.conj(g).T, np.eye(3), atol=1e-8)
-    # theta swaps the unipotent radical with its opposite
-    u = n_element([1.5, -0.3], 2, fr)
-    th = cartan_theta(u, fr)
-    assert np.allclose(th, nbar_element([-1.5, 0.3], 2, fr))
-    gp = rand_sl(rng, 3, f3)
-    assert cartan_theta(cartan_theta(gp, f3), f3) == gp
 
 
 def test_disintegration(rng, fr):

@@ -4,19 +4,15 @@ import numpy as np
 import pytest
 
 from radonfourier import (
-    Coset,
     Envelope,
     Evaluable,
     ExactValue,
     GaussianForm,
-    Lattice,
     SBFunction,
     act_g,
     act_module_X,
-    act_module_X_phi,
     act_module_Xbar,
     cutoff_chi,
-    hc_majorant,
     inner_X,
     inner_Xbar,
     space_X,
@@ -24,7 +20,7 @@ from radonfourier import (
     truncation_sequence,
 )
 from radonfourier import exactlinalg as xl
-from radonfourier.hilbert import decay_bound_check, exact_le, hc_dominance_report
+from radonfourier.hilbert import decay_bound_check, exact_le
 from radonfourier.quadrature import integrate_polar_2d
 from radonfourier.sampling import (
     default_a_grid,
@@ -146,74 +142,6 @@ def test_act_g_laws(rng, fr):
     assert np.allclose(lhs.Q, rhs.Q, atol=1e-10)
 
 
-def test_act_module_X_phi_arch(fr):
-    X = space_X(1, fr)
-    f = GaussianForm.standard(X)
-    # approximate identity concentrated at 1
-    eps = 0.01
-    mass = 1.0 / (2 * eps)
-
-    def bump(pts):
-        return np.where(np.abs(pts[:, 0] - 1.0) <= eps, mass, 0.0).astype(complex)
-
-    phi = Evaluable(
-        __import__("radonfourier").space_L(1, fr), bump,
-        Envelope(C=mass, radius=1.2), "approx-id",
-    )
-    ff = act_module_X_phi(f, phi, support=([1 - eps], [1 + eps]))
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.4, -0.8]])
-    assert np.max(np.abs(ff.eval_coords(pts) - f.eval_coords(pts))) < 2e-3
-    # point-mass smear at a0 approximates the module action times the mass
-    a0 = 2.0
-
-    def bump2(pts):
-        return np.where(np.abs(pts[:, 0] - a0) <= eps, mass, 0.0).astype(complex)
-
-    phi2 = Evaluable(
-        __import__("radonfourier").space_L(1, fr), bump2,
-        Envelope(C=mass, radius=a0 + 1), "smear",
-    )
-    ff2 = act_module_X_phi(f, phi2, support=([a0 - eps], [a0 + eps]))
-    fa = act_module_X(f, np.array([[a0]]))
-    haar_mass = 1.0 / a0  # multiplicative measure of the smeared point mass
-    assert np.max(np.abs(ff2.eval_coords(pts) - haar_mass * fa.eval_coords(pts))) < 2e-3
-    # linearity in phi: smooth weights on a common support box
-    Lsp = __import__("radonfourier").space_L(1, fr)
-    box = ([0.5], [2.5])
-    w1 = Evaluable(
-        Lsp, lambda p: ((p[:, 0] - 0.5) * (2.5 - p[:, 0])).astype(complex),
-        Envelope(C=1.0, radius=2.5), "w1",
-    )
-    w2 = Evaluable(
-        Lsp, lambda p: np.cos(p[:, 0]).astype(complex),
-        Envelope(C=1.0, radius=2.5), "w2",
-    )
-    wsum = Evaluable(
-        Lsp, lambda p: w1.fn(p) + w2.fn(p), Envelope(C=2.0, radius=2.5), "w1+w2"
-    )
-    g1 = act_module_X_phi(f, w1, support=box)
-    g2 = act_module_X_phi(f, w2, support=box)
-    gb = act_module_X_phi(f, wsum, support=box)
-    assert np.max(
-        np.abs(gb.eval_coords(pts) - g1.eval_coords(pts) - g2.eval_coords(pts))
-    ) < 1e-10
-    with pytest.raises(ValueError):
-        act_module_X_phi(f, phi, support=None)
-
-
-def test_act_module_X_phi_padic(f3):
-    # normalized indicator of 1 + p M_n(Z_p) is an exact unit on locally
-    # constant inputs at matching granularity
-    Xp = space_X(1, f3)
-    ball = SBFunction.standard_ball(Xp)
-    Lsp = __import__("radonfourier").space_L(1, f3)
-    phi_coset = Coset(Lattice.scaled_standard(3, 1, 1), (Fraction(1),))
-    phi = SBFunction(Xp and Lsp, [(Fraction(3), phi_coset)])  # mass 1/vol = 3
-    ff = act_module_X_phi(ball, phi)
-    for x in [xl.mat([[1], [0]]), xl.mat([[1], [3]]), xl.mat([[Fraction(1, 3)], [1]])]:
-        assert ff.value(x) == ball.value(x)
-
-
 def test_decay_bound_gaussian(rng, fr):
     X = space_X(2, fr)
     f = GaussianForm.standard(X)
@@ -268,21 +196,6 @@ def test_exact_le():
         v1, v2 = ExactValue(2, e1, Fraction(c1)), ExactValue(2, e2, Fraction(c2))
         assert exact_le(v1, v2) is want
         assert exact_le(v2, v1) is (not want)
-
-
-def test_hc_majorant(fr):
-    assert abs(hc_majorant((1.0, 1.0), 4.0, 2.5, 2, fr) - 2.5) < 1e-14
-
-
-def test_hc_dominance(rng, fr):
-    X = space_X(2, fr)
-    f = GaussianForm.standard(X)
-    grids = [
-        [rand_kak_sample(rng, 2, fr, spread=3.0) for _ in range(60)],
-        [rand_kak_sample(rng, 2, fr, spread=3.0) for _ in range(120)],
-    ]
-    rep = hc_dominance_report(f, 4.0, grids)
-    assert rep["pass"], rep
 
 
 def test_truncation_bump_vanishes(fr):

@@ -8,6 +8,17 @@ from radonfourier import exactlinalg as xl
 from radonfourier.sampling import rand_fraction
 
 
+def lattice_sum(L1, L2):
+    """L1 + L2: the lattice spanned by both bases."""
+    return Lattice(L1.p, tuple(ra + rb for ra, rb in zip(L1.basis, L2.basis)))
+
+
+def lattice_meet(L1, L2):
+    """L1 meet L2, as the lattice of the meet of the two cosets through 0."""
+    zero = tuple(Fraction(0) for _ in range(L1.dim))
+    return Coset(L1, zero).intersect(Coset(L2, zero)).lattice
+
+
 def rand_lattice(rng, p, d):
     while True:
         B = tuple(
@@ -50,14 +61,14 @@ def test_volume_multiplicative_under_maps(rng, f3):
             )
             if xl.det(M) != 0:
                 break
-        assert L.map_by(M).volume() == abs_norm(xl.det(M), fd) * L.volume()
+        assert Lattice(p, xl.matmul(M, L.basis)).volume() == abs_norm(xl.det(M), fd) * L.volume()
 
 
 def test_intersections():
     p = 3
     Z = Lattice.standard(p, 1)
     pZ = Lattice.scaled_standard(p, 1, 1)
-    assert Z.intersect(pZ) == pZ
+    assert lattice_meet(Z, pZ) == pZ
     one_pZ = Coset(pZ, (Fraction(1),))
     zero_pZ = Coset(pZ, (Fraction(0),))
     assert one_pZ.intersect(zero_pZ) is None
@@ -67,7 +78,7 @@ def test_intersections():
 
 def dual_formula_intersection(L1, L2):
     """L1 meet L2 by duality, the textbook route: (L1* + L2*)*."""
-    return L1.dual().sum(L2.dual()).dual()
+    return lattice_sum(L1.dual(), L2.dual()).dual()
 
 
 def test_intersection_matches_dual_formula(rng):
@@ -76,7 +87,7 @@ def test_intersection_matches_dual_formula(rng):
             for _ in range(10):
                 L1, L2 = rand_lattice(rng, p, d), rand_lattice(rng, p, d)
                 want = dual_formula_intersection(L1, L2)
-                assert L1.intersect(L2) == want
+                assert lattice_meet(L1, L2) == want
                 c1 = Coset(L1, tuple(rand_fraction(rng, p, -1, 2) for _ in range(d)))
                 got = c1.intersect(Coset(L2, c1.center))
                 assert got.lattice == want and got.center == Coset(want, c1.center).center
@@ -89,7 +100,7 @@ def test_coset_intersection_witness(rng):
             c1 = Coset(rand_lattice(rng, p, d), tuple(rand_fraction(rng, p, -1, 2) for _ in range(d)))
             c2 = Coset(rand_lattice(rng, p, d), tuple(rand_fraction(rng, p, -1, 2) for _ in range(d)))
             got = c1.intersect(c2)
-            meets = c1.lattice.sum(c2.lattice).contains(xl.vec_sub(c2.center, c1.center))
+            meets = lattice_sum(c1.lattice, c2.lattice).contains(xl.vec_sub(c2.center, c1.center))
             assert (got is not None) == meets
             if got is None:
                 continue
@@ -103,7 +114,7 @@ def test_disjoint_cosets_intersect_to_none(rng):
             for _ in range(5):
                 L1, L2 = rand_lattice(rng, p, d), rand_lattice(rng, p, d)
                 # L1 + L2 sits in p^(-R) Z_p^d, so p^(-R-1) e_0 is outside it
-                R = L1.sum(L2).radius_exponent()
+                R = lattice_sum(L1, L2).radius_exponent()
                 c1 = Coset(L1, tuple(rand_fraction(rng, p, -1, 2) for _ in range(d)))
                 shift = (Fraction(p) ** (-R - 1),) + (Fraction(0),) * (d - 1)
                 c2 = Coset(L2, xl.vec_add(c1.center, shift))
@@ -303,7 +314,7 @@ def test_lattice_and_coset_methods():
     assert L.volume() == Fraction(1, 3)
     assert L.dual().dual() == L
     Z = Lattice.standard(p, 2)
-    assert L.intersect(Z) == L  # L lies inside Z_3^2
+    assert lattice_meet(L, Z) == L  # L lies inside Z_3^2
     coset = Coset(Z, (Fraction(0), Fraction(0)))
     pre = coset.affine_preimage((Fraction(0), Fraction(0)), ((Fraction(1),), (Fraction(0),)))
     assert pre.lattice == Lattice.standard(p, 1)
@@ -335,7 +346,7 @@ def test_nested_coset_intersection(rng):
                     c_far = Coset(small, xl.vec_add(center, off))
                     want = dual_formula_intersection(big, small)
                     assert want == small
-                    assert big.intersect(small) == want and small.intersect(big) == want
+                    assert lattice_meet(big, small) == want and lattice_meet(small, big) == want
                     for a, b in ((c_big, c_small), (c_small, c_big)):
                         got = a.intersect(b)
                         assert got == c_small and got.lattice == want

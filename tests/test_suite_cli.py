@@ -236,8 +236,9 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 def test_cli_compute_malformed_numbers(tmp_path, capsys):
     """Short [re, im] pairs, non-finite numbers, zero denominators, JSON
     booleans, pairs on a field without them, vectors of the wrong length, an
-    sb terms value that is not a list and an sb spec off Q_p exit 2 with one
-    line naming the field, at the JSON boundary."""
+    sb terms, product of, points or a_grid value that is not a list, a
+    singular a_grid entry and an sb spec off Q_p exit 2 with one line naming
+    the field, at the JSON boundary."""
     gauss = {"type": "gaussian", "Q": [[1.0, 0.0], [0.0, 1.0]]}
     gauss_c = {"type": "gaussian", "Q": np.eye(4).tolist()}
     y = [[1.0, 0.0]]
@@ -285,6 +286,14 @@ def test_cli_compute_malformed_numbers(tmp_path, capsys):
         ("fourier", {"field": "qp", "p": 3, "f": {"type": "sb", "terms": "x"}}, "terms"),
         ("fourier", qp_term(coeff={"conductor": 1e400, "coeffs": ["1"]}), "conductor"),
         ("fourier", qp_term(coeff={"conductor": 1, "coeffs": []}), "conductor"),
+        # a product's of, points and a_grid must be lists
+        ("fourier", {"field": "r", "f": {"type": "product", "of": 5}}, "product of must be a JSON array"),
+        ("fourier", {"field": "r", "f": gauss, "points": 5}, "points must be a JSON array"),
+        ("inner-product", {"field": "r", "f": gauss, "h": gauss, "a_grid": 5}, "a_grid must be a JSON array"),
+        # a singular a_grid entry is named by its index
+        ("inner-product", {"field": "r", "f": gauss, "h": gauss, "a_grid": [[[0]]]}, "a_grid[0]"),
+        ("inner-product", {"field": "c", "f": gauss_c, "h": gauss_c, "a_grid": [[[1.0]], [[[0.0, 0.0]]]]}, "a_grid[1]"),
+        ("inner-product", dict(qp, h=qp["f"], a_grid=[[["1/3"]], [["0"]]]), "a_grid[1]"),
         # a JSON true or false is not a number
         ("intertwine", {"field": "r", "f": dict(gauss, kappa=True), "y": y}, "kappa"),
         ("intertwine", {"field": "r", "f": dict(gauss, Q=[[True, False], [False, True]]), "y": y}, "Q"),

@@ -14,23 +14,29 @@ from radonfourier import (
     SBFunction,
     abs_norm,
     act_g,
+    act_module_X,
     add_char,
     compose_shell_stabilized,
-    convolve_C,
-    convolve_gamma,
+    fiber_param,
     fourier,
     fourier_equivariance_check,
     fourier_slice_verify,
     gamma_n,
+    inner_X,
+    inner_Xbar,
+    integrate,
     intertwine_I,
     intertwine_equivariance_check,
     kernel_identity_check,
+    pointwise_mul,
     slice_transform,
     space_X,
     space_Xbar,
+    translate_group,
     unitarity_verify,
 )
 from radonfourier import exactlinalg as xl
+from radonfourier.functions import _json_exact, fiber_restrict
 from radonfourier.geometry import det_power, minv, mmul, mtrace, space_L
 from radonfourier.sampling import (
     rand_fraction,
@@ -41,7 +47,7 @@ from radonfourier.sampling import (
     rand_sb_function,
     rand_sl,
 )
-from radonfourier.transforms import slice_family
+from radonfourier.transforms import integrate_against_trace_character, pairing_matrix, slice_family
 
 
 def one(p):
@@ -128,7 +134,6 @@ def _same_entries(got, want):
 
 
 def test_pairing_matrix_matches_basis_loop(fr, fc, f3):
-    from radonfourier.transforms import pairing_matrix
 
     for fd in (fr, fc, f3):
         for n in (1, 2):
@@ -157,7 +162,6 @@ def test_fourier_inverse_uses_conjugate_pairing(monkeypatch, rng, fr, fc, f3):
 def test_fourier_closed_form_vs_quadrature_n2(rng, fr):
     # generic quadratic form at n = 2: the pairing permutation is no longer
     # symmetric, which distinguishes P Q^(-1) P' from P' Q^(-1) P
-    from radonfourier.transforms import pairing_matrix
 
     X = space_X(2, fr)
     Y = space_Xbar(2, fr)
@@ -173,8 +177,6 @@ def test_fourier_closed_form_vs_quadrature_n2(rng, fr):
             f.envelope(),
             "direct",
         )
-        from radonfourier import integrate
-
         want = integrate(ev, order=12)
         assert abs(fhat.value(y) - want) < 1e-4, (fhat.value(y), want)
 
@@ -191,21 +193,22 @@ def test_fourier_equivariance_n2(rng, fr):
 
 
 def test_fourier_evaluable_quadrature(fr):
-    # a Gaussian disguised as a bare integrand transforms to matching values
+    # the closed-form transform matches quadrature of the defining integral
+    # f(x) exp(-2 pi i <P' y, x>), handed to integrate as an Evaluable
     X = space_X(1, fr)
     g = GaussianForm.standard(X)
-    ev = Evaluable(X, g.eval_coords, g.envelope(), "g")
-    evhat = fourier(ev)
     ghat = fourier(g)
     y = np.array([[0.4, -0.7]])
-    assert abs(evhat.value(y) - ghat.value(y)) < 1e-9
-    with pytest.raises(ValueError):
-        fourier(fourier(ev))  # no certified decay after one transform
+    eta = np.asarray(pairing_matrix(ghat.space, X)).T @ ghat.space.coords(y)
+    integrand = Evaluable(
+        X, lambda pts: g.eval_coords(pts) * np.exp(-2j * np.pi * (pts @ eta)), g.envelope(), "Fg"
+    )
+    assert abs(integrate(integrand) - ghat.value(y)) < 1e-9
+    with pytest.raises(TypeError, match="Evaluable"):
+        fourier(integrand)  # an integrand is not a test function
 
 
 def test_plancherel_at_identity(rng, fr):
-    from radonfourier import inner_X, inner_Xbar
-
     X = space_X(1, fr)
     f = rand_gaussian(rng, X)
     lhs = inner_Xbar(fourier(f), fourier(f))(np.eye(1))
@@ -291,7 +294,6 @@ def test_slice_examples(fr, f3):
 
 def test_slice_homogeneity(rng, fr, f3):
     # T(f)(y, a) = |det a| * I(f^a)(y), both sides via independent routes
-    from radonfourier import translate_group
 
     X = space_X(1, fr)
     f = rand_gaussian(rng, X)
@@ -324,13 +326,30 @@ def test_intertwine_examples(fr, f3):
     assert got == ExactValue.from_cyclo(3, Fraction(1, 3))
 
 
-def test_intertwine_divergence_reported(fr):
+def test_operators_refuse_evaluable(fr):
+    # an Evaluable is an integrand for integrate only: every operator on test
+    # functions raises a TypeError naming it, before any attribute lookup
     X = space_X(1, fr)
+    f = GaussianForm.standard(X)
     flat = Evaluable(
         X, lambda p: np.ones(len(p), dtype=complex), Envelope(C=1.0), "flat"
     )
-    with pytest.raises(ValueError):
-        intertwine_I(flat, np.array([[1.0, 0.0]]))
+    y, a = np.array([[1.0, 0.0]]), np.array([[2.0]])
+    calls = [
+        lambda: translate_group(flat, a),
+        lambda: translate_group(flat, np.eye(2), side="left"),
+        lambda: fiber_restrict(flat, fiber_param(y, 1, fr)),
+        lambda: intertwine_I(flat, y),
+        lambda: act_module_X(flat, a),
+        lambda: inner_X(flat, f),
+        lambda: inner_X(f, flat),
+        lambda: inner_Xbar(flat, f),
+        lambda: fourier(flat),
+        lambda: pointwise_mul(f, flat),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="Evaluable"):
+            call()
 
 
 def test_intertwine_equivariance(rng, fr, f3):
@@ -429,6 +448,12 @@ def test_kernel_identity_base_cases(fr):
 # -- convolutions ---------------------------------------------------------
 
 
+def convolve_gamma(f, x):
+    """C_gamma f(x) = integral over M_n of f(x b) chi(Tr b) db, the operational
+    form that compose_shell_stabilized evaluates at each fiber point."""
+    return integrate_against_trace_character(translate_group(f, x, side="left"))
+
+
 def test_convolve_gamma_closed_form(fr):
     X = space_X(1, fr)
     f = GaussianForm.standard(X)
@@ -437,70 +462,13 @@ def test_convolve_gamma_closed_form(fr):
         want = (1.0 / norm) * np.exp(-np.pi / norm**2)
         assert abs(convolve_gamma(f, xv) - want) < 1e-12
     with pytest.raises(ValueError):
-        convolve_gamma(f, np.zeros((2, 1)))
+        convolve_gamma(f, np.zeros((2, 1)))  # b -> 0 b is not injective
 
 
 def test_convolve_gamma_padic(f3):
     Xp = space_X(1, f3)
     ball = SBFunction.standard_ball(Xp)
     assert convolve_gamma(ball, xl.mat([[1], [0]])) == one(3)
-
-
-def test_convolve_C_matches_gamma_on_truncations(fr):
-    # C_T with T the gamma weight restricted to shells 1/R <= |a| <= R
-    # approaches the operational closed form as R grows; dyadic panels keep
-    # the oscillation exp(-2 pi i / a) resolved near the inner cutoff
-    X = space_X(1, fr)
-    f = GaussianForm.standard(X)
-    x = np.array([[1.0], [0.5]])
-    want = convolve_gamma(f, x)
-    Lsp = __import__("radonfourier").space_L(1, fr)
-
-    def Tfn(pts):
-        return np.exp(-2j * np.pi / pts[:, 0])
-
-    Tfun = Evaluable(Lsp, Tfn, Envelope(C=1.0, radius=64.0), "gamma-trunc")
-
-    def truncated(R):
-        edges = [1.0 / R]
-        while edges[-1] < R:
-            edges.append(min(2 * edges[-1], R))
-        total = 0.0 + 0.0j
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            for s in (+1, -1):
-                box = ([s * hi], [s * lo]) if s < 0 else ([lo], [hi])
-                piece = convolve_C(f, Tfun, support=box, order=48)
-                total += piece.value(x)
-        return total
-
-    from radonfourier.quadrature import integrate_box
-    from radonfourier.geometry import flatten_linear, meye
-
-    M = flatten_linear(x, meye(1, fr), fr)
-    fx = f.pullback_affine(M, Lsp)
-
-    def hole(R):
-        return integrate_box(
-            lambda pts: fx.eval_coords(pts) * np.exp(-2j * np.pi * pts[:, 0]),
-            [-1.0 / R],
-            [1.0 / R],
-        )
-
-    # the truncation omits exactly the window |b| < 1/R of the operational
-    # integral (|a| > R inverts into it): the integrand identity makes the
-    # truncated convolution plus the window reproduce the closed form, and
-    # the window shrinks like 1/R once it is below the oscillation period
-    for R in (2.0, 4.0, 8.0):
-        assert abs(truncated(R) + hole(R) - want) < 1e-7
-    assert abs(hole(64.0)) < abs(hole(8.0)) < 0.25
-    assert abs(hole(64.0)) < 0.04
-
-
-def test_convolve_C_refuses_unbounded(fr):
-    X = space_X(1, fr)
-    f = GaussianForm.standard(X)
-    with pytest.raises(ValueError):
-        convolve_C(f, lambda a: 1.0, support=None)
 
 
 # -- composition ----------------------------------------------------------
@@ -657,7 +625,7 @@ def test_fourier_slice_negative_control(rng, fr, f3):
 def test_fourier_slice_measure_factor_scales_rhs(rng, fr, f3):
     # exact over Q_3: every perturbed rhs is 3 times the unperturbed one
     def exact(obj):
-        return ExactValue(3, Fraction(obj["qexp"]), CyclotomicValue.from_json(obj["cyclotomic"], 3))
+        return _json_exact(obj, 3)
 
     Xp = space_X(1, f3)
     for f in (SBFunction.standard_ball(Xp), rand_sb_function(rng, Xp)):
