@@ -169,7 +169,8 @@ def _compute(operation: str, spec: dict) -> dict:
     rows = []
     for i, a_obj in enumerate(_json_of(list, spec["a_grid"], "a_grid")):
         a = _parse_matrix(a_obj, fd, n, n, "a_grid")
-        if not is_regular(a, fd):
+        # over R and C the smallest singular value is taken relative to the largest
+        if not is_regular(a / (np.linalg.norm(a, 2) or 1.0) if fd.is_archimedean else a, fd):
             raise ValueError(f"a_grid[{i}] must be invertible, got a singular matrix")
         val, err = pairing.with_error(a)
         rows.append({"a": a, "value": val, "error_estimate": _error_json(err, fd)})

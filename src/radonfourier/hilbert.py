@@ -267,9 +267,9 @@ def truncation_sequence(f: GaussianForm, m_max: int, a_grid) -> dict:
     integrates in polar panels with breakpoints at every cutoff feature
     radius; this keeps the quadrature honest at all scales down to 1/m^2.
     There chi_m depends on x through |x| alone, so the integrand
-    conj(f(x)) f(x a) (1 - chi_m(x)) (1 - chi_m(x a)) is split: the polar
-    rule evaluates the Gaussian product at every node and the cutoff
-    factor, a function of the radius, once per radial node.
+    conj(f(x)) f(x a) (1 - chi_m(x)) (1 - chi_m(x a)) is split: the Gaussian
+    product, one closed-form Gaussian per a, is evaluated once per polar
+    node and the cutoff factor, a function of the radius, once per radial node.
     """
     space = f.space
     fd = space.fd
@@ -280,27 +280,25 @@ def truncation_sequence(f: GaussianForm, m_max: int, a_grid) -> dict:
         raise NotImplementedError("implemented for the two-dimensional real case")
     sups = []
     per_m = []
+    # right multiplication by the 1x1 matrix a scales the point
+    products = [
+        (float(a), f.conjugate().product(f.pullback_affine(float(a) * np.eye(2), space)))
+        for a in a_grid
+    ]
     for m in range(1, m_max + 1):
         vals = []
-        for a in a_grid:
-            av = float(a)
-            feat = [
-                1.0 / (m + 1) ** 2, 1.0 / m**2, float(m), float(m + 1),
-            ]
+        for av, g in products:
+            feat = [1.0 / (m + 1) ** 2, 1.0 / m**2, float(m), float(m + 1)]
             feat += [x / abs(av) for x in feat]
             r_tail = min(float(m + 1), 4.5 / min(1.0, abs(av)))
             breaks = sorted({0.0, r_tail, *[x for x in feat if 0 < x < r_tail]})
-
-            def integrand(pts, av=av):
-                # right multiplication by the 1x1 matrix a scales the point
-                return np.conj(f.eval_coords(pts)) * f.eval_coords(av * pts)
 
             def radial(r, m=m, s=abs(av)):
                 # |x a| = |a| |x|: both cutoffs are functions of the radius r
                 return (1.0 - cutoff_ramps(m, r, r)) * (1.0 - cutoff_ramps(m, s * r, s * r))
 
             val = quad.integrate_polar_2d(
-                integrand, breaks, _TRUNC_R_ORDER, _TRUNC_THETA_ORDER, radial=radial
+                g.eval_coords, breaks, _TRUNC_R_ORDER, _TRUNC_THETA_ORDER, radial=radial
             )
             phi = float(abs_norm(av, fd)) ** ((n + 1) / 2.0) * val.real
             vals.append(abs(phi))

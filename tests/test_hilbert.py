@@ -237,21 +237,78 @@ def _truncation_reference(f, m, av):
     return abs(abs(av) * val.real)
 
 
-def test_truncation_sequence_matches_pointwise_integrand(fr):
-    # the radial split of the cutoff factor changes only the roundoff; a = -0.7
-    # fails when the cutoff at x a is taken at a r instead of |a| r
+def _truncation_gaussians(fr):
+    """A standard Gaussian and one with non-standard Q and complex kappa and
+    ell, with a over the default grid plus a negative a."""
     X = space_X(1, fr)
     gaussians = [
         GaussianForm.standard(X),
         GaussianForm(X, [[1.3, 0.4], [0.4, 0.9]], 0.8 - 0.3j, [0.2 + 0.05j, -0.3 + 0.1j]),
     ]
-    grid = [float(a[0][0]) for a in default_a_grid(1, fr)] + [-0.7]
+    return gaussians, [float(a[0][0]) for a in default_a_grid(1, fr)] + [-0.7]
+
+
+def _record_polar_calls(monkeypatch):
+    """Route integrate_polar_2d through a recorder of (integrand, r_breaks)."""
+    calls = []
+    rule = integrate_polar_2d
+
+    def recorded(fn, r_breaks, *args, **kwargs):
+        calls.append((fn, list(r_breaks)))
+        return rule(fn, r_breaks, *args, **kwargs)
+
+    monkeypatch.setattr("radonfourier.quadrature.integrate_polar_2d", recorded)
+    return calls
+
+
+def test_truncation_sequence_matches_pointwise_integrand(fr):
+    # the radial split of the cutoff factor changes only the roundoff; a = -0.7
+    # fails when the cutoff at x a is taken at a r instead of |a| r
+    gaussians, grid = _truncation_gaussians(fr)
     for f in gaussians:
         for av in grid:
             sups = truncation_sequence(f, 7, [av])["sup_values"]
             for m in (1, 2, 7):
                 want = _truncation_reference(f, m, av)
                 assert abs(sups[m - 1] - want) <= 1e-13 * want, (m, av, sups[m - 1], want)
+
+
+def test_truncation_integrand_is_the_closed_form_product(fr, monkeypatch):
+    # the Gaussian that truncation_sequence integrates for a is conj(f(x)) f(a x),
+    # on points where neither factor underflows (scaled so |x|, |a x| <= ~3):
+    # the exponent is rounded once, not twice, so the relative gap grows with it
+    gaussians, grid = _truncation_gaussians(fr)
+    std = np.random.default_rng(3).standard_normal((200, 2))
+    calls = _record_polar_calls(monkeypatch)
+    for f in gaussians:
+        for av in grid:
+            calls.clear()
+            truncation_sequence(f, 1, [av])
+            (fn, _), = calls
+            pts = std / max(1.0, abs(av))
+            want = np.conj(f.eval_coords(pts)) * f.eval_coords(av * pts)
+            got = fn(pts)
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), av
+
+
+def test_truncation_evaluates_each_node_once(fr, monkeypatch):
+    # one Gaussian evaluation per polar panel, one exp per node, for every (m, a)
+    f = GaussianForm.standard(space_X(1, fr))
+    grid = [float(a[0][0]) for a in default_a_grid(1, fr)]
+    calls = _record_polar_calls(monkeypatch)
+    evals = []
+    eval_coords = GaussianForm.eval_coords
+
+    def counted(self, pts):
+        evals.append(len(pts))
+        return eval_coords(self, pts)
+
+    monkeypatch.setattr(GaussianForm, "eval_coords", counted)
+    truncation_sequence(f, 3, grid)
+    assert len(calls) == 3 * len(grid)
+    panels = sum(len(breaks) - 1 for _, breaks in calls)
+    assert len(evals) == panels
+    assert sum(evals) == panels * 40 * 48
 
 
 def test_truncation_sequence_decreases(fr):

@@ -294,6 +294,8 @@ def test_cli_compute_malformed_numbers(tmp_path, capsys):
         ("inner-product", {"field": "r", "f": gauss, "h": gauss, "a_grid": [[[0]]]}, "a_grid[0]"),
         ("inner-product", {"field": "c", "f": gauss_c, "h": gauss_c, "a_grid": [[[1.0]], [[[0.0, 0.0]]]]}, "a_grid[1]"),
         ("inner-product", dict(qp, h=qp["f"], a_grid=[[["1/3"]], [["0"]]]), "a_grid[1]"),
+        ("inner-product", {"field": "r", "n": 2, "f": {"type": "gaussian"}, "h": {"type": "gaussian"},
+                           "a_grid": [[[1, 2], [2, 4]]]}, "a_grid[0]"),
         # a JSON true or false is not a number
         ("intertwine", {"field": "r", "f": dict(gauss, kappa=True), "y": y}, "kappa"),
         ("intertwine", {"field": "r", "f": dict(gauss, Q=[[True, False], [False, True]]), "y": y}, "Q"),
@@ -375,6 +377,17 @@ def test_cli_compute_inner_product(tmp_path):
     assert len(rep["rows"]) == 3
     for row, av in zip(rep["rows"], (0.5, 1.0, 2.0)):
         assert abs(row["value"][0] - av / (1 + av * av)) < 1e-10
+
+
+def test_cli_compute_inner_product_small_invertible_a(tmp_path):
+    # invertibility is judged relative to the scale of a, not against 1e-10
+    spec = {"field": "r", "f": {"type": "gaussian"}, "h": {"type": "gaussian"}, "a_grid": [[[1e-11]]]}
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(spec))
+    out = tmp_path / "out.json"
+    assert main(["compute", "inner-product", "--input", str(inp), "--out", str(out)]) == 0
+    (row,) = json.loads(out.read_text())["rows"]
+    assert abs(row["value"][0] - 1e-11) < 1e-12 * 1e-11
 
 
 def test_console_entry_point():
