@@ -367,27 +367,18 @@ def test_cli_compute_inner_product(tmp_path):
         "n": 1,
         "f": {"type": "gaussian", "Q": [[1.0, 0.0], [0.0, 1.0]], "kappa": 1.0},
         "h": {"type": "gaussian", "Q": [[1.0, 0.0], [0.0, 1.0]], "kappa": 1.0},
-        "a_grid": [[[0.5]], [[1.0]], [[2.0]]],
+        # invertibility is judged relative to the scale of a: 1e-11 is invertible
+        "a_grid": [[[0.5]], [[1.0]], [[2.0]], [[1e-11]]],
     }
     inp = tmp_path / "in.json"
     inp.write_text(json.dumps(spec))
     out = tmp_path / "out.json"
     assert main(["compute", "inner-product", "--input", str(inp), "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
-    assert len(rep["rows"]) == 3
-    for row, av in zip(rep["rows"], (0.5, 1.0, 2.0)):
-        assert abs(row["value"][0] - av / (1 + av * av)) < 1e-10
-
-
-def test_cli_compute_inner_product_small_invertible_a(tmp_path):
-    # invertibility is judged relative to the scale of a, not against 1e-10
-    spec = {"field": "r", "f": {"type": "gaussian"}, "h": {"type": "gaussian"}, "a_grid": [[[1e-11]]]}
-    inp = tmp_path / "in.json"
-    inp.write_text(json.dumps(spec))
-    out = tmp_path / "out.json"
-    assert main(["compute", "inner-product", "--input", str(inp), "--out", str(out)]) == 0
-    (row,) = json.loads(out.read_text())["rows"]
-    assert abs(row["value"][0] - 1e-11) < 1e-12 * 1e-11
+    assert len(rep["rows"]) == 4
+    for row, av in zip(rep["rows"], (0.5, 1.0, 2.0, 1e-11)):
+        want = av / (1 + av * av)
+        assert abs(row["value"][0] - want) < 1e-10 * want
 
 
 def test_console_entry_point():
