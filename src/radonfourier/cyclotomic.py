@@ -1,8 +1,11 @@
 """Exact arithmetic in prime-power cyclotomic fields Q(zeta_{p^M}).
 
-Values live in the power basis 1, zeta, ..., zeta^(phi(N)-1) with N = p^M and
-rational coefficients.  The only relation needed for reduction is the minimal
-polynomial of zeta_N,
+A value is a rational combination of powers of zeta_N, N = p^M, and keeps only
+its nonzero terms: the p-adic character sums (transforms of Schwartz-Bruhat
+functions, intertwiners, pairings) are short sums of roots of unity, so a
+product costs nnz * nnz, not N^2.  The terms are written in the power basis
+1, zeta, ..., zeta^(phi(N)-1).  The only relation needed to reach it is the
+minimal polynomial of zeta_N,
 
     Phi_{p^M}(x) = sum_{j=0}^{p-1} x^{j*p^(M-1)},
 
@@ -10,11 +13,12 @@ so any exponent e in [phi(N), N) rewrites in one step as
 
     zeta^e = - sum_{j=0}^{p-2} zeta^(j*p^(M-1) + r),   r = e - (p-1)*p^(M-1).
 
-Canonical form: coefficients reduced to the power basis *and* the conductor
-minimized (a value lying in the subfield Q(zeta_{p^(M-1)}) is detected by its
-support sitting on exponents divisible by p and is stored at the smaller
-conductor; rationals end up at conductor 1).  Equality of canonical forms is
-therefore exact equality of field elements.
+Canonical form: the nonzero power-basis terms, sorted by exponent, *and* the
+conductor minimized (a value whose exponents are all divisible by p lies in
+the subfield Q(zeta_{p^(M-1)}) and is stored at the smaller conductor;
+rationals end up at conductor 1).  Equality of canonical forms is therefore
+exact equality of field elements.  ``to_json`` writes the dense power-basis
+coefficient list.
 
 ``ExactValue`` augments a cyclotomic value with a formal positive factor
 q**e for a rational exponent e; this is how half-integer powers of the
@@ -29,7 +33,6 @@ from fractions import Fraction
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-_FM1 = Fraction(-1)
 
 
 def _phi_prime_power(p: int, M: int) -> int:
@@ -40,24 +43,21 @@ class CyclotomicValue:
     """An exact element of Q(zeta_{p^M}), canonically reduced.
 
     ``conductor`` is p**M (1 for rationals, in which case the prime is
-    irrelevant and stored as None).  ``coeffs`` is a tuple of Fractions of
-    length phi(conductor) in the power basis of zeta_{conductor}.
+    irrelevant and stored as None).  ``terms`` is the sorted tuple of the
+    nonzero (exponent, Fraction) pairs in the power basis of zeta_{conductor}.
     """
 
-    __slots__ = ("p", "M", "coeffs")
+    __slots__ = ("p", "M", "terms")
 
-    def __init__(self, p, M, coeffs, _reduce=True):
-        if _reduce:
-            p, M, coeffs = _canonicalize(p, M, list(coeffs))
-        self.p = p
-        self.M = M
-        self.coeffs = tuple(coeffs)
+    def __init__(self, p, M, terms):
+        """sum c * zeta_{p^M}^e over the (e, c) pairs ``terms``, any integer e."""
+        self.p, self.M, self.terms = _canonicalize(p, M, terms)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_rational(cls, r) -> "CyclotomicValue":
-        return cls(None, 0, (Fraction(r),), _reduce=False)
+        return cls(None, 0, [(0, Fraction(r))])
 
     @classmethod
     def zero(cls) -> "CyclotomicValue":
@@ -70,26 +70,7 @@ class CyclotomicValue:
     @classmethod
     def root_of_unity(cls, p: int, conductor: int, exponent: int) -> "CyclotomicValue":
         """zeta_conductor ** exponent, conductor a power of p."""
-        M = _power_of(conductor, p)
-        e = exponent % conductor
-        if e == 0 or M == 0:
-            return cls.one()
-        while e % p == 0:  # zeta_{p^M}^(p u) = zeta_{p^(M-1)}^u
-            e //= p
-            M -= 1
-        phi = _phi_prime_power(p, M)
-        if e < phi:
-            coeffs = [_F0] * phi
-            coeffs[e] = _F1
-            # e is prime to p, so the conductor is already minimal
-            return cls(p, M, coeffs, _reduce=False)
-        block = p ** (M - 1)
-        r = e - (p - 1) * block
-        coeffs = [_F0] * phi
-        for j in range(p - 1):
-            coeffs[j * block + r] = _FM1
-        pc, Mc, cc = _canonicalize(p, M, coeffs)
-        return cls(pc, Mc, cc, _reduce=False)
+        return cls(p, _power_of(conductor, p), [(exponent, _F1)])
 
     # -- canonical data ----------------------------------------------
 
@@ -98,10 +79,10 @@ class CyclotomicValue:
         return 1 if self.M == 0 else self.p**self.M
 
     def is_zero(self) -> bool:
-        return self.M == 0 and self.coeffs[0] == 0
+        return not self.terms
 
     def is_one(self) -> bool:
-        return self.M == 0 and self.coeffs[0] == 1
+        return self.terms == ((0, 1),)
 
     def is_rational(self) -> bool:
         return self.M == 0
@@ -109,23 +90,19 @@ class CyclotomicValue:
     def rational_value(self) -> Fraction:
         if self.M != 0:
             raise ValueError("value is not rational")
-        return self.coeffs[0]
+        return self.terms[0][1] if self.terms else _F0
 
     # -- arithmetic ----------------------------------------------------
 
-    def _lift_dense(self, p: int, M: int) -> list:
-        """Coefficients as a dense vector of length p**M (M >= self.M)."""
-        N = p**M
-        dense = [Fraction(0)] * N
-        step = p ** (M - self.M)
-        for j, c in enumerate(self.coeffs):
-            dense[j * step] = c
-        return dense
+    def _terms_at(self, M: int):
+        """The terms as powers of zeta_{p^M}, M >= self.M."""
+        if M == self.M or self.M == 0:
+            return self.terms
+        step = self.p ** (M - self.M)
+        return [(e * step, c) for e, c in self.terms]
 
     @staticmethod
     def _common(a: "CyclotomicValue", b: "CyclotomicValue"):
-        if a.M == 0 and b.M == 0:
-            return None, 0
         if a.M == 0:
             return b.p, b.M
         if b.M == 0:
@@ -137,17 +114,13 @@ class CyclotomicValue:
     def __add__(self, other):
         other = _coerce(other)
         p, M = self._common(self, other)
-        if M == 0:
-            return CyclotomicValue.from_rational(self.coeffs[0] + other.coeffs[0])
-        da = self._lift_dense(p, M)
-        db = other._lift_dense(p, M)
-        return CyclotomicValue(p, M, _reduce_dense(p, M, [x + y for x, y in zip(da, db)]))
+        return CyclotomicValue(p, M, [*self._terms_at(M), *other._terms_at(M)])
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return CyclotomicValue(self.p, self.M, tuple(-c for c in self.coeffs), _reduce=True)
+        return CyclotomicValue(self.p, self.M, [(e, -c) for e, c in self.terms])
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -157,76 +130,51 @@ class CyclotomicValue:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return CyclotomicValue.zero()
-            return CyclotomicValue(
-                self.p, self.M, tuple(c * other for c in self.coeffs), _reduce=True
-            )
+            return CyclotomicValue(self.p, self.M, [(e, c * other) for e, c in self.terms])
         other = _coerce(other)
         p, M = self._common(self, other)
-        if M == 0:
-            return CyclotomicValue.from_rational(self.coeffs[0] * other.coeffs[0])
-        N = p**M
-        da = self._lift_dense(p, M)
-        db = other._lift_dense(p, M)
-        dense = [Fraction(0)] * N
-        for i, ci in enumerate(da):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(db):
-                if cj == 0:
-                    continue
-                dense[(i + j) % N] += ci * cj
-        return CyclotomicValue(p, M, _reduce_dense(p, M, dense))
+        right = other._terms_at(M)
+        return CyclotomicValue(p, M, [(i + j, a * b) for i, a in self._terms_at(M) for j, b in right])
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def conjugate(self) -> "CyclotomicValue":
         """Complex conjugation, zeta -> zeta^(-1)."""
-        if self.M == 0:
-            return self
-        N = self.conductor
-        dense = [Fraction(0)] * N
-        for j, c in enumerate(self.coeffs):
-            dense[(-j) % N] += c
-        return CyclotomicValue(self.p, self.M, _reduce_dense(self.p, self.M, dense))
+        return CyclotomicValue(self.p, self.M, [(-e, c) for e, c in self.terms])
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.M == 0 and self.coeffs[0] == other
+            return self.M == 0 and self.rational_value() == other
         if not isinstance(other, CyclotomicValue):
             return NotImplemented
-        return self.M == other.M and self.coeffs == other.coeffs and (
-            self.M == 0 or self.p == other.p
-        )
+        return self.M == other.M and self.p == other.p and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.M if self.M == 0 else (self.p, self.M), self.coeffs))
+        return hash((self.p, self.M, self.terms))
 
     # -- numeric embedding --------------------------------------------
 
     def to_complex(self) -> complex:
         """Embedding sending zeta_N to exp(2*pi*i/N)."""
         if self.M == 0:
-            return complex(self.coeffs[0])
+            return complex(self.rational_value())
         N = self.conductor
-        return sum(
-            float(c) * cmath.exp(2j * cmath.pi * j / N)
-            for j, c in enumerate(self.coeffs)
-            if c != 0
-        )
+        return sum(float(c) * cmath.exp(2j * cmath.pi * e / N) for e, c in self.terms)
 
     def __repr__(self):
         if self.M == 0:
-            return f"CyclotomicValue({self.coeffs[0]})"
-        terms = [f"{c}*z{self.conductor}^{j}" for j, c in enumerate(self.coeffs) if c != 0]
-        return "CyclotomicValue(" + (" + ".join(terms) or "0") + ")"
+            return f"CyclotomicValue({self.rational_value()})"
+        terms = [f"{c}*z{self.conductor}^{e}" for e, c in self.terms]
+        return "CyclotomicValue(" + " + ".join(terms) + ")"
 
     def to_json(self) -> dict:
+        dense = [_F0] * _phi_prime_power(self.p, self.M)
+        for e, c in self.terms:
+            dense[e] = c
         return {
             "conductor": self.conductor,
-            "coeffs": [f"{c.numerator}/{c.denominator}" for c in self.coeffs],
+            "coeffs": [f"{c.numerator}/{c.denominator}" for c in dense],
         }
 
 
@@ -249,32 +197,29 @@ def _power_of(N: int, p: int) -> int:
     return M
 
 
-def _reduce_dense(p: int, M: int, dense: list) -> list:
-    """Reduce a dense exponent vector (length p**M) to the power basis."""
-    phi = _phi_prime_power(p, M)
-    block = p ** (M - 1)
-    for e in range(len(dense) - 1, phi - 1, -1):
-        c = dense[e]
-        if c == 0:
-            continue
-        dense[e] = Fraction(0)
-        r = e - (p - 1) * block
-        for j in range(p - 1):
-            dense[j * block + r] -= c
-    return dense[:phi]
+def _canonicalize(p, M, terms):
+    """(p, M, terms) of sum c * zeta_{p^M}^e over (e, c) pairs, canonically.
 
-
-def _canonicalize(p, M, coeffs):
-    """Minimize the conductor of a reduced coefficient vector."""
-    while M > 0:
-        if any(c != 0 for j, c in enumerate(coeffs) if j % p):
-            break
-        coeffs = coeffs[::p]
+    Exponents are reduced mod N and those in [phi(N), N) rewritten by the
+    Phi_{p^M} relation; terms with equal exponents are summed, zero terms
+    dropped and the conductor lowered while every exponent is divisible by p.
+    """
+    N = p**M if M else 1
+    phi = N - N // p if M else 1
+    acc = {}
+    for e, c in terms:
+        e %= N
+        if e < phi:
+            acc[e] = acc[e] + c if e in acc else c
+        else:  # zeta^e = -sum_j zeta^(j*N/p + e - phi), j = 0 .. p-2
+            for k in range(e - phi, phi, N // p):
+                acc[k] = acc[k] - c if k in acc else -c
+    terms = [t for t in acc.items() if t[1]]
+    terms.sort()
+    while M and all(e % p == 0 for e, _ in terms):
+        terms = [(e // p, c) for e, c in terms]
         M -= 1
-    if M == 0:
-        p = None
-        coeffs = [Fraction(coeffs[0])]
-    return p, M, coeffs
+    return (p if M else None), M, tuple(terms)
 
 
 class ExactValue:
@@ -324,12 +269,7 @@ class ExactValue:
         return self.__mul__(other)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, CyclotomicValue)):
-            other = ExactValue.from_cyclo(self.p, other)
-        if not isinstance(other, ExactValue):
-            return NotImplemented
-        if other.p != self.p:
-            raise ValueError("mixed primes")
+        other = as_exact(other, self.p)
         if self.is_zero():
             return other
         if other.is_zero():
@@ -348,19 +288,17 @@ class ExactValue:
         return ExactValue(self.p, self.qexp, -self.cyc)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, CyclotomicValue)):
-            other = ExactValue.from_cyclo(self.p, other)
-        return self + (-other)
+        return self + (-as_exact(other, self.p))
 
     def conjugate(self) -> "ExactValue":
         return ExactValue(self.p, self.qexp, self.cyc.conjugate())
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, CyclotomicValue)):
-            other = ExactValue.from_cyclo(self.p, other)
-        if not isinstance(other, ExactValue):
+        try:
+            other = as_exact(other, self.p)
+        except (TypeError, ValueError):  # another type or prime: never equal
             return NotImplemented
-        return self.p == other.p and self.qexp == other.qexp and self.cyc == other.cyc
+        return self.qexp == other.qexp and self.cyc == other.cyc
 
     def __hash__(self):
         return hash((self.p, self.qexp, self.cyc))
@@ -380,3 +318,14 @@ class ExactValue:
         if self.qexp == 0:
             return f"ExactValue({self.cyc!r})"
         return f"ExactValue(q^{self.qexp} * {self.cyc!r})"
+
+
+def as_exact(x, p: int) -> ExactValue:
+    """x as an ExactValue over p; rationals and cyclotomic values get q^0."""
+    if isinstance(x, ExactValue):
+        if x.p != p:
+            raise ValueError("mixed primes")
+        return x
+    if isinstance(x, (int, Fraction, CyclotomicValue)):
+        return ExactValue.from_cyclo(p, x)
+    raise TypeError(f"bad coefficient type {type(x).__name__}")

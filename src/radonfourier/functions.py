@@ -33,7 +33,7 @@ import numpy as np
 
 from . import exactlinalg as xl
 from . import quadrature as quad
-from .cyclotomic import CyclotomicValue, ExactValue, _phi_prime_power, _power_of
+from .cyclotomic import CyclotomicValue, ExactValue, _phi_prime_power, _power_of, as_exact
 from .fields import add_char
 from .geometry import MatrixSpace, flatten_linear, meye
 from .lattices import Coset, Lattice
@@ -277,7 +277,7 @@ class SBFunction:
         p = space.fd.p
         merged: dict = {}
         for coeff, coset in terms:
-            coeff = _as_exact(coeff, p)
+            coeff = as_exact(coeff, p)
             if coeff.is_zero():
                 continue
             if coset.dim != space.dim:
@@ -295,10 +295,10 @@ class SBFunction:
         return cls(space, [(ExactValue.from_cyclo(space.fd.p, 1), coset)])
 
     @classmethod
-    def standard_ball(cls, space: MatrixSpace, scale_exp: int = 0) -> "SBFunction":
-        """Indicator of p^scale_exp * Z_p^d."""
+    def standard_ball(cls, space: MatrixSpace) -> "SBFunction":
+        """Indicator of Z_p^d."""
         p = space.fd.p
-        lat = Lattice.scaled_standard(p, space.dim, scale_exp)
+        lat = Lattice.scaled_standard(p, space.dim, 0)
         center = tuple(Fraction(0) for _ in range(space.dim))
         return cls.indicator(space, Coset(lat, center))
 
@@ -334,7 +334,7 @@ class SBFunction:
         return SBFunction(self.space, [(c.conjugate(), k) for c, k in self.terms])
 
     def scale(self, c) -> "SBFunction":
-        c = _as_exact(c, self.p)
+        c = as_exact(c, self.p)
         return SBFunction(self.space, [(coeff * c, k) for coeff, k in self.terms])
 
     def __add__(self, other: "SBFunction") -> "SBFunction":
@@ -468,16 +468,6 @@ class SBFunction:
                 for c, k in terms
             ],
         }
-
-
-def _as_exact(c, p: int) -> ExactValue:
-    if isinstance(c, ExactValue):
-        if c.p != p:
-            raise ValueError("mixed primes")
-        return c
-    if isinstance(c, (int, Fraction, CyclotomicValue)):
-        return ExactValue.from_cyclo(p, c)
-    raise TypeError(f"bad coefficient type {type(c).__name__}")
 
 
 # ---------------------------------------------------------------------
@@ -734,5 +724,4 @@ def _json_exact(v, p: int) -> ExactValue:
     phi = _phi_prime_power(p, M)
     if len(coeffs) != phi:
         raise ValueError(f"sb coeff coeffs must have phi(conductor) = {phi} entries, got {len(coeffs)}")
-    # power-basis coefficients: the constructor only minimizes the conductor
-    return ExactValue(p, qexp, CyclotomicValue(p, M, coeffs))
+    return ExactValue(p, qexp, CyclotomicValue(p, M, enumerate(coeffs)))

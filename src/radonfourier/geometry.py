@@ -101,6 +101,14 @@ def is_regular(x, fd: FieldDescriptor, tol: float = 1e-10) -> bool:
     return matrix_rank(x, fd, tol) == min(len(x), len(x[0]))
 
 
+def is_regular_at_scale(x, fd: FieldDescriptor, tol: float = 1e-10) -> bool:
+    """``is_regular`` with R/C singular values taken relative to the largest."""
+    if fd.is_archimedean:
+        x = np.asarray(x)
+        x = x / (np.linalg.norm(x, 2) or 1.0)
+    return is_regular(x, fd, tol)
+
+
 # ---------------------------------------------------------------------
 # Coordinate flattening
 # ---------------------------------------------------------------------
@@ -217,7 +225,7 @@ def unimodular_completion(y, n: int, fd: FieldDescriptor, rng=None, tol: float =
     """
     if fd.is_archimedean:
         y_ = np.asarray(y)
-        if not is_regular(y_, fd, tol):
+        if not is_regular_at_scale(y_, fd, tol):
             raise ValueError("point is not regular (rank deficient)")
         candidates = []
         if rng is None:
@@ -237,7 +245,8 @@ def unimodular_completion(y, n: int, fd: FieldDescriptor, rng=None, tol: float =
             d = np.linalg.det(np.vstack([y_, w[None, :]]))
             if abs(d) > bestd:
                 best, bestd = w, abs(d)
-        if best is None or bestd <= tol:
+        # |det [y; w]| scales as |y|^n for unit w
+        if best is None or bestd <= tol * np.linalg.norm(y_, 2) ** n:
             raise ValueError("could not complete to a unimodular matrix")
         d = np.linalg.det(np.vstack([y_, best[None, :]]))
         g = np.linalg.inv(np.vstack([y_, (best / d)[None, :]]))

@@ -54,6 +54,51 @@ def test_algebra_properties(rng):
         assert u * (v + w) == u * v + u * w
 
 
+def dense_oracle(p, M, poly):
+    """to_json of sum poly[k] x^k in Q(zeta_{p^M}), from dense polynomials:
+    long division by Phi_{p^M}(x) = sum_j x^(j p^(M-1)), then the least
+    conductor."""
+    b, poly = p ** (M - 1), list(poly)
+    phi = (p - 1) * b
+    for k in range(len(poly) - 1, phi - 1, -1):  # subtract poly[k] x^(k-phi) Phi(x)
+        c = poly[k]
+        for j in range(p):
+            poly[k - phi + j * b] -= c
+    poly = (poly + [Fraction(0)] * phi)[:phi]
+    while M and all(c == 0 for k, c in enumerate(poly) if k % p):
+        poly, M = poly[::p], M - 1
+    return {"conductor": p**M, "coeffs": [f"{c.numerator}/{c.denominator}" for c in poly]}
+
+
+def test_arithmetic_matches_dense_oracle(rng):
+    for _ in range(300):
+        p, M = int(rng.choice([2, 3, 5])), int(rng.integers(1, 4))
+        N = p**M
+        e = int(rng.integers(-2 * N, 2 * N))  # negative and >= N
+        assert zeta(p, M, e).to_json() == dense_oracle(p, M, [Fraction(k == e % N) for k in range(N)])
+        vals = []
+        for _ in range(2):
+            # a few terms, some on the exponent grid of a subfield
+            step = p ** int(rng.integers(0, M + 1))
+            terms = [
+                (int(rng.integers(-2 * N, 2 * N)) * step, Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4))))
+                for _ in range(int(rng.integers(0, 6)))
+            ]
+            poly = [Fraction(0)] * N
+            for e, c in terms:
+                poly[e % N] += c
+            vals.append((sum((zeta(p, M, e) * c for e, c in terms), CyclotomicValue.zero()), poly))
+        (u, f), (v, g) = vals
+        prod = [Fraction(0)] * (2 * N - 1)
+        for i, a in enumerate(f):
+            for j, b in enumerate(g if a else ()):
+                prod[i + j] += a * b
+        assert u.to_json() == dense_oracle(p, M, f)
+        assert (u + v).to_json() == dense_oracle(p, M, [a + b for a, b in zip(f, g)])
+        assert (u * v).to_json() == dense_oracle(p, M, prod)
+        assert u.conjugate().to_json() == dense_oracle(p, M, [f[-k % N] for k in range(N)])
+
+
 def test_complex_embedding_consistency(rng):
     for _ in range(50):
         p, M = 3, 2

@@ -120,6 +120,13 @@ def test_unimodular_completion_examples(fr, f3):
     assert gp == xl.mat([[3, 0], [0, Fraction(1, 3)]])
     with pytest.raises(ValueError):
         unimodular_completion(xl.mat([[0, 0]]), 1, f3)
+    # regularity is judged relative to the scale of y: 1e-11 * e_1 is regular
+    y = np.array([[1e-11, 0.0]])
+    g = unimodular_completion(y, 1, fr)
+    assert abs(np.linalg.det(g) - 1) < 1e-9 and np.allclose(bbar_map(g, 1, fr), y, rtol=1e-12, atol=0)
+    for y in (np.zeros((1, 2)), np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])):
+        with pytest.raises(ValueError, match="not regular"):
+            unimodular_completion(y, len(y), fr)
 
 
 def test_unimodular_completion_random(rng, fr, f3):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -237,8 +238,8 @@ def test_cli_compute_malformed_numbers(tmp_path, capsys):
     """Short [re, im] pairs, non-finite numbers, zero denominators, JSON
     booleans, pairs on a field without them, vectors of the wrong length, an
     sb terms, product of, points or a_grid value that is not a list, a
-    singular a_grid entry and an sb spec off Q_p exit 2 with one line naming
-    the field, at the JSON boundary."""
+    singular a_grid entry, a rank-deficient y and an sb spec off Q_p exit 2
+    with one line naming the field, at the JSON boundary."""
     gauss = {"type": "gaussian", "Q": [[1.0, 0.0], [0.0, 1.0]]}
     gauss_c = {"type": "gaussian", "Q": np.eye(4).tolist()}
     y = [[1.0, 0.0]]
@@ -296,6 +297,11 @@ def test_cli_compute_malformed_numbers(tmp_path, capsys):
         ("inner-product", dict(qp, h=qp["f"], a_grid=[[["1/3"]], [["0"]]]), "a_grid[1]"),
         ("inner-product", {"field": "r", "n": 2, "f": {"type": "gaussian"}, "h": {"type": "gaussian"},
                            "a_grid": [[[1, 2], [2, 4]]]}, "a_grid[0]"),
+        # a rank-deficient y is named
+        ("intertwine", {"field": "r", "f": gauss, "y": [[0, 0]]}, "y must be regular"),
+        ("intertwine", {"field": "r", "n": 2, "f": {"type": "gaussian"}, "y": [[1, 2, 3], [2, 4, 6]]},
+         "y must be regular"),
+        ("intertwine", dict(qp, y=[["0", "0"]]), "y must be regular"),
         # a JSON true or false is not a number
         ("intertwine", {"field": "r", "f": dict(gauss, kappa=True), "y": y}, "kappa"),
         ("intertwine", {"field": "r", "f": dict(gauss, Q=[[True, False], [False, True]]), "y": y}, "Q"),
@@ -344,6 +350,22 @@ def test_cli_compute_fourier(tmp_path):
     assert rep["values"][0]["cyclotomic"]["coeffs"] == ["1/1"]
 
 
+def test_cli_compute_fourier_bytes(tmp_path, capsys):
+    """The transform of the CI workflow's two-term Q_3 sb spec (coefficient
+    conductors 1 to 81) keeps its bytes; the workflow checks the same digest."""
+    spec = {"field": "qp", "p": 3, "n": 1, "f": {"type": "sb", "terms": [
+        {"coeff": "1", "center": ["1/3", "0"], "basis": [["3", "0"], ["0", "3"]]},
+        {"coeff": "1/2", "center": ["1/9", "2"], "basis": [["1", "0"], ["1", "9"]]},
+    ]}}
+    inp = tmp_path / "sb_q3.json"
+    inp.write_text(json.dumps(spec))
+    capsys.readouterr()
+    assert main(["compute", "fourier", "--input", str(inp)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) == 105315
+    assert hashlib.sha256(out).hexdigest() == "ae8e571a7d2e3327221c6415523dff65acc527851ceb243c62f9c952f2883f55"
+
+
 def test_cli_compute_intertwine(tmp_path):
     spec = {
         "field": "r",
@@ -359,6 +381,9 @@ def test_cli_compute_intertwine(tmp_path):
     import numpy as np
 
     assert abs(rep["value"][0] - np.exp(-np.pi)) < 1e-10
+    # regularity is judged relative to the scale of y: 1e-11 * e_1 is regular
+    inp.write_text(json.dumps(dict(spec, y=[[1e-11, 0.0]])))
+    assert main(["compute", "intertwine", "--input", str(inp), "--out", str(out)]) == 0
 
 
 def test_cli_compute_inner_product(tmp_path):
