@@ -22,7 +22,7 @@ import numpy as np
 
 from .fields import COMPLEX
 from .functions import _json_of, function_from_json, json_matrix
-from .geometry import as_matrix, is_regular_at_scale, space_X
+from .geometry import as_matrix, is_regular, space_X
 from .hilbert import inner_X
 from .suite import (
     CHECKS,
@@ -159,7 +159,7 @@ def _compute(operation: str, spec: dict) -> dict:
     if operation == "intertwine":
         f = function_from_json(spec["f"], X)
         y = _parse_matrix(spec["y"], fd, n, n + 1, "y")
-        if not is_regular_at_scale(y, fd):
+        if not is_regular(y, fd):
             raise ValueError(f"y must be regular (rank {n}), got a rank-deficient matrix")
         val, err = intertwine_I(f, y, with_error=True)
         return {"value": val, "error_estimate": _error_json(err, fd)}
@@ -171,7 +171,7 @@ def _compute(operation: str, spec: dict) -> dict:
     rows = []
     for i, a_obj in enumerate(_json_of(list, spec["a_grid"], "a_grid")):
         a = _parse_matrix(a_obj, fd, n, n, "a_grid")
-        if not is_regular_at_scale(a, fd):
+        if not is_regular(a, fd):
             raise ValueError(f"a_grid[{i}] must be invertible, got a singular matrix")
         val, err = pairing.with_error(a)
         rows.append({"a": a, "value": val, "error_estimate": _error_json(err, fd)})

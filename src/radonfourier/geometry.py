@@ -88,25 +88,14 @@ def entry_dim(fd: FieldDescriptor) -> int:
     return fd.d_F if fd.is_archimedean else 1
 
 
-def matrix_rank(x, fd: FieldDescriptor, tol: float = 1e-10) -> int:
-    if fd.is_archimedean:
-        s = np.linalg.svd(np.asarray(x), compute_uv=False)
-        return int(np.sum(s > tol))
-    return xl.rank(x)
-
-
 def is_regular(x, fd: FieldDescriptor, tol: float = 1e-10) -> bool:
-    """Full rank test: exact for p-adic, smallest singular value for R/C."""
+    """Full rank test: exact for p-adic; over R/C the smallest singular value
+    must exceed ``tol`` times the largest, so the scale of x does not matter."""
     x = as_matrix(x, fd)
-    return matrix_rank(x, fd, tol) == min(len(x), len(x[0]))
-
-
-def is_regular_at_scale(x, fd: FieldDescriptor, tol: float = 1e-10) -> bool:
-    """``is_regular`` with R/C singular values taken relative to the largest."""
     if fd.is_archimedean:
-        x = np.asarray(x)
-        x = x / (np.linalg.norm(x, 2) or 1.0)
-    return is_regular(x, fd, tol)
+        s = np.linalg.svd(x, compute_uv=False)
+        return bool(s[-1] > tol * s[0])
+    return xl.rank(x) == min(len(x), len(x[0]))
 
 
 # ---------------------------------------------------------------------
@@ -225,7 +214,7 @@ def unimodular_completion(y, n: int, fd: FieldDescriptor, rng=None, tol: float =
     """
     if fd.is_archimedean:
         y_ = np.asarray(y)
-        if not is_regular_at_scale(y_, fd, tol):
+        if not is_regular(y_, fd, tol):
             raise ValueError("point is not regular (rank deficient)")
         candidates = []
         if rng is None:
@@ -246,7 +235,7 @@ def unimodular_completion(y, n: int, fd: FieldDescriptor, rng=None, tol: float =
             if abs(d) > bestd:
                 best, bestd = w, abs(d)
         # |det [y; w]| scales as |y|^n for unit w
-        if best is None or bestd <= tol * np.linalg.norm(y_, 2) ** n:
+        if best is None or bestd <= tol * np.linalg.norm(y_) ** n:
             raise ValueError("could not complete to a unimodular matrix")
         d = np.linalg.det(np.vstack([y_, best[None, :]]))
         g = np.linalg.inv(np.vstack([y_, (best / d)[None, :]]))

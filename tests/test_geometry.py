@@ -55,6 +55,11 @@ def test_action_laws_and_rank(rng, fr):
         assert is_regular(x @ a, fr)
         y = rand_regular_point(rng, space_Xbar(n, fr))
         assert is_regular(np.linalg.inv(a) @ y, fr)
+    # over R and C regularity does not depend on scale
+    for c in (1e-11, 1.0, 1e11):
+        assert is_regular(c * np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), fr)
+        assert not is_regular(c * np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]), fr)
+    assert not is_regular(np.zeros((3, 2)), fr)
 
 
 def test_b_map(rng, fr):
