@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 from fractions import Fraction
@@ -71,6 +72,19 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
+def _check_out(out: str | None):
+    """Refuse an --out path that cannot be written, before anything runs."""
+    if out is None:
+        return
+    folder = os.path.dirname(os.path.abspath(out))
+    if os.path.isdir(out):
+        raise ValueError(f"--out {out} is a directory")
+    if not os.path.isdir(folder):
+        raise ValueError(f"--out {out}: no directory {folder}")
+    if not os.access(folder, os.W_OK) or (os.path.exists(out) and not os.access(out, os.W_OK)):
+        raise ValueError(f"--out {out} is not writable")
+
+
 def _emit(payload: str, out: str | None):
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -91,6 +105,7 @@ def cmd_verify(args) -> int:
     keys = {f.name for f in fields(SuiteConfig)}
     given = {k: v for k, v in vars(args).items() if k in keys and v not in (None, [])}
     try:
+        _check_out(args.out)
         if args.config:
             if given:
                 named = ["check names" if k == "checks" else "--" + k.replace("_", "-") for k in sorted(given)]
@@ -127,6 +142,7 @@ def cmd_verify(args) -> int:
 
 def cmd_compute(args) -> int:
     try:
+        _check_out(args.out)
         result = _compute(args.operation, _load_json(args.input))
     except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
         msg = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
@@ -161,8 +177,7 @@ def _compute(operation: str, spec: dict) -> dict:
         y = _parse_matrix(spec["y"], fd, n, n + 1, "y")
         if not is_regular(y, fd):
             raise ValueError(f"y must be regular (rank {n}), got a rank-deficient matrix")
-        val, err = intertwine_I(f, y, with_error=True)
-        return {"value": val, "error_estimate": _error_json(err, fd)}
+        return {"value": intertwine_I(f, y)}
 
     # inner-product: two function specs and an a-grid
     f = function_from_json(spec["f"], X)
@@ -173,14 +188,8 @@ def _compute(operation: str, spec: dict) -> dict:
         a = _parse_matrix(a_obj, fd, n, n, "a_grid")
         if not is_regular(a, fd):
             raise ValueError(f"a_grid[{i}] must be invertible, got a singular matrix")
-        val, err = pairing.with_error(a)
-        rows.append({"a": a, "value": val, "error_estimate": _error_json(err, fd)})
+        rows.append({"a": a, "value": pairing(a)})
     return {"rows": rows, "provenance": pairing.provenance}
-
-
-def _error_json(err, fd):
-    """A quadrature error estimate; exact paths have none and write "0"."""
-    return float(err) if fd.is_archimedean else "0"
 
 
 def cmd_explain(args) -> int:

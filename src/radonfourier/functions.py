@@ -587,16 +587,15 @@ def fiber_restrict(f, fiber):
 def integrate(f, with_error: bool = False, order: int = None):
     """Total integral over the function's space.
 
-    Gaussian and Schwartz-Bruhat inputs use their closed forms (error 0);
-    evaluables go through the envelope-driven quadrature engines, reporting a
+    Gaussian and Schwartz-Bruhat inputs return their closed form or exact
+    sum, which has no error to estimate.  Evaluables go through the
+    envelope-driven quadrature engines; ``with_error`` also returns a
     two-order difference as the error estimate.
     """
-    if isinstance(f, GaussianForm):
-        v = f.integral()
-        return (v, 0.0) if with_error else v
-    if isinstance(f, SBFunction):
-        v = f.integral()
-        return (v, Fraction(0)) if with_error else v
+    if isinstance(f, (GaussianForm, SBFunction)):
+        if with_error:
+            raise TypeError(f"{type(f).__name__} integrates in closed form: no error estimate")
+        return f.integral()
     if isinstance(f, Evaluable):
         v, e = _integrate_evaluable(f, order)
         return (v, e) if with_error else v
@@ -707,7 +706,15 @@ def _json_sb_terms(obj: dict, space: MatrixSpace):
         center = [json_number(x, "sb center", Fraction) for x in _json_of(list, term["center"], "sb center")]
         if len(center) != space.dim:
             raise ValueError(f"sb center must have {space.dim} entries, got {len(center)}")
-        yield coeff, Coset(Lattice(p, json_matrix(term["basis"], "sb basis", Fraction)), center)
+        basis = json_matrix(term["basis"], "sb basis", Fraction)
+        if len(basis) != space.dim or len({len(row) for row in basis}) != 1:
+            msg = f"sb basis must be a rectangular matrix with {space.dim} rows"
+            raise ValueError(f"{msg}, got {term['basis']!r}")
+        try:
+            lattice = Lattice(p, basis)
+        except ValueError as exc:
+            raise ValueError(f"sb basis must generate a full lattice: {exc}") from None
+        yield coeff, Coset(lattice, center)
 
 
 def _json_exact(v, p: int) -> ExactValue:

@@ -204,7 +204,7 @@ def base_point_y(n: int, fd: FieldDescriptor):
 # ---------------------------------------------------------------------
 
 
-def unimodular_completion(y, n: int, fd: FieldDescriptor, rng=None, tol: float = 1e-10):
+def unimodular_completion(y, n: int, fd: FieldDescriptor, rng=None):
     """A determinant-one g with bbar_map(g) = y, for regular y.
 
     Appends a row w to y with det([y; w]) = 1 and returns [y; w]^(-1).  The
@@ -214,7 +214,7 @@ def unimodular_completion(y, n: int, fd: FieldDescriptor, rng=None, tol: float =
     """
     if fd.is_archimedean:
         y_ = np.asarray(y)
-        if not is_regular(y_, fd, tol):
+        if not is_regular(y_, fd):
             raise ValueError("point is not regular (rank deficient)")
         candidates = []
         if rng is None:
@@ -235,7 +235,7 @@ def unimodular_completion(y, n: int, fd: FieldDescriptor, rng=None, tol: float =
             if abs(d) > bestd:
                 best, bestd = w, abs(d)
         # |det [y; w]| scales as |y|^n for unit w
-        if best is None or bestd <= tol * np.linalg.norm(y_) ** n:
+        if best is None or bestd <= 1e-10 * np.linalg.norm(y_) ** n:
             raise ValueError("could not complete to a unimodular matrix")
         d = np.linalg.det(np.vstack([y_, best[None, :]]))
         g = np.linalg.inv(np.vstack([y_, (best / d)[None, :]]))
@@ -292,9 +292,9 @@ class Fiber:
         return xl.mat_add(self.A, czr)
 
 
-def fiber_param(y, n: int, fd: FieldDescriptor, rng=None, tol: float = 1e-10) -> Fiber:
+def fiber_param(y, n: int, fd: FieldDescriptor, rng=None) -> Fiber:
     """Fiber of the intertwining kernel over a regular y."""
-    g = unimodular_completion(y, n, fd, rng=rng, tol=tol)
+    g = unimodular_completion(y, n, fd, rng=rng)
     c = as_matrix([row[n:] for row in g], fd)
     return Fiber(A=b_map(g, n, fd), c=c, n=n, fd=fd)
 
@@ -330,11 +330,11 @@ class KAKFactors:
         return xl.matmul(xl.matmul(self.k1, D), self.k2)
 
 
-def kak(a, fd: FieldDescriptor, tol: float = 1e-12) -> KAKFactors:
+def kak(a, fd: FieldDescriptor) -> KAKFactors:
     """Cartan decomposition of an invertible n x n matrix."""
     if fd.is_archimedean:
         u, s, vh = np.linalg.svd(as_matrix(a, fd))
-        if s[-1] <= tol:
+        if s[-1] <= 1e-12:
             raise ValueError("singular input")
         return KAKFactors(k1=u, diag=tuple(float(x) for x in s), k2=vh, fd=fd)
     a_ = xl.mat(a)

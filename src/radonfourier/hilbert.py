@@ -46,21 +46,14 @@ _TRUNC_R_ORDER, _TRUNC_THETA_ORDER = 40, 48
 class LFunction:
     """Evaluation object a -> value on GL(n), with provenance.
 
-    Values are complex (archimedean) or ExactValue (p-adic).  ``_eval``
-    returns (value, error estimate); the pairings below are closed forms
-    or exact sums, so the error is 0 (0.0, or an exact 0 over Q_p).
-    ``with_error`` returns both.
+    Values are complex (archimedean) or ExactValue (p-adic): the pairings
+    below are closed forms or exact sums.
     """
 
-    fd: FieldDescriptor
-    n: int
     _eval: object
     provenance: str = ""
 
     def __call__(self, a):
-        return self._eval(a)[0]
-
-    def with_error(self, a):
         return self._eval(a)
 
 
@@ -74,11 +67,9 @@ def inner_X(f, h) -> LFunction:
 
     def ev(a):
         ha = translate_group(h, a, side="right")
-        prod = pointwise_mul(f.conjugate(), ha)
-        val, err = integrate(prod, with_error=True)
-        return det_power(a, Fraction(n + 1, 2), fd) * val, err
+        return det_power(a, Fraction(n + 1, 2), fd) * integrate(pointwise_mul(f.conjugate(), ha))
 
-    return LFunction(fd, n, ev, provenance=f"inner_X({f.kind},{h.kind})")
+    return LFunction(ev, provenance=f"inner_X({f.kind},{h.kind})")
 
 
 def inner_Xbar(f, h) -> LFunction:
@@ -91,11 +82,9 @@ def inner_Xbar(f, h) -> LFunction:
 
     def ev(a):
         ha = translate_group(h, minv(a, fd), side="left")
-        prod = pointwise_mul(f.conjugate(), ha)
-        val, err = integrate(prod, with_error=True)
-        return det_power(a, Fraction(-(n + 1), 2), fd) * val, err
+        return det_power(a, Fraction(-(n + 1), 2), fd) * integrate(pointwise_mul(f.conjugate(), ha))
 
-    return LFunction(fd, n, ev, provenance=f"inner_Xbar({f.kind},{h.kind})")
+    return LFunction(ev, provenance=f"inner_Xbar({f.kind},{h.kind})")
 
 
 # ---------------------------------------------------------------------
@@ -119,14 +108,9 @@ def act_module_Xbar(f, a):
     return g.scale(det_power(a, Fraction(n + 1, 2), fd))
 
 
-def act_g(f, g, side: str):
-    """Group translation: (g.f)(x) = f(g^(-1) x) on X, (g.f)(y) = f(y g) opposite."""
-    fd = f.space.fd
-    if side == "x":
-        return translate_group(f, minv(g, fd), side="left")
-    if side == "xbar":
-        return translate_group(f, g, side="right")
-    raise ValueError("side must be 'x' or 'xbar'")
+def act_g(f, g):
+    """Group translation on X: (g.f)(x) = f(g^(-1) x)."""
+    return translate_group(f, minv(g, f.space.fd), side="left")
 
 
 # ---------------------------------------------------------------------

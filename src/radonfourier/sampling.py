@@ -72,11 +72,11 @@ def rand_sl(rng, size: int, fd: FieldDescriptor):
     )
 
 
-def rand_regular_point(rng, space: MatrixSpace, tol: float = 1e-6):
+def rand_regular_point(rng, space: MatrixSpace):
     """A random full-rank point of the given matrix space."""
     while True:
         m = rand_matrix(rng, space.rows, space.cols, space.fd)
-        if is_regular(m, space.fd, tol):
+        if is_regular(m, space.fd, 1e-6):
             return m
 
 
@@ -109,17 +109,17 @@ def rand_gl_zp(rng, n: int, p: int):
     return xl.mat(m)
 
 
-def rand_kak_sample(rng, n: int, fd: FieldDescriptor, spread: float = 4.0):
-    """A KAK triple (k1, diag, k2) with log-uniform diagonal sizes."""
+def rand_kak_sample(rng, n: int, fd: FieldDescriptor):
+    """A KAK triple (k1, diag, k2); diagonal sizes log-uniform in 2^[-4, 4] (p^[-4, 4])."""
     if fd.is_archimedean:
         k1 = rand_orthogonal(rng, n, fd)
         k2 = rand_orthogonal(rng, n, fd)
-        exps = np.sort(rng.uniform(-spread, spread, size=n))[::-1]
+        exps = np.sort(rng.uniform(-4.0, 4.0, size=n))[::-1]
         diag = tuple(float(2.0**e) for e in exps)
         return k1, diag, k2
     k1 = rand_gl_zp(rng, n, fd.p)
     k2 = rand_gl_zp(rng, n, fd.p)
-    exps = sorted(int(rng.integers(-int(spread), int(spread) + 1)) for _ in range(n))
+    exps = sorted(int(rng.integers(-4, 5)) for _ in range(n))
     diag = tuple(Fraction(fd.p) ** e for e in exps)
     return k1, diag, k2
 

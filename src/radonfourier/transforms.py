@@ -220,15 +220,14 @@ def slice_transform(f, y, a, fiber: Fiber = None):
     return intertwine_I(f, y, fiber=shifted)
 
 
-def intertwine_I(f, y, fiber: Fiber = None, with_error: bool = False):
+def intertwine_I(f, y, fiber: Fiber = None):
     """The standard intertwining integral I(f)(y) = T(f)(y, I_n)."""
     if fiber is None:
         fiber = fiber_param(y, f.space.cols, f.space.fd)
-    val, err = integrate(fiber_restrict(f, fiber), with_error=True)
-    return (val, err) if with_error else val
+    return integrate(fiber_restrict(f, fiber))
 
 
-def slice_family(f, y, fiber: Fiber = None):
+def slice_family(f, y):
     """T(f)(y, .) as a function on the n x n matrix space.
 
     The left translate of f by [A | c] is [a; w] -> f(A a + c w) on the
@@ -239,8 +238,7 @@ def slice_family(f, y, fiber: Fiber = None):
     """
     fd = f.space.fd
     n = f.space.cols
-    if fiber is None:
-        fiber = fiber_param(y, n, fd)
+    fiber = fiber_param(y, n, fd)
     g = translate_group(f, [[*ra, *rc] for ra, rc in zip(fiber.A, fiber.c)], side="left")
     Lsp = space_L(n, fd)
     keep = list(range(Lsp.dim))
@@ -276,7 +274,7 @@ def integrate_against_trace_character(g):
 # ---------------------------------------------------------------------
 
 
-def compose_shell_stabilized(f: SBFunction, y, k_max: int = 8, fiber: Fiber = None):
+def compose_shell_stabilized(f: SBFunction, y, k_max: int = 8):
     """p-adic composition I(C_gamma f)(y) over growing fiber balls.
 
     The fiber integral of z -> C_gamma f(A + c z) is accumulated over the
@@ -296,8 +294,7 @@ def compose_shell_stabilized(f: SBFunction, y, k_max: int = 8, fiber: Fiber = No
         raise ValueError("shell stabilization is a p-adic operation")
     p = fd.p
     n = space.cols
-    if fiber is None:
-        fiber = fiber_param(y, n, fd)
+    fiber = fiber_param(y, n, fd)
 
     # rigorous local-constancy modulus: perturbing z by p^s changes x b by
     # c dz b; bounding b through the left inverse y of x = A + c z keeps all
@@ -491,7 +488,7 @@ def intertwine_equivariance_check(f, g, a, y_samples, tol: float = 1e-6) -> dict
     space = f.space
     fd = space.fd
     n = space.cols
-    gf = act_g(f, g, side="x")
+    gf = act_g(f, g)
     fa = act_module_X(f, a)
     scale = det_power(a, Fraction(n + 1, 2), fd)
     rows = []

@@ -230,7 +230,7 @@ def test_criterion_5_equivariance_suite():
 
     for _ in range(5):
         g = rand_sl(rng, 2, FR)
-        moved = fourier(act_g(f, g, "x"))
+        moved = fourier(act_g(f, g))
         yv = rand_regular_point(rng, space_Xbar(1, FR))
         ok = ok and abs(moved.value(yv) - fhat.value(yv @ g)) < 1e-8
     # intertwining translation laws, real at 1e-6 and p-adic exact

@@ -271,6 +271,10 @@ def test_integrate_examples(fr, f3):
     Xp = space_X(1, f3)
     pball = SBFunction.indicator(Xp, Coset(Lattice.scaled_standard(3, 2, 1), (Fraction(0),) * 2))
     assert integrate(pball) == ExactValue.from_cyclo(3, Fraction(1, 9))
+    # closed forms and exact sums have no quadrature error to estimate
+    for g in (GaussianForm.standard(X), pball):
+        with pytest.raises(TypeError, match="closed form"):
+            integrate(g, with_error=True)
 
 
 def test_gaussian_closed_form_vs_quadrature(rng, fr):

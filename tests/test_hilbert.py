@@ -126,7 +126,7 @@ def test_g_invariance(rng, fr):
     base = inner_X(f, h)
     for _ in range(3):
         g = rand_sl(rng, 2, fr)
-        moved = inner_X(act_g(f, g, "x"), act_g(h, g, "x"))
+        moved = inner_X(act_g(f, g), act_g(h, g))
         for a in [np.array([[0.7]]), np.array([[1.9]])]:
             assert abs(base(a) - moved(a)) < 1e-9 * max(1.0, abs(base(a)))
 
@@ -134,11 +134,11 @@ def test_g_invariance(rng, fr):
 def test_act_g_laws(rng, fr):
     X = space_X(1, fr)
     f = GaussianForm.standard(X)
-    assert np.allclose(act_g(f, np.eye(2), "x").Q, f.Q)
+    assert np.allclose(act_g(f, np.eye(2)).Q, f.Q)
     g1 = rand_sl(rng, 2, fr)
     g2 = rand_sl(rng, 2, fr)
-    lhs = act_g(f, g1 @ g2, "x")
-    rhs = act_g(act_g(f, g2, "x"), g1, "x")
+    lhs = act_g(f, g1 @ g2)
+    rhs = act_g(act_g(f, g2), g1)
     assert np.allclose(lhs.Q, rhs.Q, atol=1e-10)
 
 

@@ -88,6 +88,41 @@ def test_negative_control_equivariance_sign():
     assert not rep["pass"]
 
 
+def test_composition_fails_without_a_stabilized_pair():
+    """k_max = 1 leaves no room for two empty shells: every pair falls back to
+    the slice identity, which passes, yet the record tests no composition."""
+    rep = run_suite(SuiteConfig(field="qp", p=3, checks=["composition"], k_max=1))
+    rec = rep["checks"][0]
+    assert not rep["pass"] and not rec["pass"]
+    assert rec["stabilized_matches"] == 0 and len(rec["samples"]) == 12
+    for row in rec["samples"]:
+        assert row["stabilized"] is False and row["fallback_slice_pass"] is True
+        cert = row["certificate"]
+        assert not cert["stabilized"] and cert["stabilization_radius"] is None
+        assert [shell["k"] for shell in cert["shells"]] == [0, 1]
+
+
+def test_raising_check_is_a_failed_record(monkeypatch, capsys):
+    """A check that raises becomes a failing record naming the exception; the
+    other checks still run, and verify exits 1."""
+    import radonfourier.suite as suite
+
+    def boom(cfg):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(suite.CHECKS, "rho-chain", boom)
+    rep = run_suite(small_cfg(checks=("gamma-kernel", "rho-chain", "unitarity")))
+    by_name = {c["check"]: c for c in rep["checks"]}
+    assert by_name["rho-chain"]["pass"] is False
+    assert by_name["rho-chain"]["error"] == "RuntimeError: boom"
+    assert by_name["gamma-kernel"]["pass"] and by_name["unitarity"]["pass"]
+    assert not rep["pass"]
+    capsys.readouterr()
+    assert main(["verify", "rho-chain", "gamma-kernel", "--field", "qp", "--p", "3", "--samples", "10"]) == 1
+    err = capsys.readouterr().err
+    assert "[FAIL] rho-chain" in err and "[PASS] gamma-kernel" in err
+
+
 def test_explain():
     for name in CHECKS:
         text = explain_check(name)
@@ -119,6 +154,32 @@ def test_cli_verify_named_check(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out.read_text())
     assert rep["pass"]
+
+
+def test_cli_unwritable_out(tmp_path, capsys, monkeypatch):
+    """An --out in a missing directory, or one that is a directory, is a
+    configuration error that names the path, before anything runs."""
+    import radonfourier.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran despite an unwritable --out")
+
+    monkeypatch.setattr(cli, "run_suite", never)
+    monkeypatch.setattr(cli, "_compute", never)
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps({"field": "r", "f": {"type": "gaussian"}, "y": [[1.0, 0.0]]}))
+    missing = str(tmp_path / "nowhere" / "x.json")
+    for out, named in ((missing, f"--out {missing}: no directory"), (str(tmp_path), "is a directory")):
+        for argv in (
+            ["verify", "--field", "c", "rho-chain", "--out", out],
+            ["compute", "intertwine", "--input", str(inp), "--out", out],
+        ):
+            capsys.readouterr()
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+            assert named in captured.err, captured.err
 
 
 def test_cli_verify_fail_exit_code(tmp_path):
@@ -237,9 +298,10 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 def test_cli_compute_malformed_numbers(tmp_path, capsys):
     """Short [re, im] pairs, non-finite numbers, zero denominators, JSON
     booleans, pairs on a field without them, vectors of the wrong length, an
-    sb terms, product of, points or a_grid value that is not a list, a
-    singular a_grid entry, a rank-deficient y and an sb spec off Q_p exit 2
-    with one line naming the field, at the JSON boundary."""
+    sb terms, product of, points or a_grid value that is not a list, an sb
+    basis of the wrong shape or rank, a singular a_grid entry, a
+    rank-deficient y and an sb spec off Q_p exit 2 with one line naming the
+    field, at the JSON boundary."""
     gauss = {"type": "gaussian", "Q": [[1.0, 0.0], [0.0, 1.0]]}
     gauss_c = {"type": "gaussian", "Q": np.eye(4).tolist()}
     y = [[1.0, 0.0]]
@@ -285,6 +347,11 @@ def test_cli_compute_malformed_numbers(tmp_path, capsys):
         ("fourier", qp_term(basis=[["1/0", "0"], ["0", "1"]]), "basis"),
         ("fourier", qp_term(coeff=1e400), "coeff"),
         ("fourier", {"field": "qp", "p": 3, "f": {"type": "sb", "terms": "x"}}, "terms"),
+        # an sb basis of the wrong shape or rank is named
+        ("fourier", qp_term(basis=[["1", "0"], ["0", "0"]]), "sb basis must generate a full lattice"),
+        ("fourier", qp_term(basis=[["1"], ["0"]]), "sb basis must generate a full lattice"),
+        ("fourier", qp_term(basis=[["1", "0"]]), "sb basis must be a rectangular matrix with 2 rows"),
+        ("fourier", qp_term(basis=[["1", "0"], ["0"]]), "sb basis must be a rectangular matrix"),
         ("fourier", qp_term(coeff={"conductor": 1e400, "coeffs": ["1"]}), "conductor"),
         ("fourier", qp_term(coeff={"conductor": 1, "coeffs": []}), "conductor"),
         # a product's of, points and a_grid must be lists
@@ -364,6 +431,40 @@ def test_cli_compute_fourier_bytes(tmp_path, capsys):
     out = capsys.readouterr().out.encode()
     assert len(out) == 105315
     assert hashlib.sha256(out).hexdigest() == "ae8e571a7d2e3327221c6415523dff65acc527851ceb243c62f9c952f2883f55"
+
+
+# the CI workflow's ops_q3 and ops_r specs
+OPS_Q3 = {"field": "qp", "p": 3, "n": 1,
+          "f": {"type": "sb", "terms": [{"coeff": "1", "center": ["1/3", "0"], "basis": [["3", "0"], ["0", "3"]]}]},
+          "h": {"type": "sb", "terms": [{"coeff": "1/2", "center": ["0", "0"], "basis": [["1", "0"], ["0", "1"]]}]},
+          "y": [["1", "1/3"]], "a_grid": [[["1"]], [["3"]], [["1/9"]]]}
+OPS_R = {"field": "r", "n": 1, "f": {"type": "gaussian", "Q": [[1.5, 0.2], [0.2, 1.0]], "kappa": [1.0, 0.5]},
+         "h": {"type": "gaussian"}, "y": [[1.0, 0.5]], "a_grid": [[[1.0]], [[-0.5]], [[2.0]]]}
+
+
+def test_cli_compute_intertwine_inner_product_bytes(tmp_path, capsys):
+    """compute intertwine and inner-product write bare closed-form or exact
+    values: the Q_3 outputs keep their bytes (the workflow checks the same
+    digests), and the R outputs their key sets."""
+    for spec, op, want in (
+        (OPS_Q3, "intertwine", (128, "e2ff8014fe7e2b1067f3a3d1c547e226f0ed293cf4d55f550d107b517452d795")),
+        (OPS_Q3, "inner-product", (747, "9ff3416ae9e325505d02b0f545a020322f60e2752e6d281829cac97a5a50ec74")),
+        (OPS_R, "intertwine", None),
+        (OPS_R, "inner-product", None),
+    ):
+        inp = tmp_path / "ops.json"
+        inp.write_text(json.dumps(spec))
+        capsys.readouterr()
+        assert main(["compute", op, "--input", str(inp)]) == 0
+        out = capsys.readouterr().out
+        if want is not None:
+            assert (len(out.encode()), hashlib.sha256(out.encode()).hexdigest()) == want, op
+        rep = json.loads(out)
+        if op == "intertwine":
+            assert sorted(rep) == ["value"]
+        else:
+            assert sorted(rep) == ["provenance", "rows"] and len(rep["rows"]) == 3
+            assert all(sorted(row) == ["a", "value"] for row in rep["rows"])
 
 
 def test_cli_compute_intertwine(tmp_path):

@@ -258,7 +258,7 @@ def test_fourier_g_equivariance(rng, fr, f3):
     fhat = fourier(f)
     for _ in range(5):
         g = rand_sl(rng, 2, fr)
-        moved = fourier(act_g(f, g, "x"))
+        moved = fourier(act_g(f, g))
         for _ in range(3):
             y = rand_regular_point(rng, space_Xbar(1, fr))
             assert abs(moved.value(y) - fhat.value(y @ g)) < 1e-8
@@ -266,7 +266,7 @@ def test_fourier_g_equivariance(rng, fr, f3):
     fp = rand_sb_function(rng, Xp)
     fphat = fourier(fp)
     g = rand_sl(rng, 2, f3)
-    movedp = fourier(act_g(fp, g, "x"))
+    movedp = fourier(act_g(fp, g))
     for _ in range(3):
         y = rand_regular_point(rng, space_Xbar(1, f3))
         assert movedp.value(y) == fphat.value(xl.matmul(y, g))
