@@ -25,7 +25,6 @@ from .functions import (  # noqa: F401
     GaussianForm,
     SBFunction,
     cutoff_chi,
-    evaluate,
     fiber_restrict,
     function_from_json,
     integrate,
@@ -68,6 +67,5 @@ from .transforms import (  # noqa: F401
     intertwine_I,
     intertwine_equivariance_check,
     kernel_identity_check,
-    slice_transform,
     unitarity_verify,
 )

@@ -69,13 +69,6 @@ class FieldDescriptor:
         return self.kind != PADIC
 
     @property
-    def q(self) -> int:
-        """Residue field cardinality (base field case: q = p)."""
-        if self.kind != PADIC:
-            raise ValueError("residue cardinality only defined for p-adic fields")
-        return self.p
-
-    @property
     def d_F(self) -> int:
         """Real dimension: 1 for R, 2 for C, undefined for Q_p."""
         if self.kind == REAL:

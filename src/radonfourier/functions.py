@@ -17,10 +17,10 @@ A third, ``Evaluable``, is an integrand for ``integrate``: a vectorized
 function with declared decay (a Gaussian envelope and/or a support radius)
 that picks the quadrature rule.
 
-Free functions at the bottom (`evaluate`, `translate_group`, `pointwise_mul`,
+Free functions at the bottom (`translate_group`, `pointwise_mul`,
 `fiber_restrict`, `integrate`, ...) dispatch on the class and are the
 package-level vocabulary; the operators among them refuse an ``Evaluable``
-with a TypeError.
+with a TypeError.  Every class evaluates a point with ``f.value(x)``.
 """
 
 from __future__ import annotations
@@ -306,9 +306,6 @@ class SBFunction:
     def p(self) -> int:
         return self.space.fd.p
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     # -- evaluation -------------------------------------------------------
 
     def value_coords(self, v) -> ExactValue:
@@ -531,15 +528,6 @@ def cutoff_ramps(m: int, smin, norm):
 # ---------------------------------------------------------------------
 
 
-def evaluate(f, x):
-    """Pointwise value; complex for archimedean classes, exact for SB."""
-    space = f.space
-    shape = np.shape(x)
-    if shape != space.shape:
-        raise ValueError(f"point of shape {shape} does not live on {space.shape}")
-    return f.value(x)
-
-
 def translate_group(f, m, side: str = "right"):
     """Right translate f^m : x -> f(x m), or left translate x -> f(m x).
 
@@ -584,20 +572,20 @@ def fiber_restrict(f, fiber):
     return f.pullback_affine(M, MatrixSpace(fd, 1, fiber.n), f.space.coords(fiber.A))
 
 
-def integrate(f, with_error: bool = False, order: int = None):
+def integrate(f, with_error: bool = False):
     """Total integral over the function's space.
 
     Gaussian and Schwartz-Bruhat inputs return their closed form or exact
     sum, which has no error to estimate.  Evaluables go through the
-    envelope-driven quadrature engines; ``with_error`` also returns a
-    two-order difference as the error estimate.
+    envelope-driven quadrature engines at ``_DEFAULT_ORDERS``; ``with_error``
+    also returns a two-order difference as the error estimate.
     """
     if isinstance(f, (GaussianForm, SBFunction)):
         if with_error:
             raise TypeError(f"{type(f).__name__} integrates in closed form: no error estimate")
         return f.integral()
     if isinstance(f, Evaluable):
-        v, e = _integrate_evaluable(f, order)
+        v, e = _integrate_evaluable(f)
         return (v, e) if with_error else v
     raise TypeError(f"cannot integrate {type(f).__name__}")
 
@@ -605,15 +593,14 @@ def integrate(f, with_error: bool = False, order: int = None):
 _DEFAULT_ORDERS = {1: 80, 2: 60, 3: 28, 4: 20, 5: 14, 6: 12}
 
 
-def _integrate_evaluable(f: Evaluable, order=None):
+def _integrate_evaluable(f: Evaluable):
     env = f.env
     d = f.space.dim
     if not env.integrable():
         raise ValueError(
             f"evaluable {f.label!r} has no declared decay; refusing to integrate"
         )
-    if order is None:
-        order = _DEFAULT_ORDERS.get(d, 10)
+    order = _DEFAULT_ORDERS.get(d, 10)
     bump = 6 if d <= 4 else 2
     if env.Q is not None:
         v1 = quad.integrate_gauss_hermite(f.fn, env.Q, env.center, order=order)
@@ -644,7 +631,10 @@ def function_from_json(obj: dict, space: MatrixSpace):
         if ell and len(ell) != space.dim:
             raise ValueError(f"ell must have {space.dim} entries, got {len(ell)}")
         Q = obj.get("Q")
-        return GaussianForm(space, Q if Q is None else json_matrix(Q, "Q"), kappa, ell or None)
+        Q = Q if Q is None else json_matrix(Q, "Q")
+        if Q is not None and np.shape(Q) != (space.dim, space.dim):
+            raise ValueError(f"Q must be a {space.dim}x{space.dim} matrix, got {obj['Q']!r}")
+        return GaussianForm(space, Q, kappa, ell or None)
     if t == "sb":
         # a generator: SBFunction refuses an archimedean space before any term is read
         return SBFunction(space, _json_sb_terms(obj, space))
@@ -684,9 +674,10 @@ def _json_scalar(v):
 
 
 def json_matrix(obj, name: str, kind=float) -> list:
-    """A list of rows of numbers, each read by ``json_number`` as a ``name`` entry."""
-    if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
-        raise ValueError(f"{name} must be a list of rows, got {obj!r}")
+    """Equal-length rows of numbers, each read by ``json_number`` as a ``name`` entry."""
+    if not (isinstance(obj, list) and all(isinstance(row, list) for row in obj)
+            and len({len(row) for row in obj}) <= 1):
+        raise ValueError(f"{name} must be a rectangular matrix (a list of equal-length rows), got {obj!r}")
     return [[json_number(x, f"{name} entry", kind) for x in row] for row in obj]
 
 
@@ -707,9 +698,8 @@ def _json_sb_terms(obj: dict, space: MatrixSpace):
         if len(center) != space.dim:
             raise ValueError(f"sb center must have {space.dim} entries, got {len(center)}")
         basis = json_matrix(term["basis"], "sb basis", Fraction)
-        if len(basis) != space.dim or len({len(row) for row in basis}) != 1:
-            msg = f"sb basis must be a rectangular matrix with {space.dim} rows"
-            raise ValueError(f"{msg}, got {term['basis']!r}")
+        if len(basis) != space.dim:
+            raise ValueError(f"sb basis must be a rectangular matrix with {space.dim} rows, got {term['basis']!r}")
         try:
             lattice = Lattice(p, basis)
         except ValueError as exc:

@@ -46,6 +46,7 @@ from radonfourier.sampling import (
     rand_sl,
 )
 from radonfourier.suite import SuiteConfig, run_suite
+from slice_quadrature import quadrature_slice_verify
 
 FR = real_field()
 FC = complex_field()
@@ -79,15 +80,18 @@ def test_criterion_1_kernel_identity():
 
 def test_criterion_2_fourier_slice():
     t0 = time.time()
-    # real, n = 1: twenty regular points, adaptive-quadrature right side
+    # real, n = 1: twenty regular points; the closed-form right side, and an
+    # independent one by pointwise quadrature (tests/slice_quadrature.py)
     rng = np.random.default_rng(102)
     X1 = space_X(1, FR)
     f1 = GaussianForm.standard(X1)
     ys = [np.array([[1.0, 0.0]])] + [
         rand_regular_point(rng, space_Xbar(1, FR)) for _ in range(19)
     ]
-    rep1 = fourier_slice_verify(f1, ys, tol=1e-6, rhs_method="quadrature")
-    oracle = abs(complex(*rep1["samples"][0]["lhs"]) - np.exp(-np.pi)) < 1e-12
+    rep1 = fourier_slice_verify(f1, ys, tol=1e-6)
+    ok1, rows1 = quadrature_slice_verify(f1, ys, tol=1e-6)
+    ok1 = ok1 and all(abs(complex(*s["rhs"]) - r["rhs"]) <= 1e-6 for s, r in zip(rep1["samples"], rows1))
+    oracle = abs(rows1[0]["lhs"] - np.exp(-np.pi)) < 1e-12
     # real, n = 2: five points, closed-form routes on both sides
     X2 = space_X(2, FR)
     f2 = GaussianForm.standard(X2)
@@ -113,6 +117,7 @@ def test_criterion_2_fourier_slice():
     elapsed = time.time() - t0
     ok = (
         rep1["pass"]
+        and ok1
         and oracle
         and rep2["pass"]
         and all(r["pass"] for r in reps_p)
@@ -120,7 +125,7 @@ def test_criterion_2_fourier_slice():
     )
     assert _record(
         2, "Fourier-slice identity", ok,
-        f"n=1 max err {max(s['abs_err'] for s in rep1['samples']):.2e}, "
+        f"n=1 max err {max(r['abs_err'] for r in rows1):.2e}, "
         f"n=2 max err {max(s['abs_err'] for s in rep2['samples']):.2e}, "
         f"p-adic exact, {elapsed:.1f}s",
     )

@@ -7,7 +7,6 @@ from radonfourier import (
     FieldDescriptor,
     abs_norm,
     add_char,
-    padic_field,
     padic_frac_part,
     padic_valuation,
 )
@@ -21,7 +20,6 @@ def test_descriptor_validation():
         FieldDescriptor("real", 3)
     with pytest.raises(ValueError):
         FieldDescriptor("quaternion")
-    assert padic_field(3).q == 3
     assert FieldDescriptor("complex").d_F == 2
 
 

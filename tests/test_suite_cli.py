@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from radonfourier import complex_field, fourier, function_from_json, real_field, space_X
 from radonfourier.cli import main
 from radonfourier.suite import (
     CHECKS,
@@ -298,10 +299,10 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 def test_cli_compute_malformed_numbers(tmp_path, capsys):
     """Short [re, im] pairs, non-finite numbers, zero denominators, JSON
     booleans, pairs on a field without them, vectors of the wrong length, an
-    sb terms, product of, points or a_grid value that is not a list, an sb
-    basis of the wrong shape or rank, a singular a_grid entry, a
-    rank-deficient y and an sb spec off Q_p exit 2 with one line naming the
-    field, at the JSON boundary."""
+    sb terms, product of, points or a_grid value that is not a list, a ragged
+    Q or y, a Q of the wrong size, an sb basis of the wrong shape or rank, a
+    singular a_grid entry, a rank-deficient y and an sb spec off Q_p exit 2
+    with one line naming the field, at the JSON boundary."""
     gauss = {"type": "gaussian", "Q": [[1.0, 0.0], [0.0, 1.0]]}
     gauss_c = {"type": "gaussian", "Q": np.eye(4).tolist()}
     y = [[1.0, 0.0]]
@@ -341,6 +342,10 @@ def test_cli_compute_malformed_numbers(tmp_path, capsys):
         ("intertwine", {"field": "r", "f": gauss, "y": [[[1.0, 0.5], 0.0]]}, "y entry"),
         ("inner-product", {"field": "r", "f": gauss, "h": gauss, "a_grid": [[[1e400]]]}, "a_grid entry"),
         ("intertwine", {"field": "c", "f": gauss_c, "y": [[float("nan"), 0.0]]}, "y entry"),
+        # a ragged or wrong-sized matrix is named, with the shape Q needs
+        ("intertwine", {"field": "r", "f": dict(gauss, Q=[[1.0, 0.0], [0.0]]), "y": y}, "Q must be a rectangular"),
+        ("intertwine", {"field": "r", "f": gauss, "y": [[1.0, 0.0], [1.0]]}, "y must be a rectangular"),
+        ("intertwine", {"field": "r", "f": dict(gauss, Q=[[1.0]]), "y": y}, "Q must be a 2x2 matrix"),
         # sb numbers and the terms list
         ("fourier", qp_term(coeff="1/0"), "coeff"),
         ("fourier", qp_term(center=["1/0", "0"]), "center"),
@@ -415,6 +420,31 @@ def test_cli_compute_fourier(tmp_path):
     assert main(["compute", "fourier", "--input", str(inp), "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert rep["values"][0]["cyclotomic"]["coeffs"] == ["1/1"]
+
+
+@pytest.mark.parametrize("field", ["r", "c"])
+def test_cli_compute_fourier_gaussian(tmp_path, field):
+    """A Gaussian transform is written as a spec that reads back to itself,
+    and over C the standard Gaussian's transform is exp(-pi |y|^2)."""
+    if field == "r":
+        spec = {**OPS_R, "points": [[[1.0, 0.5]], [[-0.3, 2.0]]]}
+    else:
+        spec = {"field": "c", "n": 1, "f": {"type": "gaussian"}, "points": [[[[1.0, 0.5], [0.0, 0.0]]]]}
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(spec))
+    out = tmp_path / "out.json"
+    assert main(["compute", "fourier", "--input", str(inp), "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    fd = real_field() if field == "r" else complex_field()
+    X = space_X(1, fd)
+    want = fourier(function_from_json(spec["f"], X))
+    got = function_from_json(rep["transform"], X.transpose_space())
+    assert np.array_equal(got.Q, want.Q) and got.kappa == want.kappa and np.array_equal(got.ell, want.ell)
+    for pt, val in zip(spec["points"], rep["values"]):
+        y = np.array([[complex(*z) if field == "c" else z for z in row] for row in pt])
+        assert complex(*val) == want.value(y) == got.value(y)
+    if field == "c":
+        assert abs(complex(*rep["values"][0]) - np.exp(-np.pi * 1.25)) < 1e-12
 
 
 def test_cli_compute_fourier_bytes(tmp_path, capsys):
@@ -525,7 +555,7 @@ from radonfourier import GaussianForm, fourier_slice_verify, real_field, space_X
 from radonfourier.cli import main
 
 f = GaussianForm.standard(space_X(1, real_field()))
-rep = fourier_slice_verify(f, [np.array([[1.0, 0.0]])], rhs_method="quadrature")
+rep = fourier_slice_verify(f, [np.array([[1.0, 0.0]])])
 assert rep["pass"], rep
 sys.exit(main(["verify", "slice", "--field", "r"]))
 """
