@@ -43,7 +43,6 @@ from .geometry import (  # noqa: F401
     rho_weight_exponents,
     space_L,
     space_X,
-    space_Xbar,
     unimodular_completion,
 )
 from .hilbert import (  # noqa: F401

@@ -112,6 +112,8 @@ def cmd_verify(args) -> int:
                 raise ValueError(f"--config cannot be combined with {', '.join(named)}")
             cfg_obj = _load_json(args.config)
             specs = cfg_obj if isinstance(cfg_obj, list) else [cfg_obj]
+            if not specs:
+                raise ValueError("--config holds an empty list; give at least one suite config")
             configs = [SuiteConfig.from_json(c) for c in specs]
         else:
             # without --field and --p: the default battery, real n=1 plus

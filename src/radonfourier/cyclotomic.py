@@ -60,10 +60,6 @@ class CyclotomicValue:
         return cls(None, 0, [(0, Fraction(r))])
 
     @classmethod
-    def zero(cls) -> "CyclotomicValue":
-        return cls.from_rational(0)
-
-    @classmethod
     def one(cls) -> "CyclotomicValue":
         return cls.from_rational(1)
 
@@ -80,9 +76,6 @@ class CyclotomicValue:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_one(self) -> bool:
-        return self.terms == ((0, 1),)
 
     def is_rational(self) -> bool:
         return self.M == 0

@@ -135,25 +135,9 @@ class MatrixSpace:
             return np.asarray(m, dtype=float).reshape(-1).copy()
         return tuple(Fraction(x) for row in xl.mat(m) for x in row)
 
-    def from_coords(self, v):
-        if self.fd.kind == "complex":
-            v = np.asarray(v, dtype=float)
-            flat = v[0::2] + 1j * v[1::2]
-            return flat.reshape(self.rows, self.cols)
-        if self.fd.is_archimedean:
-            return np.asarray(v, dtype=float).reshape(self.rows, self.cols)
-        it = iter(v)
-        return tuple(
-            tuple(Fraction(next(it)) for _ in range(self.cols)) for _ in range(self.rows)
-        )
-
 
 def space_X(n: int, fd: FieldDescriptor) -> MatrixSpace:
     return MatrixSpace(fd, n + 1, n)
-
-
-def space_Xbar(n: int, fd: FieldDescriptor) -> MatrixSpace:
-    return MatrixSpace(fd, n, n + 1)
 
 
 def space_L(n: int, fd: FieldDescriptor) -> MatrixSpace:

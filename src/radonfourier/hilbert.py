@@ -33,8 +33,7 @@ from .functions import (
     require_test_function,
     translate_group,
 )
-from .geometry import KAKFactors, MatrixSpace, det_power, entry_dim, minv
-from .lattices import Lattice
+from .geometry import KAKFactors, det_power, entry_dim, minv
 
 # relative roundoff slack of the archimedean decay-bound comparison
 _DECAY_SLACK = 1e-9
@@ -121,27 +120,19 @@ def act_g(f, g):
 def column_product_constant(f):
     """The explicit constant C = prod_i ||f_i||_inf ||f_i||_1 over columns.
 
-    Requires the column-product structure |f(x)| <= prod_i f_i(x_i): for a
-    Gaussian this means a quadratic form that is block diagonal across the
-    columns of X and no phase; for a Schwartz-Bruhat function, a single
-    origin coset whose lattice splits as a direct sum across columns.
+    Requires f(x) = prod_j f_0(x_j) over the columns x_j of x, with one f_0
+    for every column, so that the compact group acting on the right fixes f,
+    as the bound at k1 a k2 needs; then C = ||f||_inf ||f||_1.  For a
+    Gaussian kappa exp(-pi x'Q x) this means no phase and Q one block
+    repeated down the columns, and C = |kappa|^2 det(Q)^(-1/2).  For a
+    Schwartz-Bruhat function it means a single origin coset c 1_L whose
+    lattice basis is one block repeated down the columns, and C = c^2 vol(L).
     """
-    space = f.space
-    cols = space.cols
     if isinstance(f, GaussianForm):
         if np.any(f.ell):
             raise ValueError("phase factors break the column product envelope")
-        C = 1.0
-        kcol = abs(f.kappa) ** (1.0 / cols)
-        for j in range(cols):
-            idx = _column_coord_indices(space, j)
-            others = [i for i in range(space.dim) if i not in idx]
-            if np.any(f.Q[np.ix_(idx, others)]):
-                raise ValueError("quadratic form does not split across columns")
-            Qj = f.Q[np.ix_(idx, idx)]
-            C *= kcol * kcol * float(np.linalg.det(Qj)) ** (-0.5)
-        return C
-    if isinstance(f, SBFunction):
+        form, C = f.Q, abs(f.kappa) ** 2 * float(np.linalg.det(f.Q)) ** -0.5
+    elif isinstance(f, SBFunction):
         if len(f.terms) != 1:
             raise ValueError("need a single-coset function for the product envelope")
         coeff, coset = f.terms[0]
@@ -149,34 +140,24 @@ def column_product_constant(f):
             raise ValueError("need an origin coset for the product envelope")
         if not coeff.cyc.is_rational() or coeff.qexp != 0:
             raise ValueError("need a rational coefficient")
-        kval = abs(coeff.cyc.rational_value())
-        C = Fraction(1)
-        for j in range(cols):
-            idx = _column_coord_indices(space, j)
-            others = [i for i in range(space.dim) if i not in idx]
-            for r in idx:
-                for c in others:
-                    if coset.lattice.basis[r][c] != 0 or coset.lattice.basis[c][r] != 0:
-                        raise ValueError("lattice does not split across columns")
-            sub = Lattice_from_block(coset.lattice, idx)
-            C *= sub.volume()
-        return C * kval * kval
-    raise ValueError("no product envelope for this function class")
-
-
-def _column_coord_indices(space: MatrixSpace, j: int):
-    """Flat coordinate indices of the j-th matrix column."""
+        form, C = coset.lattice.basis, coeff.cyc.rational_value() ** 2 * coset.lattice.volume()
+    else:
+        raise ValueError("no product envelope for this function class")
+    space = f.space
     per = entry_dim(space.fd)
-    idx = []
-    for r in range(space.rows):
-        base = (r * space.cols + j) * per
-        idx.extend(range(base, base + per))
-    return idx
-
-
-def Lattice_from_block(lat, idx):
-    rows = tuple(tuple(lat.basis[r][c] for c in idx) for r in idx)
-    return Lattice(lat.p, rows)
+    # coordinate i belongs to matrix column column[i]; i - column[i] * per is
+    # the same coordinate of column 0
+    column = [i // per % space.cols for i in range(space.dim)]
+    if not all(
+        form[i][k] == (form[i - column[i] * per][k - column[k] * per] if column[i] == column[k] else 0)
+        for i in range(space.dim)
+        for k in range(space.dim)
+    ):
+        raise ValueError(
+            "the estimate needs one block repeated down the columns of X and nothing "
+            "across them, so that the compact group acting on the right fixes f"
+        )
+    return C
 
 
 def exact_le(v1, v2) -> bool:

@@ -45,11 +45,6 @@ class Lattice:
         self._hash = hash((p, basis))
 
     @classmethod
-    def standard(cls, p: int, d: int) -> "Lattice":
-        """Z_p^d."""
-        return cls(p, xl.identity(d), _canonical=True)
-
-    @classmethod
     def scaled_standard(cls, p: int, d: int, k: int) -> "Lattice":
         """p^k Z_p^d."""
         s = Fraction(p) ** k

@@ -41,6 +41,7 @@ from .transforms import (
     intertwine_I,
     intertwine_equivariance_check,
     kernel_identity_check,
+    sides_agree,
     unitarity_verify,
 )
 
@@ -373,12 +374,11 @@ def _check_fiber(cfg: SuiteConfig) -> dict:
         if factor != 1:  # the measure knob scales both sides alike
             c = as_scalar(factor, fd)
             base, vals = base * c, [val * c for val in vals]
+        verdicts = [sides_agree(fd, val, base, 1e-10) for val in vals]
+        good = all(agree for agree, _ in verdicts)
         if fd.is_archimedean:
-            worst = max(abs(val - base) for val in vals)
-            good = worst <= 1e-10
-            rows.append({"max_dev": worst})
+            rows.append({"max_dev": max(err for _, err in verdicts)})
         else:
-            good = all(val == base for val in vals)
             rows.append({"exact_equal": good})
         ok = ok and good
     return check_record("fiber", fd, cfg.n, ok, rows)
@@ -432,7 +432,10 @@ EXPLANATIONS = {
         "Decay estimate |<f,f>_X(k1 a k2)| <= C prod_i min(|a_i|,|a_i|^-1)"
         "^((n+1)/2) with the explicit constant C = prod ||f_i||_inf ||f_i||_1 "
         "from the per-column envelope (C = 1 for the standard Gaussian and "
-        "the standard p-adic ball, where the bound is attained exactly)."
+        "the standard p-adic ball, where the bound is attained exactly).  "
+        "f must be one block repeated down the columns of X (a Gaussian's "
+        "form, a lattice's basis), so that the compact group acting on the "
+        "right fixes f."
     ),
     "rho-chain": (
         "Spherical weight chain: prod |a_i|^(i-(n+1)/2) >= "

@@ -30,6 +30,11 @@ is certified by exact vanishing of character sums on successive shells.
 The negative-control knobs (an exponent shift, a measure factor, a sign
 flip) live in the verification functions, which apply each one where they
 put the two sides together; the operators take none.
+
+One rule, ``sides_agree``, decides every two-sided identity: |lhs - rhs| at
+most tol over R and C, with the residual reported, and exact equality over
+Q_p.  Only the kernel identity keeps its own archimedean rule, relative
+magnitudes and phase angles.
 """
 
 from __future__ import annotations
@@ -191,7 +196,7 @@ def kernel_identity_check(
         for a in samples:
             lhs = det_power(a, Fraction(1 - n, 2) - exponent_shift, fd) * gamma_n(xl.inv(a), fd)
             rhs = ExactValue.from_cyclo(fd.p, add_char(xl.trace(a), fd))
-            good = lhs == rhs
+            good, _ = sides_agree(fd, lhs, rhs, tol)
             ok = ok and good
             if good and len(rows) >= _KERNEL_ROWS:
                 continue
@@ -383,20 +388,8 @@ def fourier_slice_verify(f, y_samples, tol: float = 1e-6, measure_factor=1) -> d
         rhs = integrate_against_trace_character(slice_family(f, y))
         if measure_factor != 1:
             rhs = rhs * as_scalar(measure_factor, fd)
-        if fd.is_archimedean:
-            good = abs(lhs - rhs) <= tol
-            rows.append(
-                {
-                    "input": np.asarray(y).tolist(),
-                    "lhs": [lhs.real, lhs.imag],
-                    "rhs": [complex(rhs).real, complex(rhs).imag],
-                    "abs_err": float(abs(lhs - rhs)),
-                    "rhs_quadrature_error": 0.0,
-                }
-            )
-        else:
-            good = lhs == rhs
-            rows.append(_exact_row(y, lhs, rhs, good))
+        good, err = sides_agree(fd, lhs, rhs, tol)
+        rows.append(_sides_row(fd, y, lhs, rhs, good, err, rhs_quadrature_error=0.0))
         ok = ok and good
     return check_record("slice", fd, n, ok, rows)
 
@@ -423,24 +416,10 @@ def fourier_equivariance_check(
     for y in y_samples:
         lhs = lhs_fun.value(y)
         rhs = scale * rhs_fun.value(mmul(a, y, fd))
-        ml = mod_lhs.value(y)
-        mr = mod_rhs.value(y)
-        if fd.is_archimedean:
-            err1 = abs(lhs - rhs)
-            err2 = abs(ml - mr)
-            good = err1 <= tol and err2 <= tol
-            rows.append(
-                {
-                    "input": np.asarray(y).tolist(),
-                    "lhs": [lhs.real, lhs.imag],
-                    "rhs": [rhs.real, rhs.imag],
-                    "abs_err": float(err1),
-                    "module_form_err": float(err2),
-                }
-            )
-        else:
-            good = lhs == rhs and ml == mr
-            rows.append(_exact_row(y, lhs, rhs, good))
+        good, err = sides_agree(fd, lhs, rhs, tol)
+        mod_good, mod_err = sides_agree(fd, mod_lhs.value(y), mod_rhs.value(y), tol)
+        good = good and mod_good
+        rows.append(_sides_row(fd, y, lhs, rhs, good, err, module_form_err=mod_err))
         ok = ok and good
     return check_record("fourier-equivariance", fd, n, ok, rows)
 
@@ -460,26 +439,14 @@ def intertwine_equivariance_check(f, g, a, y_samples, tol: float = 1e-6) -> dict
         r1 = intertwine_I(f, mmul(y, g, fd))
         l2 = intertwine_I(fa, y)
         r2 = scale * intertwine_I(f, mmul(a, y, fd))
+        g_good, g_err = sides_agree(fd, l1, r1, tol)
+        a_good, a_err = sides_agree(fd, l2, r2, tol)
         if fd.is_archimedean:
-            e1, e2 = abs(l1 - r1), abs(l2 - r2)
-            good = e1 <= tol and e2 <= tol
-            rows.append(
-                {
-                    "input": np.asarray(y).tolist(),
-                    "g_side_err": float(e1),
-                    "a_side_err": float(e2),
-                }
-            )
+            row = {"g_side_err": g_err, "a_side_err": a_err}
         else:
-            good = l1 == r1 and l2 == r2
-            rows.append(
-                {
-                    "input": [[str(e) for e in row] for row in y],
-                    "g_side_exact": bool(l1 == r1),
-                    "a_side_exact": bool(l2 == r2),
-                }
-            )
-        ok = ok and good
+            row = {"g_side_exact": g_good, "a_side_exact": a_good}
+        rows.append({"input": _input_json(y, fd), **row})
+        ok = ok and g_good and a_good
     return check_record("intertwine-equivariance", fd, n, ok, rows)
 
 
@@ -495,12 +462,10 @@ def unitarity_verify(f, h, a_grid, tol: float = 1e-6) -> dict:
     for a in a_grid:
         lhs = lhs_fun(a)
         rhs = rhs_fun(a)
+        good, err = sides_agree(fd, lhs, rhs, tol)
         if fd.is_archimedean:
-            err = abs(lhs - rhs)
-            good = err <= tol
-            rows.append({"input": np.asarray(a).tolist(), "abs_err": float(err)})
+            rows.append({"input": _input_json(a, fd), "abs_err": err})
         else:
-            good = lhs == rhs
             rows.append(_exact_row(a, lhs, rhs, good))
         ok = ok and good
     return check_record("unitarity", fd, n, ok, rows)
@@ -509,6 +474,35 @@ def unitarity_verify(f, h, a_grid, tol: float = 1e-6) -> dict:
 def check_record(name: str, fd: FieldDescriptor, n: int, ok, samples, **extra) -> dict:
     """Report record of one check: the shared header, then the check's own entries."""
     return {"check": name, "field": str(fd), "n": n, "pass": ok, "samples": samples, **extra}
+
+
+def sides_agree(fd: FieldDescriptor, lhs, rhs, tol: float):
+    """(verdict, residual) of a two-sided identity at one sample: over R and C
+    |lhs - rhs| <= tol with the residual |lhs - rhs| as a float, over Q_p
+    exact equality with None."""
+    if fd.is_archimedean:
+        err = float(abs(lhs - rhs))
+        return err <= tol, err
+    return bool(lhs == rhs), None
+
+
+def _input_json(m, fd: FieldDescriptor):
+    """A sampled matrix as a report writes it: rows of numbers over R and C,
+    rows of rational strings over Q_p."""
+    if fd.is_archimedean:
+        return np.asarray(m).tolist()
+    return [[str(e) for e in row] for row in m]
+
+
+def _sides_row(fd: FieldDescriptor, m, lhs, rhs, good, err, **extra) -> dict:
+    """Report record of one sample of a two-sided identity: over R and C the
+    input, both sides as [re, im], the residual and the check's ``extra``
+    entries; over Q_p the exact row."""
+    if not fd.is_archimedean:
+        return _exact_row(m, lhs, rhs, good)
+    lhs, rhs = complex(lhs), complex(rhs)
+    pairs = {"lhs": [lhs.real, lhs.imag], "rhs": [rhs.real, rhs.imag]}
+    return {"input": _input_json(m, fd), **pairs, "abs_err": err, **extra}
 
 
 def _exact_row(m, lhs, rhs, good) -> dict:

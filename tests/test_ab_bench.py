@@ -1,0 +1,73 @@
+"""tools/ab_bench.py's summary of paired benchmark runs, on synthetic result
+lines: medians and quartiles per side, the change against the bound, and
+"unresolved" where the parent's own spread exceeds the bound."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "ab_bench.py"
+END_TO_END = [
+    {"name": "wall_s", "better": "lower", "bound": 0.25},
+    {"name": "pass_ratio", "better": "higher", "bound": 0.01},
+]
+
+
+@pytest.fixture(scope="module")
+def ab_bench():
+    spec = importlib.util.spec_from_file_location("ab_bench", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def lines(walls, pass_ratio=1.0):
+    return [{"correct": True, "metrics": {"wall_s": {"value": w, "unit": "s"},
+                                          "pass_ratio": {"value": pass_ratio, "unit": "ratio"}}}
+            for w in walls]
+
+
+def by_metric(rows):
+    return {row["metric"]: row for row in rows}
+
+
+def test_neutral_change_is_ok(ab_bench):
+    parent = lines([1.00, 1.02, 0.98, 1.01, 0.99])
+    change = lines([1.03, 1.01, 1.00, 0.97, 1.02])
+    rows = by_metric(ab_bench.summarize(parent, change, END_TO_END))
+    wall = rows["wall_s"]
+    assert wall["verdict"] == "ok" and wall["pairs"] == 5
+    assert wall["parent"] == (0.99, 1.00, 1.01) and wall["change"] == (1.00, 1.01, 1.02)
+    assert wall["rel_change"] == pytest.approx(0.01)
+    assert wall["better_pairs"] == 2
+    assert rows["pass_ratio"]["verdict"] == "ok" and rows["pass_ratio"]["rel_change"] == 0.0
+
+
+def test_slower_change_is_worse(ab_bench):
+    parent = lines([1.00, 1.02, 0.98, 1.01, 0.99])
+    change = lines([1.40, 1.42, 1.38, 1.41, 1.39])
+    wall = by_metric(ab_bench.summarize(parent, change, END_TO_END))["wall_s"]
+    assert wall["verdict"] == "worse" and wall["rel_change"] == pytest.approx(0.40)
+    assert wall["better_pairs"] == 0
+
+
+def test_lower_pass_ratio_is_worse(ab_bench):
+    # a higher-is-better metric is worse when it falls
+    rows = by_metric(ab_bench.summarize(lines([1.0] * 3), lines([1.0] * 3, 0.9), END_TO_END))
+    assert rows["pass_ratio"]["verdict"] == "worse"
+    assert rows["pass_ratio"]["rel_change"] == pytest.approx(0.1)
+
+
+def test_wide_parent_spread_is_unresolved(ab_bench):
+    # parent IQR/median 0.35 > 0.25: not even a 60 % slowdown is resolved
+    parent = lines([0.19, 0.30, 0.24, 0.34, 0.20, 0.29])
+    change = lines([0.40] * 6)
+    wall = by_metric(ab_bench.summarize(parent, change, END_TO_END))["wall_s"]
+    assert wall["parent_spread"] > 0.25 and wall["verdict"] == "unresolved"
+
+
+def test_missing_metric_is_unresolved(ab_bench):
+    parent = [{"correct": False}, {"correct": False}]
+    rows = by_metric(ab_bench.summarize(parent, lines([1.0, 1.0]), END_TO_END))
+    assert rows["wall_s"] == {"metric": "wall_s", "bound": 0.25, "verdict": "unresolved", "pairs": 0}

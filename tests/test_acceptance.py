@@ -31,7 +31,6 @@ from radonfourier import (
     real_field,
     rho_weight_exponents,
     space_X,
-    space_Xbar,
     truncation_sequence,
     unitarity_verify,
 )
@@ -86,7 +85,7 @@ def test_criterion_2_fourier_slice():
     X1 = space_X(1, FR)
     f1 = GaussianForm.standard(X1)
     ys = [np.array([[1.0, 0.0]])] + [
-        rand_regular_point(rng, space_Xbar(1, FR)) for _ in range(19)
+        rand_regular_point(rng, space_X(1, FR).transpose_space()) for _ in range(19)
     ]
     rep1 = fourier_slice_verify(f1, ys, tol=1e-6)
     ok1, rows1 = quadrature_slice_verify(f1, ys, tol=1e-6)
@@ -95,7 +94,7 @@ def test_criterion_2_fourier_slice():
     # real, n = 2: five points, closed-form routes on both sides
     X2 = space_X(2, FR)
     f2 = GaussianForm.standard(X2)
-    ys2 = [rand_regular_point(rng, space_Xbar(2, FR)) for _ in range(5)]
+    ys2 = [rand_regular_point(rng, space_X(2, FR).transpose_space()) for _ in range(5)]
     rep2 = fourier_slice_verify(f2, ys2, tol=1e-4)
     # p-adic, n = 1 and 2, p = 2 and 3: exact equality on lattice cosets
     reps_p = []
@@ -108,11 +107,11 @@ def test_criterion_2_fourier_slice():
             f = SBFunction(
                 Xp,
                 [
-                    (Fraction(1), Coset(Lattice.standard(p, d), tuple(Fraction(0) for _ in range(d)))),
+                    (Fraction(1), Coset(Lattice.scaled_standard(p, d, 0), tuple(Fraction(0) for _ in range(d)))),
                     (Fraction(1, 2), Coset(Lattice.scaled_standard(p, d, 1), center)),
                 ],
             )
-            ysp = [rand_regular_point(rng, space_Xbar(n, fd)) for _ in range(3)]
+            ysp = [rand_regular_point(rng, space_X(n, fd).transpose_space()) for _ in range(3)]
             reps_p.append(fourier_slice_verify(f, ysp))
     elapsed = time.time() - t0
     ok = (
@@ -220,7 +219,7 @@ def test_criterion_5_equivariance_suite():
     triples = 0
     for k in range(5):
         a = np.array([[2.0]]) if k == 0 else rand_gl(rng, 1, FR)
-        ys = [rand_regular_point(rng, space_Xbar(1, FR)) for _ in range(2)]
+        ys = [rand_regular_point(rng, space_X(1, FR).transpose_space()) for _ in range(2)]
         rep = fourier_equivariance_check(f, a, ys, tol=1e-8)
         ok = ok and rep["pass"]
         triples += len(ys)
@@ -236,12 +235,12 @@ def test_criterion_5_equivariance_suite():
     for _ in range(5):
         g = rand_sl(rng, 2, FR)
         moved = fourier(act_g(f, g))
-        yv = rand_regular_point(rng, space_Xbar(1, FR))
+        yv = rand_regular_point(rng, space_X(1, FR).transpose_space())
         ok = ok and abs(moved.value(yv) - fhat.value(yv @ g)) < 1e-8
     # intertwining translation laws, real at 1e-6 and p-adic exact
     g = rand_sl(rng, 2, FR)
     a = rand_gl(rng, 1, FR)
-    ys = [rand_regular_point(rng, space_Xbar(1, FR)) for _ in range(3)]
+    ys = [rand_regular_point(rng, space_X(1, FR).transpose_space()) for _ in range(3)]
     rep = intertwine_equivariance_check(f, g, a, ys, tol=1e-6)
     ok = ok and rep["pass"]
     Xp = space_X(1, F3)
@@ -252,7 +251,7 @@ def test_criterion_5_equivariance_suite():
     dp = xl.det(gp)
     gp = tuple(tuple(x / dp if j == 0 else x for j, x in enumerate(r)) for r in gp)
     ap = xl.mat([[Fraction(3)]])
-    ysp = [rand_regular_point(rng, space_Xbar(1, F3)) for _ in range(3)]
+    ysp = [rand_regular_point(rng, space_X(1, F3).transpose_space()) for _ in range(3)]
     repp = intertwine_equivariance_check(ballp, gp, ap, ysp)
     ok = ok and repp["pass"]
     assert _record(5, "equivariance suite", ok, f"{triples} scaling triples checked")
@@ -325,7 +324,7 @@ def test_criterion_9_fiber_well_definedness():
     X = space_X(1, FR)
     f = GaussianForm.standard(X)
     for _ in range(20):
-        y = rand_regular_point(rng, space_Xbar(1, FR))
+        y = rand_regular_point(rng, space_X(1, FR).transpose_space())
         vals = [
             intertwine_I(f, y, fiber=fiber_param(y, 1, FR, rng=rng)) for _ in range(5)
         ]
@@ -333,7 +332,7 @@ def test_criterion_9_fiber_well_definedness():
     Xp = space_X(1, F3)
     ball = SBFunction.standard_ball(Xp)
     for _ in range(20):
-        y = rand_regular_point(rng, space_Xbar(1, F3))
+        y = rand_regular_point(rng, space_X(1, F3).transpose_space())
         vals = [
             intertwine_I(ball, y, fiber=fiber_param(y, 1, F3, rng=rng))
             for _ in range(5)

@@ -56,7 +56,7 @@ def test_pullback_examples(fr, f3):
     with pytest.raises(ValueError):
         f.pullback_affine(np.array([[1.0], [1.0]]) @ np.array([[1.0, 1.0]]), X)
     D1 = MatrixSpace(f3, 1, 1)
-    ind = SBFunction.indicator(D1, Coset(Lattice.standard(3, 1), (Fraction(0),)))
+    ind = SBFunction.indicator(D1, Coset(Lattice.scaled_standard(3, 1, 0), (Fraction(0),)))
     pre = ind.pullback_affine(((Fraction(3),),), D1)
     assert pre.terms[0][1].lattice == Lattice.scaled_standard(3, 1, -1)
 
@@ -210,7 +210,7 @@ def _fourier_reference(f, P, target):
             continue
         sub = Lattice(p, [row + (x,) for row, x in zip(xl.identity(M.dim), u)]).dual()
         refined = Lattice(p, xl.matmul(M.basis, sub.basis))
-        for rep in Lattice.standard(p, M.dim).quotient_representatives(sub):
+        for rep in Lattice.scaled_standard(p, M.dim, 0).quotient_representatives(sub):
             y0 = xl.matvec(M.basis, rep)
             phase = add_char(sum(a * b for a, b in zip(w, y0)), fd)
             out.append((base * phase, Coset(refined, y0)))

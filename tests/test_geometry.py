@@ -14,7 +14,6 @@ from radonfourier import (
     rho_weight,
     rho_weight_exponents,
     space_X,
-    space_Xbar,
     unimodular_completion,
 )
 from radonfourier import exactlinalg as xl
@@ -28,6 +27,7 @@ from radonfourier.geometry import (
     mmul,
 )
 from radonfourier.sampling import rand_gl, rand_matrix, rand_regular_point, rand_sl
+from basis import basis_matrices
 
 
 def _unipotent(u, n, lower=False):
@@ -53,7 +53,7 @@ def test_action_laws_and_rank(rng, fr):
         x = rand_regular_point(rng, X)
         a = rand_gl(rng, n, fr)
         assert is_regular(x @ a, fr)
-        y = rand_regular_point(rng, space_Xbar(n, fr))
+        y = rand_regular_point(rng, space_X(n, fr).transpose_space())
         assert is_regular(np.linalg.inv(a) @ y, fr)
     # over R and C regularity does not depend on scale
     for c in (1e-11, 1.0, 1e11):
@@ -136,12 +136,12 @@ def test_unimodular_completion_examples(fr, f3):
 
 def test_unimodular_completion_random(rng, fr, f3):
     for _ in range(100):
-        y = rand_regular_point(rng, space_Xbar(2, fr))
+        y = rand_regular_point(rng, space_X(2, fr).transpose_space())
         g = unimodular_completion(y, 2, fr, rng=rng)
         assert abs(np.linalg.det(g) - 1) < 1e-9
         assert np.allclose(bbar_map(g, 2, fr), y, atol=1e-8)
     for _ in range(30):
-        y = rand_regular_point(rng, space_Xbar(2, f3))
+        y = rand_regular_point(rng, space_X(2, f3).transpose_space())
         g = unimodular_completion(y, 2, f3, rng=rng)
         assert xl.det(g) == 1
         assert bbar_map(g, 2, f3) == y
@@ -157,7 +157,7 @@ def test_fiber_param(rng, fr, f3):
     # postcondition y (A + c z) = I_n on random fibers
     for _ in range(20):
         n = 2
-        y = rand_regular_point(rng, space_Xbar(n, fr))
+        y = rand_regular_point(rng, space_X(n, fr).transpose_space())
         fib = fiber_param(y, n, fr)
         z = rng.standard_normal(n)
         pt = fib.point(z)
@@ -223,7 +223,7 @@ def test_measure_scale(rng, fr):
 def _flatten_reference(fn, domain, target):
     """Coordinate matrix of a linear map ``fn`` by pushing every basis matrix
     of ``domain`` through it: the algorithm the closed form replaced."""
-    cols = [target.coords(fn(domain.from_coords(e))) for e in np.eye(domain.dim)]
+    cols = [target.coords(fn(m)) for m in basis_matrices(domain)]
     if domain.fd.is_archimedean:
         return np.column_stack(cols)
     return tuple(tuple(col[r] for col in cols) for r in range(target.dim))
@@ -270,6 +270,6 @@ def test_disintegration(rng, fr):
     X = space_X(n, fr)
     f = GaussianForm(X, np.array([[1.4, -0.3], [-0.3, 0.8]]), kappa=0.7, ell=[0.2, 0.1])
     for _ in range(5):
-        y = rand_regular_point(rng, space_Xbar(n, fr))
+        y = rand_regular_point(rng, space_X(n, fr).transpose_space())
         fam = slice_family(f, y)
         assert abs(fam.integral() - f.integral()) < 1e-10

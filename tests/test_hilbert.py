@@ -16,11 +16,12 @@ from radonfourier import (
     inner_X,
     inner_Xbar,
     space_X,
-    space_Xbar,
     truncation_sequence,
 )
 from radonfourier import exactlinalg as xl
-from radonfourier.hilbert import decay_bound_check, exact_le
+from radonfourier.geometry import entry_dim
+from radonfourier.hilbert import column_product_constant, decay_bound_check, exact_le
+from radonfourier.lattices import Coset, Lattice
 from radonfourier.quadrature import integrate_polar_2d
 from radonfourier.sampling import (
     default_a_grid,
@@ -47,12 +48,12 @@ def test_inner_X_closed_forms(fr, f3):
 
 
 def test_inner_Xbar_mirror(fr, f3):
-    Y = space_Xbar(1, fr)
+    Y = space_X(1, fr).transpose_space()
     f = GaussianForm.standard(Y)
     ip = inner_Xbar(f, f)
     for av in [0.5, 1.0, 3.0]:
         assert abs(ip(np.array([[av]])) - av / (1 + av * av)) < 1e-12
-    Yp = space_Xbar(1, f3)
+    Yp = space_X(1, f3).transpose_space()
     ball = SBFunction.standard_ball(Yp)
     ipp = inner_Xbar(ball, ball)
     for k in range(-2, 3):
@@ -74,7 +75,7 @@ def test_act_module_scalings(fr):
     rhs = act_module_X(f, a @ b)
     assert np.allclose(lhs.Q, rhs.Q) and abs(lhs.kappa - rhs.kappa) < 1e-14
     # opposite side scaling
-    Y = space_Xbar(1, fr)
+    Y = space_X(1, fr).transpose_space()
     g = GaussianForm.standard(Y)
     ga = act_module_Xbar(g, np.array([[2.0]]))
     assert abs(ga.kappa - 2.0) < 1e-15
@@ -176,6 +177,81 @@ def test_decay_bound_requires_product_structure(rng, fr):
     g = rand_gaussian(rng, X)  # generic Q does not split across columns
     with pytest.raises(ValueError):
         decay_bound_check(g, [rand_kak_sample(rng, 2, fr)])
+
+
+def _column_blocks(space, blocks):
+    """The quadratic form that is ``blocks[j]`` on the entries of column j
+    (a real block acts on real and imaginary parts alike over C) and zero
+    across columns."""
+    column = np.arange(space.dim) // entry_dim(space.fd) % space.cols
+    Q = np.zeros((space.dim, space.dim))
+    for j, B in enumerate(blocks):
+        if space.fd.kind == "complex":
+            B = np.kron(B, np.eye(2))
+        Q[np.ix_(column == j, column == j)] = B
+    return Q
+
+
+# a non-isotropic column block of determinant 8.67, and a different one
+_BLOCK = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 2.89]])
+_OTHER_BLOCK = np.diag([1.0, 3.0, 0.5])
+
+
+def test_decay_bound_refuses_unequal_column_blocks(rng, fr, fc, f3):
+    # with unequal column blocks the compact group acting on the right moves
+    # f, and the bound fails with C = ||f||_inf ||f||_1: by a factor above 2
+    # over R at swap diag(8, 1/8), and of exactly 27 over Q_3 at
+    # diag(1/3, 3) swap; so the check refuses f
+    for fd in (fc, fr):
+        X = space_X(2, fd)
+        f = GaussianForm(X, _column_blocks(X, (_OTHER_BLOCK, _BLOCK)), kappa=2.0)
+        with pytest.raises(ValueError, match="one block repeated"):
+            decay_bound_check(f, [rand_kak_sample(rng, 2, fd)])
+    C = 4.0 / np.sqrt(np.linalg.det(_OTHER_BLOCK) * np.linalg.det(_BLOCK))
+    a = np.array([[0.0, 1.0], [1.0, 0.0]]) @ np.diag([8.0, 1 / 8])
+    assert abs(inner_X(f, f)(a)) > 2 * C * 8.0**-3
+    f = _padic_column_lattice(f3, (_diag(3, 3, 3), _diag(1, 1, 1)))
+    with pytest.raises(ValueError, match="one block repeated"):
+        decay_bound_check(f, [rand_kak_sample(rng, 2, f3)])
+    a = xl.matmul(_diag(Fraction(1, 3), 3), _diag(1, 1)[::-1])
+    assert inner_X(f, f)(a) == ExactValue.from_cyclo(3, 27 * Fraction(1, 108) * Fraction(1, 27))
+
+
+def test_decay_bound_equal_column_blocks(rng, fr, fc, f3):
+    # C = |kappa|^2 det(Q)^(-1/2) with det(Q) = det(block)^(n d_F)
+    for fd, want in ((fr, 0.461361014994233), (fc, 0.0532134965391272)):
+        X = space_X(2, fd)
+        f = GaussianForm(X, _column_blocks(X, (_BLOCK, _BLOCK)), kappa=2.0)
+        rep = decay_bound_check(f, [rand_kak_sample(rng, 2, fd) for _ in range(100)])
+        assert rep["pass"] and abs(rep["C"] - want) < 1e-12
+        assert abs(want - 4.0 / 8.67 ** (2 if fd is fc else 1)) < 1e-12
+    # over Q_3, 1/2 on the lattice whose columns lie in 3Z_3 + Z_3 + Z_3:
+    # C = (1/2)^2 (1/3)^2; and on a non-diagonal column lattice of volume 1/9
+    one = Fraction(1)
+    for block, want in ((_diag(3, 1, 1), Fraction(1, 36)),
+                        (((3 * one, 0, 0), (one, 3 * one, 0), (0, 0, one)), Fraction(1, 324))):
+        f = _padic_column_lattice(f3, (block, block))
+        assert column_product_constant(f) == want
+        rep = decay_bound_check(f, [rand_kak_sample(rng, 2, f3) for _ in range(40)])
+        assert rep["pass"] and rep["C"] == float(want)
+
+
+def _diag(*entries):
+    return tuple(tuple(Fraction(e) if i == j else Fraction(0) for j in range(len(entries)))
+                 for i, e in enumerate(entries))
+
+
+def _padic_column_lattice(fd, blocks):
+    """1/2 on the lattice of the matrices whose column j lies in the lattice
+    spanned by the columns of ``blocks[j]``."""
+    X = space_X(2, fd)
+    basis = [[Fraction(0)] * X.dim for _ in range(X.dim)]
+    for j, block in enumerate(blocks):
+        for r, row in enumerate(block):
+            for s, b in enumerate(row):
+                basis[r * X.cols + j][s * X.cols + j] = Fraction(b)
+    lattice = Coset(Lattice(fd.p, basis), (Fraction(0),) * X.dim)
+    return SBFunction.indicator(X, lattice).scale(Fraction(1, 2))
 
 
 def test_exact_le():

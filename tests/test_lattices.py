@@ -33,7 +33,7 @@ def rand_lattice(rng, p, d):
 
 
 def test_standard_dual_and_volume(f3):
-    Z2 = Lattice.standard(3, 2)
+    Z2 = Lattice.scaled_standard(3, 2, 0)
     assert Z2.dual() == Z2
     assert Z2.volume() == 1
     assert Lattice.scaled_standard(3, 2, 1).volume() == Fraction(1, 9)
@@ -66,7 +66,7 @@ def test_volume_multiplicative_under_maps(rng, f3):
 
 def test_intersections():
     p = 3
-    Z = Lattice.standard(p, 1)
+    Z = Lattice.scaled_standard(p, 1, 0)
     pZ = Lattice.scaled_standard(p, 1, 1)
     assert lattice_meet(Z, pZ) == pZ
     one_pZ = Coset(pZ, (Fraction(1),))
@@ -124,7 +124,7 @@ def test_disjoint_cosets_intersect_to_none(rng):
 def test_affine_preimage_example():
     # z -> (p, 0) + (0, p^-1) z pulled against Z_p^2: constraint p^-1 z in Z_p
     p = 3
-    target = Coset(Lattice.standard(p, 2), (Fraction(0), Fraction(0)))
+    target = Coset(Lattice.scaled_standard(p, 2, 0), (Fraction(0), Fraction(0)))
     pre = target.affine_preimage(
         (Fraction(3), Fraction(0)), ((Fraction(0),), (Fraction(1, 3),))
     )
@@ -251,7 +251,7 @@ def test_project_matches_reference_every_keep_order(rng, p):
 
 def test_quotient_representatives(rng):
     p = 3
-    L = Lattice.standard(p, 2)
+    L = Lattice.scaled_standard(p, 2, 0)
     sub = Lattice.scaled_standard(p, 2, 1)
     reps = L.quotient_representatives(sub)
     assert len(reps) == 9
@@ -313,11 +313,11 @@ def test_lattice_and_coset_methods():
     L = Lattice(p, [[2, 0], [5, 3]])
     assert L.volume() == Fraction(1, 3)
     assert L.dual().dual() == L
-    Z = Lattice.standard(p, 2)
+    Z = Lattice.scaled_standard(p, 2, 0)
     assert lattice_meet(L, Z) == L  # L lies inside Z_3^2
     coset = Coset(Z, (Fraction(0), Fraction(0)))
     pre = coset.affine_preimage((Fraction(0), Fraction(0)), ((Fraction(1),), (Fraction(0),)))
-    assert pre.lattice == Lattice.standard(p, 1)
+    assert pre.lattice == Lattice.scaled_standard(p, 1, 0)
 
 
 def rand_sublattice(rng, p, L):

@@ -18,6 +18,17 @@ from radonfourier.suite import (
 )
 
 
+# the compute specs the CI workflow runs, and the SHA-256 digests of the
+# outputs it checks
+COMPUTE_SPECS = Path(__file__).parent / "data" / "compute"
+COMPUTE_DIGESTS = {
+    name: digest for digest, name in (
+        line.split() for line in (COMPUTE_SPECS / "SHA256SUMS").read_text().splitlines()
+    )
+}
+OPS_R = json.loads((COMPUTE_SPECS / "ops_r.json").read_text())
+
+
 def small_cfg(**kw):
     base = dict(field="qp", p=3, n=1, seed=13, samples=12)
     base.update(kw)
@@ -239,6 +250,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         {"field": "r", "checks": ["slice"], "seed": 1.5},
         {"field": "r", "checks": "slice"},
         {"field": "r", "functions": [{"type": "gaussian", "Q": [[1.0, 0.0], [0.0, 1.0]]}]},
+        # an empty list names no suite, so it must not pass on nothing
+        [],
     ):
         badcfg.write_text(json.dumps(cfg))
         capsys.readouterr()
@@ -447,48 +460,29 @@ def test_cli_compute_fourier_gaussian(tmp_path, field):
         assert abs(complex(*rep["values"][0]) - np.exp(-np.pi * 1.25)) < 1e-12
 
 
-def test_cli_compute_fourier_bytes(tmp_path, capsys):
-    """The transform of the CI workflow's two-term Q_3 sb spec (coefficient
-    conductors 1 to 81) keeps its bytes; the workflow checks the same digest."""
-    spec = {"field": "qp", "p": 3, "n": 1, "f": {"type": "sb", "terms": [
-        {"coeff": "1", "center": ["1/3", "0"], "basis": [["3", "0"], ["0", "3"]]},
-        {"coeff": "1/2", "center": ["1/9", "2"], "basis": [["1", "0"], ["1", "9"]]},
-    ]}}
-    inp = tmp_path / "sb_q3.json"
-    inp.write_text(json.dumps(spec))
+def _compute_output(capsys, op, stem):
+    """The bytes ``compute op`` writes for tests/data/compute/<stem>.json."""
     capsys.readouterr()
-    assert main(["compute", "fourier", "--input", str(inp)]) == 0
-    out = capsys.readouterr().out.encode()
-    assert len(out) == 105315
-    assert hashlib.sha256(out).hexdigest() == "ae8e571a7d2e3327221c6415523dff65acc527851ceb243c62f9c952f2883f55"
+    assert main(["compute", op, "--input", str(COMPUTE_SPECS / f"{stem}.json")]) == 0
+    return capsys.readouterr().out.encode()
 
 
-# the CI workflow's ops_q3 and ops_r specs
-OPS_Q3 = {"field": "qp", "p": 3, "n": 1,
-          "f": {"type": "sb", "terms": [{"coeff": "1", "center": ["1/3", "0"], "basis": [["3", "0"], ["0", "3"]]}]},
-          "h": {"type": "sb", "terms": [{"coeff": "1/2", "center": ["0", "0"], "basis": [["1", "0"], ["0", "1"]]}]},
-          "y": [["1", "1/3"]], "a_grid": [[["1"]], [["3"]], [["1/9"]]]}
-OPS_R = {"field": "r", "n": 1, "f": {"type": "gaussian", "Q": [[1.5, 0.2], [0.2, 1.0]], "kappa": [1.0, 0.5]},
-         "h": {"type": "gaussian"}, "y": [[1.0, 0.5]], "a_grid": [[[1.0]], [[-0.5]], [[2.0]]]}
+def test_cli_compute_fourier_bytes(capsys):
+    """The transform of the two-term Q_3 sb spec (coefficient conductors 1 to
+    81) keeps its bytes; the workflow checks the same digest."""
+    out = _compute_output(capsys, "fourier", "sb_q3")
+    assert hashlib.sha256(out).hexdigest() == COMPUTE_DIGESTS["fourier-sb_q3.json"]
 
 
-def test_cli_compute_intertwine_inner_product_bytes(tmp_path, capsys):
+def test_cli_compute_intertwine_inner_product_bytes(capsys):
     """compute intertwine and inner-product write bare closed-form or exact
     values: the Q_3 outputs keep their bytes (the workflow checks the same
     digests), and the R outputs their key sets."""
-    for spec, op, want in (
-        (OPS_Q3, "intertwine", (128, "e2ff8014fe7e2b1067f3a3d1c547e226f0ed293cf4d55f550d107b517452d795")),
-        (OPS_Q3, "inner-product", (747, "9ff3416ae9e325505d02b0f545a020322f60e2752e6d281829cac97a5a50ec74")),
-        (OPS_R, "intertwine", None),
-        (OPS_R, "inner-product", None),
-    ):
-        inp = tmp_path / "ops.json"
-        inp.write_text(json.dumps(spec))
-        capsys.readouterr()
-        assert main(["compute", op, "--input", str(inp)]) == 0
-        out = capsys.readouterr().out
-        if want is not None:
-            assert (len(out.encode()), hashlib.sha256(out.encode()).hexdigest()) == want, op
+    for stem, op in (("ops_q3", "intertwine"), ("ops_q3", "inner-product"),
+                     ("ops_r", "intertwine"), ("ops_r", "inner-product")):
+        out = _compute_output(capsys, op, stem)
+        if stem == "ops_q3":
+            assert hashlib.sha256(out).hexdigest() == COMPUTE_DIGESTS.get(f"{op}-{stem}.json"), op
         rep = json.loads(out)
         if op == "intertwine":
             assert sorted(rep) == ["value"]

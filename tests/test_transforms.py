@@ -30,7 +30,6 @@ from radonfourier import (
     kernel_identity_check,
     pointwise_mul,
     space_X,
-    space_Xbar,
     translate_group,
     unitarity_verify,
 )
@@ -47,6 +46,7 @@ from radonfourier.sampling import (
     rand_sl,
 )
 from radonfourier.transforms import integrate_against_trace_character, pairing_matrix, slice_family
+from basis import basis_matrices
 from slice_quadrature import quadrature_slice_verify, slice_transform
 
 
@@ -74,7 +74,7 @@ def test_fourier_self_dual_ball(f2, f3):
             assert len(bhat.terms) == 1
             c, k = bhat.terms[0]
             assert c == one(fd.p)
-            assert k.lattice == Lattice.standard(fd.p, X.dim)
+            assert k.lattice == Lattice.scaled_standard(fd.p, X.dim, 0)
             assert all(x == 0 for x in k.center)
 
 
@@ -116,13 +116,9 @@ def _pairing_reference(yspace, xspace):
     """Re Tr(y x) on every pair of basis matrices: the loop the closed-form
     pairing matrix replaced."""
     fd = yspace.fd
-
-    def basis(space):
-        return [space.from_coords(e) for e in np.eye(space.dim)]
-
     return tuple(
-        tuple(mtrace(mmul(yb, xb, fd), fd).real for xb in basis(xspace))
-        for yb in basis(yspace)
+        tuple(mtrace(mmul(yb, xb, fd), fd).real for xb in basis_matrices(xspace))
+        for yb in basis_matrices(yspace)
     )
 
 
@@ -137,7 +133,7 @@ def test_pairing_matrix_matches_basis_loop(fr, fc, f3):
 
     for fd in (fr, fc, f3):
         for n in (1, 2):
-            X, Y, L = space_X(n, fd), space_Xbar(n, fd), space_L(n, fd)
+            X, Y, L = space_X(n, fd), space_X(n, fd).transpose_space(), space_L(n, fd)
             for ys, xs in ((Y, X), (X, Y), (L, L)):
                 _same_entries(pairing_matrix(ys, xs), _pairing_reference(ys, xs))
 
@@ -151,7 +147,7 @@ def test_fourier_inverse_uses_conjugate_pairing(monkeypatch, rng, fr, fc, f3):
             cls, "fourier", lambda self, P, target: seen.append(P) or orig(self, P, target)
         )
         for n in (1, 2):
-            X, Y = space_X(n, fd), space_Xbar(n, fd)
+            X, Y = space_X(n, fd), space_X(n, fd).transpose_space()
             f = rand_gaussian(rng, Y) if cls is GaussianForm else rand_sb_function(rng, Y)
             fourier(f, inverse=True)
             dual = tuple(tuple(-v for v in col) for col in zip(*_pairing_reference(Y, X)))
@@ -164,7 +160,7 @@ def test_fourier_closed_form_vs_quadrature_n2(rng, fr):
     # symmetric, which distinguishes P Q^(-1) P' from P' Q^(-1) P
 
     X = space_X(2, fr)
-    Y = space_Xbar(2, fr)
+    Y = space_X(2, fr).transpose_space()
     f = rand_gaussian(rng, X, with_phase=True)
     fhat = fourier(f)
     P = np.asarray(pairing_matrix(Y, X))
@@ -187,7 +183,7 @@ def test_fourier_equivariance_n2(rng, fr):
     with_phase = rand_gaussian(rng, X)
     for fn in (f, with_phase):
         a = rand_gl(rng, 2, fr)
-        ys = [rand_regular_point(rng, space_Xbar(2, fr)) * 0.5 for _ in range(3)]
+        ys = [rand_regular_point(rng, space_X(2, fr).transpose_space()) * 0.5 for _ in range(3)]
         rep = fourier_equivariance_check(fn, a, ys, tol=1e-8)
         assert rep["pass"], rep
 
@@ -240,13 +236,13 @@ def test_fourier_equivariance_random(rng, fr, f3):
     f = rand_gaussian(rng, X)
     for _ in range(3):
         a = rand_gl(rng, 1, fr)
-        ys = [rand_regular_point(rng, space_Xbar(1, fr)) for _ in range(4)]
+        ys = [rand_regular_point(rng, space_X(1, fr).transpose_space()) for _ in range(4)]
         rep = fourier_equivariance_check(f, a, ys, tol=1e-8)
         assert rep["pass"], rep
     Xp = space_X(1, f3)
     fp = rand_sb_function(rng, Xp)
     a = xl.mat([[rand_fraction(rng, 3, -2, 2)]])
-    ys = [rand_regular_point(rng, space_Xbar(1, f3)) for _ in range(3)]
+    ys = [rand_regular_point(rng, space_X(1, f3).transpose_space()) for _ in range(3)]
     rep = fourier_equivariance_check(fp, a, ys)
     assert rep["pass"], rep
 
@@ -260,7 +256,7 @@ def test_fourier_g_equivariance(rng, fr, f3):
         g = rand_sl(rng, 2, fr)
         moved = fourier(act_g(f, g))
         for _ in range(3):
-            y = rand_regular_point(rng, space_Xbar(1, fr))
+            y = rand_regular_point(rng, space_X(1, fr).transpose_space())
             assert abs(moved.value(y) - fhat.value(y @ g)) < 1e-8
     Xp = space_X(1, f3)
     fp = rand_sb_function(rng, Xp)
@@ -268,7 +264,7 @@ def test_fourier_g_equivariance(rng, fr, f3):
     g = rand_sl(rng, 2, f3)
     movedp = fourier(act_g(fp, g))
     for _ in range(3):
-        y = rand_regular_point(rng, space_Xbar(1, f3))
+        y = rand_regular_point(rng, space_X(1, f3).transpose_space())
         assert movedp.value(y) == fphat.value(xl.matmul(y, g))
 
 
@@ -298,7 +294,7 @@ def test_slice_homogeneity(rng, fr, f3):
     X = space_X(1, fr)
     f = rand_gaussian(rng, X)
     for _ in range(5):
-        y = rand_regular_point(rng, space_Xbar(1, fr))
+        y = rand_regular_point(rng, space_X(1, fr).transpose_space())
         a = rand_gl(rng, 1, fr)
         lhs = slice_transform(f, y, a)
         rhs = float(abs_norm(np.linalg.det(a), fr)) * intertwine_I(
@@ -308,7 +304,7 @@ def test_slice_homogeneity(rng, fr, f3):
     Xp = space_X(1, f3)
     fp = rand_sb_function(rng, Xp)
     for _ in range(5):
-        y = rand_regular_point(rng, space_Xbar(1, f3))
+        y = rand_regular_point(rng, space_X(1, f3).transpose_space())
         a = xl.mat([[rand_fraction(rng, 3, -2, 2)]])
         lhs = slice_transform(fp, y, a)
         rhs = abs_norm(xl.det(a), f3) * intertwine_I(translate_group(fp, a), y)
@@ -356,19 +352,19 @@ def test_intertwine_equivariance(rng, fr, f3):
     X = space_X(1, fr)
     f = rand_gaussian(rng, X)
     rep = intertwine_equivariance_check(
-        f, np.eye(2), np.eye(1), [rand_regular_point(rng, space_Xbar(1, fr))]
+        f, np.eye(2), np.eye(1), [rand_regular_point(rng, space_X(1, fr).transpose_space())]
     )
     assert rep["pass"]
     g = rand_sl(rng, 2, fr)
     a = rand_gl(rng, 1, fr)
-    ys = [rand_regular_point(rng, space_Xbar(1, fr)) for _ in range(3)]
+    ys = [rand_regular_point(rng, space_X(1, fr).transpose_space()) for _ in range(3)]
     rep = intertwine_equivariance_check(f, g, a, ys, tol=1e-6)
     assert rep["pass"], rep
     Xp = space_X(1, f3)
     fp = rand_sb_function(rng, Xp)
     gp = _integral_unimodular_sl(rng, 2, 3)
     ap = xl.mat([[rand_fraction(rng, 3, -1, 1)]])
-    ysp = [rand_regular_point(rng, space_Xbar(1, f3)) for _ in range(3)]
+    ysp = [rand_regular_point(rng, space_X(1, f3).transpose_space()) for _ in range(3)]
     rep = intertwine_equivariance_check(fp, gp, ap, ysp)
     assert rep["pass"], rep
 
@@ -563,7 +559,7 @@ def test_fourier_slice_gaussian_quadrature(rng, fr):
     X = space_X(1, fr)
     f = GaussianForm.standard(X)
     ys = [np.array([[1.0, 0.0]])] + [
-        rand_regular_point(rng, space_Xbar(1, fr)) for _ in range(3)
+        rand_regular_point(rng, space_X(1, fr).transpose_space()) for _ in range(3)
     ]
     # a small y whose slice envelope is wide: a fixed line interval sampled
     # its far tail, where the pulled-back Gaussian amplitude overflows

@@ -1,0 +1,139 @@
+"""Run the benchmark on another revision and on this checkout in alternating
+pairs, and compare the end-to-end metrics.
+
+    python3 tools/ab_bench.py REV --workload W --pairs N
+
+Extracts REV's committed files (``git archive``) into a temporary directory.
+Each pair runs ``bench/run.py --workload W --seed 7 --seconds T --trace 0``,
+with T the ``run_seconds`` of ``BENCHMARK.json``, once in that tree and once
+in the checkout that holds this script, each tree with its own
+``bench/run.py`` and ``src/``; odd pairs run REV first, even pairs this
+checkout first, so that a drift in host load falls on both sides.
+
+For each end-to-end metric of ``BENCHMARK.json`` it prints the median and
+quartiles on both sides, the relative change of the median (positive when
+worse, in the metric's ``better`` direction) beside the metric's bound, and
+how many pairs read better.  A metric is "unresolved" when the spread of
+REV's runs, IQR / median, exceeds its bound: the runs cannot tell a change
+of that size from noise.  Otherwise it is "worse" when the change exceeds
+the bound, else "ok".  Exits 0 when every run is correct and no metric is
+worse, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+SEED = 7  # the benchmark's default seed, whose references are committed
+
+from report_diff import extract  # noqa: E402
+
+
+def run_bench(tree: Path, workload: str, seconds: float) -> dict:
+    """One benchmark run in ``tree``: its exit code and final JSON line."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    line = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else {}
+    return {"exit_code": proc.returncode, "line": line}
+
+
+def quartiles(values: list) -> tuple:
+    """(first quartile, median, third quartile) of ``values``."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def summarize(parent: list, change: list, end_to_end: list) -> list:
+    """One row per end-to-end metric from paired result lines.
+
+    ``parent`` and ``change`` are the final JSON lines of the runs, pair i
+    at index i on both sides; ``end_to_end`` is BENCHMARK.json's list of
+    {"name", "better", "bound"}.  A row holds both sides' quartiles, the
+    relative change of the median (positive when worse), the pairs that read
+    better, and the verdict "ok", "worse" or "unresolved".
+    """
+    rows = []
+    for metric in end_to_end:
+        name, bound, sign = metric["name"], metric["bound"], 1 if metric["better"] == "lower" else -1
+        pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
+                 for p, c in zip(parent, change)
+                 if name in p.get("metrics", {}) and name in c.get("metrics", {})]
+        if not pairs:
+            rows.append({"metric": name, "bound": bound, "verdict": "unresolved", "pairs": 0})
+            continue
+        old, new = quartiles([p for p, _ in pairs]), quartiles([c for _, c in pairs])
+        spread = (old[2] - old[0]) / abs(old[1]) if old[1] else 0.0
+        if old[1]:
+            rel = sign * (new[1] - old[1]) / abs(old[1])
+        else:
+            rel = 0.0 if new[1] == 0 else sign * float("inf")
+        verdict = "unresolved" if spread > bound else "worse" if rel > bound else "ok"
+        rows.append({
+            "metric": name, "bound": bound, "pairs": len(pairs),
+            "parent": old, "change": new, "parent_spread": spread, "rel_change": rel,
+            "better_pairs": sum(sign * (c - p) < 0 for p, c in pairs), "verdict": verdict,
+        })
+    return rows
+
+
+def print_rows(rows: list) -> None:
+    for r in rows:
+        if not r["pairs"]:
+            print(f"{r['metric']:<12} no runs reported it: unresolved")
+            continue
+        (pq1, pm, pq3), (cq1, cm, cq3) = r["parent"], r["change"]
+        print(f"{r['metric']:<12} parent {pm:.4g} [{pq1:.4g}, {pq3:.4g}]  "
+              f"change {cm:.4g} [{cq1:.4g}, {cq3:.4g}]  "
+              f"worse by {r['rel_change']:+.1%} (bound {r['bound']:.0%}, parent IQR/median "
+              f"{r['parent_spread']:.1%})  better in {r['better_pairs']}/{r['pairs']} pairs: "
+              f"{r['verdict']}")
+
+
+def main(argv=None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("rev", help="revision to compare against, e.g. HEAD~1")
+    ap.add_argument("--workload", required=True, choices=[w["name"] for w in spec["workloads"]])
+    ap.add_argument("--pairs", type=int, default=10)
+    args = ap.parse_args(argv)
+    seconds = spec["run_seconds"]
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    runs = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="ab-bench-") as tmp:
+        tree = Path(tmp) / "tree"
+        extract(args.rev, tree)
+        for i in range(1, args.pairs + 1):
+            order = ("parent", "change") if i % 2 else ("change", "parent")
+            for side in order:
+                run = run_bench(tree if side == "parent" else ROOT, args.workload, seconds)
+                runs[side].append(run)
+                print(f"pair {i}/{args.pairs} {side}: exit {run['exit_code']}", file=sys.stderr, flush=True)
+    print(f"workload {args.workload}, seed {SEED}, {seconds:g} s a run, {args.pairs} pairs; "
+          f"parent {args.rev}, change this checkout")
+    rows = summarize([r["line"] for r in runs["parent"]], [r["line"] for r in runs["change"]],
+                     spec["end_to_end"])
+    print_rows(rows)
+    failed = [f"{side} run {i + 1}" for side, rs in runs.items() for i, r in enumerate(rs)
+              if r["exit_code"] != 0 or not r["line"].get("correct")]
+    for name in failed:
+        print(f"not correct: {name}")
+    return 1 if failed or any(r["verdict"] == "worse" for r in rows) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,15 +10,17 @@ own ``src/``:
   battery, ``--field c``, ``--field r --n 2``, ``--field qp --p 2 --n 2``
   and ``--field qp --p 5``) at seeds 7 and 8;
 * ``radonfourier compute`` ``fourier``, ``intertwine`` and ``inner-product``
-  on the specs of the CI workflow.
+  on the CI workflow's specs in ``tests/data/compute/``.
 
 Both sets of outputs are compared by the benchmark's rule, imported from
 ``bench/workloads.py``: timing fields are dropped (``strip_timing``), values
 under a p-adic record (``field`` ``Q_p`` or ``qp``) must be byte-identical
 (``_digest``), and archimedean numbers must agree to 1e-9 relative plus
 1e-15 absolute (``_close``).  The exit code of every command is compared as
-well.  Prints the SHA-256 of each ``compute`` output, then each differing
-path with both values; exits 0 when nothing differs and 1 otherwise.
+well.  Prints the SHA-256 of each ``compute`` output, checked against
+``tests/data/compute/SHA256SUMS`` where that lists it, then each differing
+path with both values; exits 0 when nothing differs and every listed digest
+holds, and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -47,24 +49,15 @@ VERIFY = {
     "qp2-n2": ["--field", "qp", "--p", "2", "--n", "2"],
     "qp5": ["--field", "qp", "--p", "5"],
 }
-# the specs of the CI workflow's console-script step
-SB_Q3 = {"field": "qp", "p": 3, "n": 1, "f": {"type": "sb", "terms": [
-    {"coeff": "1", "center": ["1/3", "0"], "basis": [["3", "0"], ["0", "3"]]},
-    {"coeff": "1/2", "center": ["1/9", "2"], "basis": [["1", "0"], ["1", "9"]]}]}}
-OPS_Q3 = {"field": "qp", "p": 3, "n": 1,
-          "f": {"type": "sb", "terms": [{"coeff": "1", "center": ["1/3", "0"], "basis": [["3", "0"], ["0", "3"]]}]},
-          "h": {"type": "sb", "terms": [{"coeff": "1/2", "center": ["0", "0"], "basis": [["1", "0"], ["0", "1"]]}]},
-          "y": [["1", "1/3"]], "a_grid": [[["1"]], [["3"]], [["1/9"]]]}
-OPS_R = {"field": "r", "n": 1, "f": {"type": "gaussian", "Q": [[1.5, 0.2], [0.2, 1.0]], "kappa": [1.0, 0.5]},
-         "h": {"type": "gaussian"}, "y": [[1.0, 0.5]], "a_grid": [[[1.0]], [[-0.5]], [[2.0]]]}
-COMPUTE = {
-    "fourier-sb_q3": ("fourier", SB_Q3),
-    "fourier-ops_r": ("fourier", OPS_R),
-    "intertwine-ops_q3": ("intertwine", OPS_Q3),
-    "intertwine-ops_r": ("intertwine", OPS_R),
-    "inner-product-ops_q3": ("inner-product", OPS_Q3),
-    "inner-product-ops_r": ("inner-product", OPS_R),
-}
+# the CI workflow's compute specs; SHA256SUMS beside them lists the digests
+# of the outputs that CI checks
+SPECS = ROOT / "tests" / "data" / "compute"
+# (operation, spec); the output is named <operation>-<spec>
+COMPUTE = (
+    ("fourier", "sb_q3"), ("fourier", "ops_r"),
+    ("intertwine", "ops_q3"), ("intertwine", "ops_r"),
+    ("inner-product", "ops_q3"), ("inner-product", "ops_r"),
+)
 # one BLAS/OpenMP thread, as the benchmark runs the package
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -95,15 +88,13 @@ def run_tree(tree: Path, out: Path) -> None:
             proc = cli(["verify", *flags, "--seed", str(seed), "--out", str(report)])
             doc = json.loads(report.read_text()) if report.exists() else None
             report.write_text(json.dumps({"exit_code": proc.returncode, "report": strip_timing(doc)}))
-    for name, (op, spec) in COMPUTE.items():
-        spec_path = out / f"{name}.spec"
-        spec_path.write_text(json.dumps(spec))
+    for op, stem in COMPUTE:
+        name, spec_path = f"{op}-{stem}", SPECS / f"{stem}.json"
         proc = cli(["compute", op, "--input", str(spec_path)])
-        spec_path.unlink()
         doc = json.loads(proc.stdout) if proc.returncode == 0 else proc.stderr.decode()
         (out / f"compute-{name}.sha256").write_text(hashlib.sha256(proc.stdout).hexdigest())
         (out / f"compute-{name}.json").write_text(json.dumps(
-            {"exit_code": proc.returncode, "field": spec["field"], "output": doc}))
+            {"exit_code": proc.returncode, "field": json.loads(spec_path.read_text())["field"], "output": doc}))
 
 
 def _is_exact(node: dict) -> bool:
@@ -163,9 +154,15 @@ def main(argv=None) -> int:
         run_tree(tmp / "tree", tmp / "old")
         run_tree(ROOT, tmp / "new")
         print(f"old: {args.rev}, new: this checkout")
+        listed = dict(reversed(line.split()) for line in (SPECS / "SHA256SUMS").read_text().splitlines())
+        off_list = 0
         for path in sorted((tmp / "new").glob("*.sha256")):
-            print(f"{path.stem}: old {(tmp / 'old' / path.name).read_text()}, new {path.read_text()}")
-        return verdict(tmp / "old", tmp / "new")
+            new = path.read_text()
+            want = listed.get(path.stem.removeprefix("compute-") + ".json")
+            note = "" if want is None else " (listed)" if new == want else f" (SHA256SUMS lists {want})"
+            off_list += want not in (None, new)
+            print(f"{path.stem}: old {(tmp / 'old' / path.name).read_text()}, new {new}{note}")
+        return max(verdict(tmp / "old", tmp / "new"), int(off_list > 0))
 
 
 if __name__ == "__main__":
