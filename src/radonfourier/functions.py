@@ -407,16 +407,15 @@ class SBFunction:
 
     def integrate_against_character(self, lam) -> ExactValue:
         """Exact value of integral f(v) chi(<lam, v>) dv for rational lam."""
-        lam = tuple(Fraction(x) for x in lam)
-        fd = self.space.fd
-        total = ExactValue.from_cyclo(self.p, 0)
+        fd, p = self.space.fd, self.p
+        (lam,), v, u = xl.p_scaled(xl.mat((lam,)), p)  # lam / (p^v u)
+        total = ExactValue.from_cyclo(p, 0)
         for coeff, coset in self.terms:
-            pairings = [
-                sum(l * b for l, b in zip(lam, col)) for col in zip(*coset.lattice.basis)
-            ]
-            if any(x != 0 and x.denominator % self.p == 0 for x in pairings):
+            # a basis column of N / p^e pairs to <lam, col> / (p^(v + e) u)
+            q = p ** (v + coset.lattice.e)
+            if any(sum(map(int.__mul__, lam, col)) % q for col in zip(*coset.lattice.N)):
                 continue  # character nontrivial on the lattice: term integrates to 0
-            phase = add_char(sum(l * c for l, c in zip(lam, coset.center)), fd)
+            phase = add_char(Fraction(sum(map(int.__mul__, lam, coset.c)), u * p ** (v + coset.a)), fd)
             total = total + coeff * coset.volume() * phase
         return total
 

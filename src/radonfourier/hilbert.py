@@ -63,10 +63,11 @@ def inner_X(f, h) -> LFunction:
     space = f.space
     fd = space.fd
     n = space.cols
+    fc = f.conjugate()
 
     def ev(a):
         ha = translate_group(h, a, side="right")
-        return det_power(a, Fraction(n + 1, 2), fd) * integrate(pointwise_mul(f.conjugate(), ha))
+        return det_power(a, Fraction(n + 1, 2), fd) * integrate(pointwise_mul(fc, ha))
 
     return LFunction(ev, provenance=f"inner_X({f.kind},{h.kind})")
 
@@ -78,10 +79,11 @@ def inner_Xbar(f, h) -> LFunction:
     space = f.space
     fd = space.fd
     n = space.rows
+    fc = f.conjugate()
 
     def ev(a):
         ha = translate_group(h, minv(a, fd), side="left")
-        return det_power(a, Fraction(-(n + 1), 2), fd) * integrate(pointwise_mul(f.conjugate(), ha))
+        return det_power(a, Fraction(-(n + 1), 2), fd) * integrate(pointwise_mul(fc, ha))
 
     return LFunction(ev, provenance=f"inner_Xbar({f.kind},{h.kind})")
 

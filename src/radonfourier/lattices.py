@@ -1,63 +1,85 @@
 """Z_p-lattices and lattice cosets in Q_p^d, with exact calculus.
 
-A lattice is a full-rank Z_p-submodule of Q_p^d with a rational basis; since
-all inputs are rational the whole calculus stays in Q.  The canonical
-representative is the column Hermite normal form over Z_(p) (lower
-triangular, pivots pure powers of p, subdiagonal entries canonical
-residues), so two descriptions of the same lattice produce identical basis
-matrices and equality is syntactic.
+A lattice is a full-rank Z_p-submodule of Q_p^d with a rational basis.  The
+canonical representative is the column Hermite normal form over Z_(p)
+(lower triangular, pivots pure powers of p, subdiagonal entries canonical
+residues).  Its entries lie in Z[1/p], as do canonically reduced centers,
+so a lattice is stored as integer rows N with basis N / p^e and a center as
+integers over p^a, exponents least: equality is syntactic.  Operations run
+on these integers; ``Fraction``s are built only by ``Lattice.basis``,
+``Coset.center`` and ``quotient_representatives``, for callers outside.
 
-Cosets carry a canonically reduced center.  Everything needed by the
-Schwartz-Bruhat function class lives here: duals, sums, intersections,
-images and affine preimages, coset intersection with witnesses, quotient
-enumeration, and coordinate projections with exact Fubini volume factors.
-The HNF is the only normal form used: volumes, quotients and granularity
-are read off it, a projection and its fiber are its two diagonal blocks
-once the kept coordinates come first, and the rest comes from one
-transformed HNF per operation.
+Everything needed by the Schwartz-Bruhat function class lives here: duals,
+sums, intersections, affine preimages, coset intersection with witnesses,
+quotient enumeration, and coordinate projections with exact Fubini volume
+factors.  Volumes, quotients and granularity are read off the HNF, a
+projection and its fiber are its two diagonal blocks once the kept
+coordinates come first, and the rest comes from one transformed HNF.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from . import exactlinalg as xl
-from .fields import padic_frac_part, padic_valuation
+
+
+def _plus(p: int, R, a: int, S, b: int, f: int = 1):
+    """(T, m) with T / p^m = R / p^a + f S / p^b for integer vectors R, S."""
+    m = max(a, b)
+    x, y = p ** (m - a), f * p ** (m - b)
+    return [r * x + s * y for r, s in zip(R, S)], m
+
+
+def _dot(u, v) -> int:
+    return sum(map(int.__mul__, u, v))
+
+
+def _dual(N, e: int, p: int):
+    """Columns and exponent of basis^(-T) for the HNF N / p^e: the rows of
+    adj(N) over p^(K - e), with p^K = det(N)."""
+    Z, det = xl.lower_solve(N, [[int(i == j) for i in range(len(N))] for j in range(len(N))])
+    return list(zip(*Z)), xl.p_split(det, p)[0] - e
 
 
 class Lattice:
-    """Full-rank Z_p-lattice in Q_p^d, stored by its canonical HNF basis.
+    """Full-rank Z_p-lattice in Q_p^d, stored by its canonical HNF N / p^e.
 
-    ``basis`` is a d x d matrix whose *columns* generate the lattice.
+    ``Lattice(p, basis)`` takes rational rows whose *columns* generate the
+    lattice; ``Lattice(p, cols, e)`` integer generating columns over p^e,
+    and with ``_canonical=True`` the rows of a canonical N in lowest terms.
     """
 
-    __slots__ = ("p", "basis", "dim", "_int", "_hash")
+    __slots__ = ("p", "N", "e", "dim", "_hash")
 
-    def __init__(self, p: int, basis, _canonical=False):
-        basis = xl.mat(basis)
-        d, k = xl.shape(basis)
+    def __init__(self, p: int, basis, e: int | None = None, _canonical=False):
+        if e is None:
+            N, e, _ = xl.p_scaled(xl.mat(basis), p)
+            basis = tuple(zip(*N))
         if not _canonical:
-            basis = xl.hnf_zp(basis, p)
-        self.p = p
-        self.basis = basis
-        self.dim = d
-        self._int = xl._scaled(basis)  # (N, D) with basis = N / D
-        self._hash = hash((p, basis))
+            basis, e = xl.hnf_zp(basis, e, p)
+        self.p, self.N, self.e, self.dim = p, basis, e, len(basis)
+        self._hash = hash((p, basis, e))
 
     @classmethod
     def scaled_standard(cls, p: int, d: int, k: int) -> "Lattice":
         """p^k Z_p^d."""
-        s = Fraction(p) ** k
-        return cls(p, tuple(
-            tuple(s if i == j else Fraction(0) for j in range(d)) for i in range(d)
-        ), _canonical=True)
+        s = p ** max(k, 0)
+        rows = tuple(tuple(s if i == j else 0 for j in range(d)) for i in range(d))
+        return cls(p, rows, max(-k, 0), _canonical=True)
+
+    @property
+    def basis(self):
+        """The canonical basis N / p^e as ``Fraction`` rows."""
+        q = self.p**self.e
+        return tuple(tuple(Fraction(x, q) for x in row) for row in self.N)
 
     def __eq__(self, other):
         return (
             isinstance(other, Lattice)
             and self._hash == other._hash
-            and self.p == other.p
-            and self.basis == other.basis
+            and (self.p, self.e, self.N) == (other.p, other.e, other.N)
         )
 
     def __hash__(self):
@@ -66,54 +88,64 @@ class Lattice:
     def __repr__(self):
         return f"Lattice(p={self.p}, basis={[list(r) for r in self.basis]})"
 
-    # -- measure -------------------------------------------------------
-
     def volume(self) -> Fraction:
-        """Haar volume |det(basis)|_p, normalized so vol(Z_p^d) = 1: the HNF
-        basis is triangular, so this is p^(-sum of the pivot valuations)."""
-        v = sum(padic_valuation(self.basis[i][i], self.p) for i in range(self.dim))
-        return Fraction(self.p) ** -v
+        """Haar volume |det(basis)|_p, normalized so vol(Z_p^d) = 1: the pivots
+        of N are powers of p, so this is p^(d e - sum of their exponents)."""
+        v = sum(xl.p_split(row[i], self.p)[0] for i, row in enumerate(self.N))
+        return Fraction(self.p) ** (self.dim * self.e - v)
 
     # -- membership ----------------------------------------------------
 
-    def coords(self, vec):
-        """Coordinates t with basis @ t = vec (triangular solve).
-
-        Fraction-free forward substitution: with basis = N / D and the part
-        of vec still to solve kept as R / S, t_i = D R_i / (S N_ii), and
-        R_r becomes R_r N_ii - R_i N_ri below row i, S becomes S N_ii.
-        """
-        N, D = self._int
-        (R,), S = xl._scaled((vec,))
+    def _coords(self, R, a: int):
+        """Integer coordinates t with basis @ t = R / p^a (R integer), or None
+        when that vector is not in the lattice: forward substitution in
+        N t = p^(e - a) R, with the power of p on the side that keeps both
+        integral; a remainder is a coordinate outside Z[1/p] cap Z_p = Z."""
+        s = self.e - a
+        up, down = (self.p**s, 1) if s >= 0 else (1, self.p**-s)
         t = []
-        for i, row in enumerate(N):
-            x = R[i]
-            if not x:
-                t.append(Fraction(0))
-                continue
-            piv = row[i]
-            t.append(Fraction(D * x, S * piv))
-            for r in range(i + 1, self.dim):
-                R[r] = R[r] * piv - x * N[r][i]
-            S *= piv
-        return tuple(t)
+        for x, row in zip(R, self.N):
+            q, r = divmod(x * up - down * _dot(row, t), row[len(t)] * down)
+            if r:
+                return None
+            t.append(q)
+        return t
 
     def contains(self, vec) -> bool:
-        return all(c == 0 or padic_valuation(c, self.p) >= 0 for c in self.coords(vec))
+        (R,), a, _ = xl.p_scaled(xl.mat((vec,)), self.p)
+        return self._coords(R, a) is not None
 
     def contains_lattice(self, other: "Lattice") -> bool:
-        return all(self.contains(col) for col in zip(*other.basis))
+        return all(self._coords(col, other.e) is not None for col in zip(*other.N))
 
-    def reduce_vector(self, vec):
-        """Canonical representative of vec modulo the lattice."""
-        frac = tuple(padic_frac_part(c, self.p) for c in self.coords(vec))
-        return xl.matvec(self.basis, frac)
+    def reduce_vector(self, R, a: int, u: int = 1):
+        """Canonical representative basis @ {t} of R / (p^a u) modulo the
+        lattice, {t} the p-adic fractional parts of its coordinates, as (C, c)
+        with C / p^c in lowest terms.  Top to bottom (a >= e), t_i = R_i /
+        (u p^m) for p^m = p^(a - e) N_ii has {t_i} = F / p^m, F = R_i u^(-1)
+        mod p^m, and R -= ((R_i - u F) / N_ii) N[:, i] leaves u F in row i:
+        column i is the first to touch row i.  R ends as u p^a times C / p^c."""
+        p, N = self.p, self.N
+        if a < self.e:
+            R, a = [x * p ** (self.e - a) for x in R], self.e
+        else:
+            R = list(R)
+        pa = p ** (a - self.e)
+        for i, row in enumerate(N):
+            x, piv = R[i], row[i]
+            pm = piv * pa
+            q = (x - u * (x * pow(u, -1, pm) % pm if u != 1 else x % pm)) // piv
+            if q:
+                for r in range(i, self.dim):
+                    R[r] -= q * N[r][i]
+        (C,), c = xl.lowest_terms(([x // u for x in R],), a, p)
+        return C, c
 
     # -- constructions ---------------------------------------------------
 
     def dual(self) -> "Lattice":
         """{y : <y, x> in Z_p for all x in the lattice} for the dot pairing."""
-        return Lattice(self.p, xl.transpose(xl.inv(self.basis)))
+        return Lattice(self.p, *_dual(self.N, self.e, self.p))
 
     def quotient_representatives(self, sub: "Lattice"):
         """Coset representatives of (self / sub) for a sublattice sub.
@@ -124,35 +156,35 @@ class Lattice:
         """
         if not self.contains_lattice(sub):
             raise ValueError("not a sublattice")
-        p = self.p
-        reps = [tuple(Fraction(0) for _ in range(self.dim))]
-        for i in range(self.dim):
-            a = padic_valuation(sub.basis[i][i], p) - padic_valuation(self.basis[i][i], p)
-            col = tuple(row[i] for row in self.basis)
-            reps = [
-                tuple(x + s * c for x, c in zip(r, col))
-                for r in reps for s in range(p**a)
-            ]
-        return reps
+        p, N = self.p, self.N
+        reps = [(0,) * self.dim]
+        for i, row in enumerate(N):
+            a = xl.p_split(sub.N[i][i], p)[0] - sub.e - xl.p_split(row[i], p)[0] + self.e
+            reps = [tuple(x + s * r[i] for x, r in zip(rep, N)) for rep in reps for s in range(p**a)]
+        return [tuple(Fraction(x, p**self.e) for x in rep) for rep in reps]
 
     def granularity_exponent(self) -> int:
-        """Smallest g with p^g Z_p^d contained in the lattice."""
-        return max(0, -xl.val_min_entry(xl.inv(self.basis), self.p))
+        """Smallest g with p^g Z_p^d in the lattice: the radius of the dual."""
+        return xl.lowest_terms(*_dual(self.N, self.e, self.p), self.p)[1]
 
     def radius_exponent(self) -> int:
-        """Smallest R with the lattice contained in p^(-R) Z_p^d."""
-        v = xl.val_min_entry(self.basis, self.p)
-        return 0 if v is None else max(0, -v)
+        """Smallest R with the lattice in p^(-R) Z_p^d: e, N / p^e being in lowest terms."""
+        return self.e
 
 
 class Coset:
-    """center + lattice, with the center canonically reduced mod the lattice."""
+    """center + lattice, with the center canonically reduced mod the lattice
+    and kept as integers ``c`` over p^``a`` in lowest terms.  ``Coset(lattice,
+    center)`` takes rational entries, ``Coset(lattice, R, a, u)`` R / (p^a u).
+    """
 
-    __slots__ = ("lattice", "center")
+    __slots__ = ("lattice", "c", "a")
 
-    def __init__(self, lattice: Lattice, center):
+    def __init__(self, lattice: Lattice, center, a: int | None = None, u: int = 1):
+        if a is None:
+            (center,), a, u = xl.p_scaled(xl.mat((center,)), lattice.p)
         self.lattice = lattice
-        self.center = lattice.reduce_vector(tuple(Fraction(x) for x in center))
+        self.c, self.a = lattice.reduce_vector(center, a, u)
 
     @property
     def p(self):
@@ -162,21 +194,28 @@ class Coset:
     def dim(self):
         return self.lattice.dim
 
+    @property
+    def center(self):
+        """The reduced center c / p^a as ``Fraction``s."""
+        return tuple(Fraction(x, self.p**self.a) for x in self.c)
+
     def __eq__(self, other):
         return (
             isinstance(other, Coset)
             and self.lattice == other.lattice
-            and self.center == other.center
+            and (self.a, self.c) == (other.a, other.c)
         )
 
     def __hash__(self):
-        return hash((self.lattice, self.center))
+        return hash((self.lattice._hash, self.c, self.a))
 
     def __repr__(self):
         return f"Coset(center={[str(c) for c in self.center]}, {self.lattice!r})"
 
     def contains(self, vec) -> bool:
-        return self.lattice.contains(xl.vec_sub(tuple(Fraction(x) for x in vec), self.center))
+        # u (vec - center) lies in the lattice exactly when vec - center does
+        (R,), a, u = xl.p_scaled(xl.mat((vec,)), self.p)
+        return self.lattice._coords(*_plus(self.p, R, a, self.c, self.a, -u)) is not None
 
     def volume(self) -> Fraction:
         return self.lattice.volume()
@@ -193,55 +232,68 @@ class Coset:
         and the first d carry coordinates over H to their L1 part.
         """
         L1, L2 = self.lattice, other.lattice
-        diff = xl.vec_sub(other.center, self.center)
+        p, d = self.p, self.dim
+        diff = _plus(p, other.c, other.a, self.c, self.a, -1)
         if L1.contains_lattice(L2):
-            return other if L1.contains(diff) else None
+            return other if L1._coords(*diff) is not None else None
         if L2.contains_lattice(L1):
-            return self if L2.contains(diff) else None
-        d, p = self.dim, self.p
-        H, U = xl.hnf_zp(tuple(ra + rb for ra, rb in zip(L1.basis, L2.basis)), p, transform=True)
-        Hlat = Lattice(p, H, _canonical=True)
-        if not Hlat.contains(diff):
+            return self if L2._coords(*diff) is not None else None
+        e = max(L1.e, L2.e)
+        cols = [[x * p ** (e - L.e) for x in col] for L in (L1, L2) for col in zip(*L.N)]
+        H, h, U, w = xl.hnf_zp(cols, e, p, transform=True)
+        Hlat = Lattice(p, H, h, _canonical=True)
+        t = Hlat._coords(*diff)
+        if t is None:
             return None
-        # diff = [L1 | L2] @ U[:, :d] @ t with integral coordinates t; its L1
-        # part L1 @ U[:d, :d] @ t, added to our center, is a witness
-        LU = xl.matmul(L1.basis, U[:d])
-        step = xl.matvec(tuple(row[:d] for row in LU), Hlat.coords(diff))
-        meet = Lattice(p, tuple(row[d:] for row in LU))
-        return Coset(meet, xl.vec_add(self.center, step))
+        # diff = [L1 | L2] @ U' @ t, U'_j = U_j / w_j (j < d), t integral; its
+        # L1 part N1 @ U' @ t / p^e1, added to our center, is a witness: over
+        # W = prod w_j, sum_j t_j (W / w_j) N1 @ U_j[:d] / (W p^e1)
+        LU = [[_dot(row, col) for row in L1.N] for col in U]
+        W = prod(w)
+        f = [tj * (W // wj) for tj, wj in zip(t, w)]
+        step = [_dot(f, row) for row in zip(*LU[:d])]
+        meet = Lattice(p, LU[d:], L1.e)
+        return Coset(meet, *_plus(p, [W * x for x in self.c], self.a, step, L1.e), W)
 
     def affine_preimage(self, offset, C):
-        """Preimage {z : offset + C @ z in self} for injective C (d x m).
+        """Preimage {z : offset + C @ z in self} for injective rational C (d x m).
 
-        Returns a Coset in dimension m, or None when empty.  A square C is
-        inverted: the preimage is C^(-1) (center - offset) + C^(-1) L.  Other
-        shapes need D z - w in Z_p^d (D = basis^(-1) @ C, w the coordinates of
-        center - offset); the transformed HNF D^T U = [H | 0] makes that
-        H^T z - u[:m] in Z_p^m and u[m:] in Z_p^(d-m), with u = U^T w.
+        Returns a Coset in dimension m, or None when empty.  C = N_C /
+        (p^c mu) and delta = center - offset.  A square C is inverted: with
+        N_C^(-1) = A / (p^v pi), the preimage is C^(-1) delta + A N / p^(e +
+        v - c).  Other shapes need D z - w in Z_p^d, D = basis^(-1) C =
+        Y / (mu p^(K + c - e)), Y = adj(N) N_C, p^K = det(N), w the
+        coordinates of delta: the transformed HNF Y^T U = [H | 0] makes that
+        H^T z - u[:m] in Z_p^m and u[m:] in Z_p^(d-m), u = mu U^T w.
         """
-        p = self.p
-        C = xl.mat(C)
-        delta = xl.vec_sub(self.center, tuple(Fraction(x) for x in offset))
-        if len(C) == len(C[0]):
+        p, L = self.p, self.lattice
+        NC, c, mu = xl.p_scaled(C, p)
+        (Ro,), ao, nu = xl.p_scaled((offset,), p)
+        delta, a = _plus(p, [nu * x for x in self.c], self.a, Ro, ao, -1)  # over p^a nu
+        d, m = len(NC), len(NC[0])
+        if d == m:
             try:
-                Cinv = xl.inv(C)
+                A, piv = xl.int_inv(NC)
             except ZeroDivisionError:
                 raise ValueError("affine map is not injective") from None
-            return Coset(
-                Lattice(p, xl.matmul(Cinv, self.lattice.basis)), xl.matvec(Cinv, delta)
-            )
-        D = xl.matmul(xl.inv(self.lattice.basis), C)
-        m = len(C[0])
+            v, pi = xl.p_split(piv, p)
+            lat = Lattice(p, [[_dot(row, col) for row in A] for col in zip(*L.N)], L.e + v - c)
+            return Coset(lat, [mu * _dot(row, delta) for row in A], a + v - c, pi * nu)
+        Y, det = xl.lower_solve(L.N, [*zip(*NC), delta])
+        K = xl.p_split(det, p)[0]
         try:
-            H, U = xl.hnf_zp(xl.transpose(D), p, transform=True)
+            H, h, U, w = xl.hnf_zp(list(zip(*Y[:m])), K + c - L.e, p, transform=True)
         except ValueError:
             raise ValueError("affine map is not injective") from None
-        u = xl.matvec(xl.transpose(U), self.lattice.coords(delta))
-        # entries beyond m carry the solvability constraint u_i in Z_p
-        if any(x != 0 and padic_valuation(x, p) < 0 for x in u[m:]):
-            return None
-        T = xl.transpose(xl.inv(H))
-        return Coset(Lattice(p, T), xl.matvec(T, u[:m]))
+        s = [_dot(col, Y[m]) for col in U]  # u_j = mu s_j / (w_j nu p^g)
+        g = K + a - L.e
+        if g > 0 and any(x % p**g for x in s[m:]):
+            return None  # u[m:] outside Z_p: no solution
+        # z in H^(-T) (u[:m] + Z_p^m), over W = prod w_j
+        cols, k = _dual(H, h, p)
+        W = prod(w)
+        r = [mu * (W // wj) * x for wj, x in zip(w, s)]
+        return Coset(Lattice(p, cols, k), [_dot(r, row) for row in zip(*cols)], g + k, W * nu)
 
     def project(self, keep):
         """Push forward along coordinate projection, integrating the rest out.
@@ -255,9 +307,9 @@ class Coset:
         fiber lattice {w : (0, w) in the lattice}.
         """
         keep = tuple(keep)
-        k = len(keep)
+        k, p, L = len(keep), self.p, self.lattice
         order = keep + tuple(i for i in range(self.dim) if i not in keep)
-        H = xl.hnf_zp(tuple(self.lattice.basis[i] for i in order), self.p)
-        proj = Lattice(self.p, tuple(row[:k] for row in H[:k]), _canonical=True)
-        fiber = Lattice(self.p, tuple(row[k:] for row in H[k:]), _canonical=True)
-        return Coset(proj, tuple(self.center[i] for i in keep)), fiber.volume()
+        H, h = xl.hnf_zp(list(zip(*(L.N[i] for i in order))), L.e, p)
+        proj = Lattice(p, *xl.lowest_terms([row[:k] for row in H[:k]], h, p), _canonical=True)
+        fiber = Lattice(p, *xl.lowest_terms([row[k:] for row in H[k:]], h, p), _canonical=True)
+        return Coset(proj, [self.c[i] for i in keep], self.a), fiber.volume()

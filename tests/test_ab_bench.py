@@ -71,3 +71,19 @@ def test_missing_metric_is_unresolved(ab_bench):
     parent = [{"correct": False}, {"correct": False}]
     rows = by_metric(ab_bench.summarize(parent, lines([1.0, 1.0]), END_TO_END))
     assert rows["wall_s"] == {"metric": "wall_s", "bound": 0.25, "verdict": "unresolved", "pairs": 0}
+
+
+@pytest.mark.parametrize("argv, seed", [([], 7), (["--seed", "23"], 23)])
+def test_seed_reaches_every_run(ab_bench, monkeypatch, capsys, argv, seed):
+    # both sides of every pair run at the seed given, 7 when none is
+    calls = []
+    monkeypatch.setattr(ab_bench, "extract", lambda rev, dest: None)
+
+    def fake_run(tree, workload, seed, seconds):
+        calls.append((tree == ab_bench.ROOT, workload, seed))
+        return {"exit_code": 0, "line": lines([1.0])[0]}
+
+    monkeypatch.setattr(ab_bench, "run_bench", fake_run)
+    assert ab_bench.main(["HEAD", "--workload", "padic", "--pairs", "2", *argv]) == 0
+    assert sorted(calls) == [(False, "padic", seed)] * 2 + [(True, "padic", seed)] * 2
+    assert f"seed {seed}," in capsys.readouterr().out

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from radonfourier import exactlinalg as xl
+from radonfourier import padic_frac_part
 from radonfourier.sampling import rand_fraction, rand_gl_zp
 
 
@@ -12,6 +13,22 @@ def rand_rational_matrix(rng, m, n, denom=6):
         tuple(Fraction(int(rng.integers(-8, 9)), int(rng.integers(1, denom))) for _ in range(n))
         for _ in range(m)
     )
+
+
+def hnf_fractions(B, p, transform=False):
+    """hnf_zp on a Fraction matrix B (d x k): H, and with ``transform`` U, as
+    Fraction matrices with B @ U = [H | 0].  With B = N / (p^e u), the
+    integer U[j] / w[j] takes N / p^e there, so U scales by u as well."""
+    N, e, u = xl.p_scaled(B, p)
+    out = xl.hnf_zp([list(col) for col in zip(*N)], e, p, transform=transform)
+    H, h = out[:2]
+    assert all(type(x) is int for row in H for x in row)
+    Hf = tuple(tuple(Fraction(x, p**h) for x in row) for row in H)
+    if not transform:
+        return Hf
+    Uc, w = out[2:]
+    scale = [Fraction(u, wj) for wj in w] + [Fraction(u)] * (len(Uc) - len(w))
+    return Hf, tuple(zip(*([x * s for x in col] for col, s in zip(Uc, scale))))
 
 
 def test_det_inv_solve_against_numpy(rng):
@@ -85,20 +102,29 @@ def test_det_rank_rank_deficient_against_fraction_reference(rng):
             assert (want_det == 0) == (want_rank < n)
 
 
+def canonical_residue(t, p, m):
+    """Canonical representative of t modulo p^m Z_(p), to which hnf_zp
+    reduces subdiagonal entries: the orbit t + p^m Z_(p) holds exactly one
+    truncated p-adic expansion sum_{i=v}^{m-1} c_i p^i, p^m times the
+    fractional part of t / p^m.  The reference HNF below uses it."""
+    pm = Fraction(p) ** m
+    return pm * padic_frac_part(Fraction(t) / pm, p)
+
+
 def test_canonical_residue():
     p = 3
     # rational with negative valuation keeps its fractional digits
     t = Fraction(5, 9)
-    r = xl.canonical_residue(t, p, 2)
+    r = canonical_residue(t, p, 2)
     assert r == Fraction(5, 9)
-    assert xl.canonical_residue(Fraction(14, 9), p, 0) == Fraction(5, 9)
+    assert canonical_residue(Fraction(14, 9), p, 0) == Fraction(5, 9)
     # negative m keeps the digits below p^m: 16/27 = 1/27 + 2/9 + 1/3
-    assert xl.canonical_residue(Fraction(16, 27), p, -1) == Fraction(7, 27)
-    assert xl.canonical_residue(Fraction(16, 27), p, -3) == 0
+    assert canonical_residue(Fraction(16, 27), p, -1) == Fraction(7, 27)
+    assert canonical_residue(Fraction(16, 27), p, -3) == 0
     # difference lands in p^m Z_(p), and the residue lies in [0, p^m)
     for m in range(-3, 4):
         for t in [Fraction(7, 5), Fraction(22, 9), Fraction(-4, 27), Fraction(11)]:
-            r = xl.canonical_residue(t, p, m)
+            r = canonical_residue(t, p, m)
             assert 0 <= r < Fraction(p) ** m
             diff = t - r
             if diff != 0:
@@ -119,9 +145,9 @@ def test_hnf_canonical_under_unimodular(rng):
             )
             if xl.det(B) != 0:
                 break
-        H1 = xl.hnf_zp(B, p)
+        H1 = hnf_fractions(B, p)
         U = rand_gl_zp(rng, d, p)
-        H2 = xl.hnf_zp(xl.matmul(B, U), p)
+        H2 = hnf_fractions(xl.matmul(B, U), p)
         assert H1 == H2
         # lower triangular with p-power pivots
         for i in range(d):
@@ -140,7 +166,7 @@ def test_hnf_transform(rng):
             B = rand_rational_matrix(rng, d, 2 * d, denom=4)
             if xl.rank(B) == d:
                 break
-        H, U = xl.hnf_zp(B, p, transform=True)
+        H, U = hnf_fractions(B, p, transform=True)
         BU = xl.matmul(B, U)
         for i in range(d):
             for j in range(2 * d):
@@ -284,7 +310,7 @@ def _hnf_zp_reference(B, p):
         for i in range(j + 1, d):
             piv = cols[i][i]
             t = cols[j][i]
-            rho = xl.canonical_residue(t, p, padic_valuation(piv, p))
+            rho = canonical_residue(t, p, padic_valuation(piv, p))
             if t != rho:
                 colop_sub(j, i, (t - rho) / piv)
     return tuple(tuple(cols[j][r] for j in range(d)) for r in range(d))
@@ -304,12 +330,12 @@ def test_integer_hnf_matches_fraction_reference(rng):
                     B = rand_mixed_matrix(rng, p, d, k)
                     if xl.rank(B) < d:
                         with pytest.raises(ValueError, match="full row rank"):
-                            xl.hnf_zp(B, p)
+                            hnf_fractions(B, p)
                         continue
                     want = _hnf_zp_reference(B, p)
-                    assert xl.hnf_zp(B, p) == want
-                    H, U = xl.hnf_zp(B, p, transform=True)
-                    assert H == want and all_fractions(H) and all_fractions(U)
+                    assert hnf_fractions(B, p) == want
+                    H, U = hnf_fractions(B, p, transform=True)
+                    assert H == want
                     BU = xl.matmul(B, U)
                     assert BU == tuple(row + (Fraction(0),) * (k - d) for row in H)
                     assert all(x == 0 or padic_valuation(x, p) >= 0 for row in U for x in row)
@@ -318,4 +344,4 @@ def test_integer_hnf_matches_fraction_reference(rng):
     B = [list(row) for row in rand_mixed_matrix(rng, 3, 3, 5)]
     B[2] = [x * Fraction(2, 9) - y for x, y in zip(B[0], B[1])]
     with pytest.raises(ValueError, match="full row rank"):
-        xl.hnf_zp(tuple(tuple(row) for row in B), 3, transform=True)
+        hnf_fractions(tuple(tuple(row) for row in B), 3, transform=True)

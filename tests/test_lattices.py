@@ -100,7 +100,9 @@ def test_coset_intersection_witness(rng):
             c1 = Coset(rand_lattice(rng, p, d), tuple(rand_fraction(rng, p, -1, 2) for _ in range(d)))
             c2 = Coset(rand_lattice(rng, p, d), tuple(rand_fraction(rng, p, -1, 2) for _ in range(d)))
             got = c1.intersect(c2)
-            meets = lattice_sum(c1.lattice, c2.lattice).contains(xl.vec_sub(c2.center, c1.center))
+            meets = lattice_sum(c1.lattice, c2.lattice).contains(
+                tuple(x - y for x, y in zip(c2.center, c1.center))
+            )
             assert (got is not None) == meets
             if got is None:
                 continue
@@ -358,17 +360,129 @@ def test_nested_coset_intersection(rng):
 
 
 def test_coords_solves_basis(rng):
-    """basis @ coords(v) == v for lattices with p-power denominators."""
+    """The integer coordinates of a lattice vector basis @ t, given as R / p^a,
+    are t; one coordinate off by 1/p puts the vector outside (None)."""
     for p in (2, 3, 5):
         for d in range(1, 7):
             for _ in range(5):
                 L = rand_lattice(rng, p, d)
-                v = tuple(
-                    Fraction(int(rng.integers(-30, 31)), p ** int(rng.integers(0, 4)))
-                    * rand_fraction(rng, p, -1, 1)
-                    for _ in range(d)
-                )
-                t = L.coords(v)
-                assert all(type(x) is Fraction for x in t)
-                assert xl.matvec(L.basis, t) == v
-                assert L.coords(xl.matvec(L.basis, t)) == t
+                t = [int(rng.integers(-30, 31)) for _ in range(d)]
+                (R,), a, u = xl.p_scaled((xl.matvec(L.basis, t),), p)
+                assert u == 1 and L._coords(R, a) == t
+                i = int(rng.integers(0, d))
+                off = xl.matvec(L.basis, [x + Fraction(int(k == i), p) for k, x in enumerate(t)])
+                (R,), a, _ = xl.p_scaled((off,), p)
+                assert L._coords(R, a) is None and not L.contains(off)
+
+
+# -- the integer representation: (N, e) and centers over a power of p --------
+
+
+def is_p_power(n, p):
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+def assert_lowest_terms(p, rows, e):
+    """Integer rows over p^e, e >= 0 least."""
+    assert all(type(x) is int for row in rows for x in row)
+    assert e >= 0 and (e == 0 or any(x % p for row in rows for x in row))
+
+
+def rand_rational_point(rng, p, d):
+    """p-power and p'-unit denominators mixed: 3/4, 5/7, 2/(9 * 11), ..."""
+    return tuple(rand_fraction(rng, p, -2, 2) / int(rng.choice([1, 7, 11, 13])) for _ in range(d))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_canonical_forms_live_over_a_power_of_p(rng, p):
+    """Every canonical basis and reduced center that the lattice operations
+    build, from inputs with p'-unit denominators, has p-power denominators
+    and is stored in lowest terms; scaling one generator by a unit of
+    Z_(p) gives the same lattice, (N, e) and hash."""
+    unit = Fraction(7, 5) if p != 5 else Fraction(7, 3)
+    for d in range(1, 5):
+        for _ in range(6):
+            while True:
+                B = tuple(tuple(rand_fraction(rng, p, -2, 2) for _ in range(d + 1)) for _ in range(d))
+                if xl.rank(B) == d:
+                    break
+            L = Lattice(p, B)
+            j = int(rng.integers(0, d + 1))
+            scaled = Lattice(p, tuple(tuple(x * unit if k == j else x for k, x in enumerate(row)) for row in B))
+            assert scaled == L and (scaled.N, scaled.e) == (L.N, L.e) and hash(scaled) == hash(L)
+
+            c1 = Coset(L, rand_rational_point(rng, p, d))
+            c2 = Coset(rand_lattice(rng, p, d), rand_rational_point(rng, p, d))
+            m = int(rng.integers(1, d + 1))
+            built = [c1, c2, Coset(L.dual(), rand_rational_point(rng, p, d)), c1.project(range(m))[0]]
+            built += [c for c in (
+                c1.intersect(c2),
+                c1.affine_preimage(rand_rational_point(rng, p, d), rand_injective(rng, p, d, m)),
+                c1.affine_preimage(rand_rational_point(rng, p, d), rand_injective(rng, p, d, d)),
+            ) if c is not None]
+            for coset in built:
+                lat = coset.lattice
+                assert_lowest_terms(p, lat.N, lat.e)
+                assert_lowest_terms(p, (coset.c,), coset.a)
+                assert lat.basis == tuple(tuple(Fraction(x, p**lat.e) for x in row) for row in lat.N)
+                assert coset.center == tuple(Fraction(x, p**coset.a) for x in coset.c)
+                assert all(is_p_power(x.denominator, p) for row in lat.basis for x in row)
+                assert all(is_p_power(x.denominator, p) for x in coset.center)
+
+
+def min_minor_valuation(C, p):
+    """Least valuation of the m x m minors of the d x m matrix C (None if all vanish)."""
+    m = len(C[0])
+    vals = [
+        padic_valuation(det, p)
+        for rows in itertools.combinations(C, m)
+        if (det := xl.det(rows)) != 0
+    ]
+    return min(vals, default=None)
+
+
+@pytest.mark.parametrize("p, m, d, cases", [
+    (2, 1, 1, 12), (2, 1, 3, 12), (2, 2, 2, 12), (2, 2, 3, 12),
+    (3, 1, 2, 12), (3, 2, 2, 6), (3, 2, 3, 6), (5, 1, 1, 8), (5, 1, 2, 8),
+])
+def test_affine_preimage_brute_force(rng, p, m, d, cases):
+    """Square and non-square C against a complete grid.
+
+    The coset is c + L with p Z_p^d in L in p^-1 Z_p^d and c, offset in
+    p^-2 Z_p^d; C is integral over Z_(p) with an m x m minor of valuation
+    v <= 1.  So every preimage point lies in p^(-2-v) Z_p^m, and membership
+    only depends on z mod p Z_p^m: the grid t / p^(2+v), 0 <= t < p^(3+v),
+    meets every class.  z is in the preimage exactly when offset + C z is
+    in the coset, and None comes back exactly when no grid point maps in.
+    """
+    seen = set()  # the outcomes "pre is None" met
+    # the grid has p^((3 + v) m) points: allow v = 1 only where that stays small
+    v_max = 1 if p ** (4 * m) <= 1000 else 0
+    for _ in range(cases):
+        while True:
+            u = int(rng.choice([1, 7, 11]))
+            C = tuple(tuple(Fraction(int(rng.integers(-p, p + 1)), u) for _ in range(m)) for _ in range(d))
+            v = min_minor_valuation(C, p)
+            if v is not None and v <= v_max:
+                break
+        extra = tuple(
+            tuple(Fraction(int(rng.integers(0, p * p)), p) for _ in range(d)) for _ in range(int(rng.integers(0, 3)))
+        )
+        pI = tuple(tuple(Fraction(p if i == j else 0) for j in range(d)) for i in range(d))
+        L = Lattice(p, tuple(row + tuple(g[i] for g in extra) for i, row in enumerate(pI)))
+        coset = Coset(L, tuple(Fraction(int(rng.integers(-p**3, p**3)), p * p) for _ in range(d)))
+        offset = tuple(Fraction(int(rng.integers(-p**3, p**3)), p * p * int(rng.choice([1, 7]))) for _ in range(d))
+        pre = coset.affine_preimage(offset, C)
+        q = p ** (2 + v)
+        grid = [tuple(Fraction(t, q) for t in ts) for ts in itertools.product(range(q * p), repeat=m)]
+        hits = 0
+        for z in grid:
+            maps_in = coset.contains(xl.vec_add(offset, xl.matvec(C, z)))
+            assert (pre is not None and pre.contains(z)) == maps_in
+            hits += maps_in
+        assert (pre is None) == (hits == 0)
+        seen.add(pre is None)
+    # an invertible C always has a preimage; the non-square cases include empty ones
+    assert seen == {False} if m == d else True in seen
