@@ -11,7 +11,9 @@ inner product is computed:
   all in closed form; this is what makes the archimedean oracles exact.
 * ``SBFunction``: a finite combination of indicators of lattice cosets over
   Q_p with exact cyclotomic coefficients.  Closed under the same operations,
-  with every result computed exactly.
+  with every result computed exactly on the lattice layer's integers: maps
+  come as integer rows over p^k u (``flatten_linear``'s triple, the integer
+  pairing matrix), never as ``Fraction`` matrices.
 
 A third, ``Evaluable``, is an integrand for ``integrate``: a vectorized
 function with declared decay (a Gaussian envelope and/or a support radius)
@@ -36,7 +38,7 @@ from . import quadrature as quad
 from .cyclotomic import CyclotomicValue, ExactValue, _phi_prime_power, _power_of, as_exact
 from .fields import add_char
 from .geometry import MatrixSpace, flatten_linear, meye
-from .lattices import Coset, Lattice
+from .lattices import Coset, Lattice, _dot, _plus
 
 
 # ---------------------------------------------------------------------
@@ -352,16 +354,14 @@ class SBFunction:
         return SBFunction(self.space, out)
 
     def pullback_affine(self, M, space: MatrixSpace, offset=None) -> "SBFunction":
-        """z -> f(offset + M z) on ``space``, M an injective Fraction matrix."""
-        M = xl.mat(M)
-        offset = (
-            tuple(Fraction(0) for _ in range(len(M)))
-            if offset is None
-            else tuple(Fraction(x) for x in offset)
-        )
+        """z -> f(offset + M z) on ``space``, M an injective map given as
+        ``flatten_linear``'s triple (K, k, u), M = K / (p^k u)."""
+        if offset is None:
+            offset = (0,) * len(M[0])
+        (R,), a, u = xl.p_scaled((offset,), self.p)
         out = []
         for coeff, coset in self.terms:
-            pre = coset.affine_preimage(offset, M)
+            pre = coset.affine_preimage((R, a, u), M)
             if pre is not None:
                 out.append((coeff, pre))
         return SBFunction(space, out)
@@ -382,9 +382,8 @@ class SBFunction:
             if not coset.lattice.contains_lattice(lattice):
                 raise ValueError("refinement lattice is not a common sublattice")
             for rep in coset.lattice.quotient_representatives(lattice):
-                out.append(
-                    (coeff, Coset(lattice, xl.vec_add(coset.center, rep)))
-                )
+                center = _plus(self.p, coset.c, coset.a, rep, coset.lattice.e)
+                out.append((coeff, Coset(lattice, *center)))
         return SBFunction(self.space, out)
 
     def is_zero_function(self) -> bool:
@@ -413,35 +412,37 @@ class SBFunction:
         for coeff, coset in self.terms:
             # a basis column of N / p^e pairs to <lam, col> / (p^(v + e) u)
             q = p ** (v + coset.lattice.e)
-            if any(sum(map(int.__mul__, lam, col)) % q for col in zip(*coset.lattice.N)):
+            if any(_dot(lam, col) % q for col in zip(*coset.lattice.N)):
                 continue  # character nontrivial on the lattice: term integrates to 0
-            phase = add_char(Fraction(sum(map(int.__mul__, lam, coset.c)), u * p ** (v + coset.a)), fd)
+            phase = add_char(Fraction(_dot(lam, coset.c), u * p ** (v + coset.a)), fd)
             total = total + coeff * coset.volume() * phase
         return total
 
     def fourier(self, P, target: MatrixSpace) -> "SBFunction":
-        """Exact transform against chi(<P y, x>) by lattice duality.
+        """Exact transform against chi(<P y, x>) by lattice duality, for the
+        integer pairing matrix P.
 
         Each indicator of c + L maps to vol(L) chi(<y, w>), w = P c, times the
         indicator of M = (P L)^dual.  The phase is constant exactly on the
         cosets of flat = (P L + Z_p w)^dual, the part of M on which <y, w>
         lies in Z_p, so the term splits into one coset of flat per element
         of M / flat, each with its exact root-of-unity coefficient; a
-        trivial phase (w in P L) leaves the single coset M.
+        trivial phase (w in P L) leaves the single coset M.  P L and w are
+        integer columns over one power p^e, and both lattices are duals.
         """
-        P = xl.mat(P)
-        fd = self.space.fd
-        p = self.p
+        fd, p = self.space.fd, self.p
         out = []
         for coeff, coset in self.terms:
-            PB = xl.matmul(P, coset.lattice.basis)
-            w = xl.matvec(P, coset.center)
-            M = Lattice(p, xl.transpose(xl.inv(PB)))
-            flat = Lattice(p, tuple(row + (x,) for row, x in zip(PB, w))).dual()
+            L = coset.lattice
+            e = max(L.e, coset.a)
+            PN = [[_dot(row, col) * p ** (e - L.e) for row in P] for col in zip(*L.N)]
+            w = [_dot(row, coset.c) * p ** (e - coset.a) for row in P]
+            M = Lattice(p, PN, e).dual()
+            flat = Lattice(p, PN + [w], e).dual()
             base = coeff * coset.volume()
-            for y0 in M.quotient_representatives(flat):
-                phase = add_char(sum(a * b for a, b in zip(w, y0)), fd)
-                out.append((base * phase, Coset(flat, y0)))
+            for R in M.quotient_representatives(flat):
+                phase = add_char(Fraction(_dot(w, R), p ** (e + M.e)), fd)
+                out.append((base * phase, Coset(flat, R, M.e)))
         return SBFunction(target, out)
 
     def __repr__(self):

@@ -14,7 +14,8 @@ law), never to spell a matrix or scalar operation.  Real coordinates of a
 matrix space flatten row-major, with complex entries split into (re, im)
 pairs.  Every linear action used here is x -> A x B, whose coordinate matrix
 is the Kronecker product A (x) B^T, vec(A X B) = (A (x) B^T) vec(X) in
-row-major order, with each complex entry written as a real 2 x 2 block.
+row-major order, with each complex entry written as a real 2 x 2 block;
+over Q_p it is integer rows over p^k u, the form the lattice layer takes.
 """
 
 from __future__ import annotations
@@ -149,12 +150,15 @@ def flatten_linear(A, B, fd: FieldDescriptor):
 
     In row-major coordinates this is A (x) B^T: the entry at target (k, l),
     domain (i, j) is A[k, i] B[j, l].  Over C each complex entry c becomes the
-    real block [[Re c, -Im c], [Im c, Re c]]; p-adic rows are exact Fractions.
+    real block [[Re c, -Im c], [Im c, Re c]].  Over Q_p it is the lattice
+    layer's triple (K, k, u), integer rows K with A (x) B^T = K / (p^k u):
+    the Kronecker product of the two ``xl.p_scaled`` forms.
     """
     A, B = as_matrix(A, fd), as_matrix(B, fd)
     if not fd.is_archimedean:
-        Bt = tuple(zip(*B))
-        return tuple(tuple(a * b for a in ra for b in cb) for ra in A for cb in Bt)
+        (NA, a, ua), (NB, b, ub) = xl.p_scaled(A, fd.p), xl.p_scaled(B, fd.p)
+        K = [[x * y for x in ra for y in cb] for ra in NA for cb in zip(*NB)]
+        return K, a + b, ua * ub
     rows, cols = len(A) * len(B[0]), len(A[0]) * len(B)
     K = (A[:, None, :, None] * B.T[None, :, None, :]).reshape(rows, cols)
     if fd.kind == "complex":
@@ -264,16 +268,8 @@ class Fiber:
     fd: FieldDescriptor
 
     def point(self, z):
-        """The fiber point A + c z; z is a flat row of n scalars (or 1 x n)."""
-        if self.fd.is_archimedean:
-            c = np.asarray(self.c).reshape(-1, 1)
-            z_ = np.asarray(z).reshape(1, -1)
-            return np.asarray(self.A) + c @ z_
-        zf = z[0] if len(z) == 1 and isinstance(z[0], (tuple, list)) else z
-        czr = tuple(
-            tuple(self.c[i][0] * Fraction(zz) for zz in zf) for i in range(self.n + 1)
-        )
-        return xl.mat_add(self.A, czr)
+        """The p-adic fiber point A + c z for a flat row z of n rationals."""
+        return xl.mat_add(self.A, tuple(tuple(ci * zj for zj in z) for (ci,) in self.c))
 
 
 def fiber_param(y, n: int, fd: FieldDescriptor, rng=None) -> Fiber:
@@ -304,14 +300,9 @@ class KAKFactors:
     fd: FieldDescriptor
 
     def reconstruct(self):
-        n = len(self.diag)
-        if self.fd.is_archimedean:
-            return np.asarray(self.k1) @ np.diag(self.diag) @ np.asarray(self.k2)
-        D = tuple(
-            tuple(self.diag[i] if i == j else Fraction(0) for j in range(n))
-            for i in range(n)
-        )
-        return xl.matmul(xl.matmul(self.k1, D), self.k2)
+        n, fd = len(self.diag), self.fd
+        D = as_matrix([[d if i == j else 0 for j in range(n)] for i, d in enumerate(self.diag)], fd)
+        return mmul(mmul(self.k1, D, fd), self.k2, fd)
 
 
 def kak(a, fd: FieldDescriptor) -> KAKFactors:

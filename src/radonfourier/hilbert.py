@@ -138,11 +138,12 @@ def column_product_constant(f):
         if len(f.terms) != 1:
             raise ValueError("need a single-coset function for the product envelope")
         coeff, coset = f.terms[0]
-        if any(c != 0 for c in coset.center):
+        if any(coset.c):
             raise ValueError("need an origin coset for the product envelope")
         if not coeff.cyc.is_rational() or coeff.qexp != 0:
             raise ValueError("need a rational coefficient")
-        form, C = coset.lattice.basis, coeff.cyc.rational_value() ** 2 * coset.lattice.volume()
+        # the block test reads N: basis = N / p^e keeps its equalities and zeros
+        form, C = coset.lattice.N, coeff.cyc.rational_value() ** 2 * coset.lattice.volume()
     else:
         raise ValueError("no product envelope for this function class")
     space = f.space

@@ -6,8 +6,9 @@ canonical representative is the column Hermite normal form over Z_(p)
 residues).  Its entries lie in Z[1/p], as do canonically reduced centers,
 so a lattice is stored as integer rows N with basis N / p^e and a center as
 integers over p^a, exponents least: equality is syntactic.  Operations run
-on these integers; ``Fraction``s are built only by ``Lattice.basis``,
-``Coset.center`` and ``quotient_representatives``, for callers outside.
+on these integers and take maps and points in the same form, integer rows
+over p^k u (p not dividing u) as ``xl.p_scaled`` writes them; ``Fraction``s
+are built only by ``Lattice.basis`` and ``Coset.center``, for output.
 
 Everything needed by the Schwartz-Bruhat function class lives here: duals,
 sums, intersections, affine preimages, coset intersection with witnesses,
@@ -148,7 +149,8 @@ class Lattice:
         return Lattice(self.p, *_dual(self.N, self.e, self.p))
 
     def quotient_representatives(self, sub: "Lattice"):
-        """Coset representatives of (self / sub) for a sublattice sub.
+        """Coset representatives of (self / sub) for a sublattice sub, as
+        integer vectors R standing for R / p^e (e of self).
 
         Both bases are lower-triangular HNFs, so basis^(-1) @ sub_basis is
         triangular with diagonal p^(a_i), a_i = v(sub_ii) - v(basis_ii): the
@@ -161,7 +163,7 @@ class Lattice:
         for i, row in enumerate(N):
             a = xl.p_split(sub.N[i][i], p)[0] - sub.e - xl.p_split(row[i], p)[0] + self.e
             reps = [tuple(x + s * r[i] for x, r in zip(rep, N)) for rep in reps for s in range(p**a)]
-        return [tuple(Fraction(x, p**self.e) for x in rep) for rep in reps]
+        return reps
 
     def granularity_exponent(self) -> int:
         """Smallest g with p^g Z_p^d in the lattice: the radius of the dual."""
@@ -256,10 +258,12 @@ class Coset:
         return Coset(meet, *_plus(p, [W * x for x in self.c], self.a, step, L1.e), W)
 
     def affine_preimage(self, offset, C):
-        """Preimage {z : offset + C @ z in self} for injective rational C (d x m).
+        """Preimage {z : offset + C @ z in self} for an injective d x m map.
 
-        Returns a Coset in dimension m, or None when empty.  C = N_C /
-        (p^c mu) and delta = center - offset.  A square C is inverted: with
+        Both come scaled: C = (N_C, c, mu) for the rows N_C / (p^c mu) and
+        offset = (R, b, nu) for the vector R / (p^b nu), integers with mu and
+        nu prime to p.  Returns a Coset in dimension m, or None when empty.
+        delta = center - offset.  A square C is inverted: with
         N_C^(-1) = A / (p^v pi), the preimage is C^(-1) delta + A N / p^(e +
         v - c).  Other shapes need D z - w in Z_p^d, D = basis^(-1) C =
         Y / (mu p^(K + c - e)), Y = adj(N) N_C, p^K = det(N), w the
@@ -267,8 +271,7 @@ class Coset:
         H^T z - u[:m] in Z_p^m and u[m:] in Z_p^(d-m), u = mu U^T w.
         """
         p, L = self.p, self.lattice
-        NC, c, mu = xl.p_scaled(C, p)
-        (Ro,), ao, nu = xl.p_scaled((offset,), p)
+        (NC, c, mu), (Ro, ao, nu) = C, offset
         delta, a = _plus(p, [nu * x for x in self.c], self.a, Ro, ao, -1)  # over p^a nu
         d, m = len(NC), len(NC[0])
         if d == m:

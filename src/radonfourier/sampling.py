@@ -128,13 +128,14 @@ def rand_kak_sample(rng, n: int, fd: FieldDescriptor):
 
 
 def default_a_grid(n: int, fd: FieldDescriptor):
-    """Log-uniform diagonal grid: 2^(j/4), |j| <= 16 archimedean; p^k p-adic."""
+    """Log-uniform diagonal grid: 2^(j/4), |j| <= 16 archimedean; p^k p-adic.
+    For n >= 2 the first two diagonal entries vary and the rest are 1."""
     if fd.is_archimedean:
         vals = [2.0 ** (j / 4.0) for j in range(-16, 17)]
         if n == 1:
             return [np.array([[v]]) for v in vals]
         picks = [(v, 1.0 / v) for v in vals] + [(v, v) for v in vals[::4]]
-        return [np.diag(list(d)).astype(float) for d in picks]
+        return [np.diag([*d] + [1.0] * (n - 2)) for d in picks]
     vals = [Fraction(fd.p) ** k for k in range(-4, 5)]
     if n == 1:
         return [((v,),) for v in vals]

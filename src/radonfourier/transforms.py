@@ -90,22 +90,19 @@ def pairing_matrix(yspace: MatrixSpace, xspace: MatrixSpace):
     a 1 at each pair of matching coordinates of y_ij and x_ji, and -1 at the
     (im, im) pairs over C.  P is a signed permutation, hence the Lebesgue
     coordinate measure is self-dual for the associated Fourier kernel.
-    Entries are numpy floats archimedean, Fractions p-adic.
+    Entries are Python integers on every field.
     """
-    fd = yspace.fd
     if yspace.cols != xspace.rows or yspace.rows != xspace.cols:
         raise ValueError("spaces do not pair")
-    d = entry_dim(fd)
+    d = entry_dim(yspace.fd)
     # entry i*cols + j of y is y_ij; entry xk[i*cols + j] of x is x_ji
     xk = np.arange(xspace.rows * xspace.cols).reshape(xspace.shape).T.reshape(-1)
     yc, xc = d * np.arange(len(xk)), d * xk
-    P = np.zeros((yspace.dim, xspace.dim))
-    P[yc, xc] = 1.0
+    P = np.zeros((yspace.dim, xspace.dim), dtype=int)
+    P[yc, xc] = 1
     if d == 2:
-        P[yc + 1, xc + 1] = -1.0
-    if fd.is_archimedean:
-        return tuple(map(tuple, P))
-    return tuple(tuple(Fraction(int(v)) for v in row) for row in P)
+        P[yc + 1, xc + 1] = -1
+    return tuple(map(tuple, P.tolist()))
 
 
 # ---------------------------------------------------------------------
@@ -113,20 +110,17 @@ def pairing_matrix(yspace: MatrixSpace, xspace: MatrixSpace):
 # ---------------------------------------------------------------------
 
 
-def fourier(f, inverse: bool = False):
-    """Transform a function on X to one on Xbar (or back, with ``inverse``).
+def fourier(f):
+    """Transform a function on X to one on Xbar, or on Xbar to one on X.
 
     Gaussians and Schwartz-Bruhat functions transform in closed form /
-    exactly.
+    exactly.  The coordinate measure is self-dual, so F(F f) = f(-.): the
+    transform inverts itself up to the reflection.
     """
     space = f.space
     target = space.transpose_space()
-    P = pairing_matrix(target, space)
-    if inverse:
-        # the conjugate kernel: -P(X, Y)^T, which is -P(Y, X)
-        P = tuple(tuple(-v for v in row) for row in P)
     if isinstance(f, (GaussianForm, SBFunction)):
-        return f.fourier(P, target)
+        return f.fourier(pairing_matrix(target, space), target)
     raise TypeError(f"cannot transform {type(f).__name__}")
 
 

@@ -57,7 +57,7 @@ def test_pullback_examples(fr, f3):
         f.pullback_affine(np.array([[1.0], [1.0]]) @ np.array([[1.0, 1.0]]), X)
     D1 = MatrixSpace(f3, 1, 1)
     ind = SBFunction.indicator(D1, Coset(Lattice.scaled_standard(3, 1, 0), (Fraction(0),)))
-    pre = ind.pullback_affine(((Fraction(3),),), D1)
+    pre = ind.pullback_affine(xl.p_scaled(((Fraction(3),),), 3), D1)
     assert pre.terms[0][1].lattice == Lattice.scaled_standard(3, 1, -1)
 
 

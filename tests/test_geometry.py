@@ -160,7 +160,7 @@ def test_fiber_param(rng, fr, f3):
         y = rand_regular_point(rng, space_X(n, fr).transpose_space())
         fib = fiber_param(y, n, fr)
         z = rng.standard_normal(n)
-        pt = fib.point(z)
+        pt = fib.A + fib.c @ z[None, :]
         assert np.allclose(np.asarray(y) @ pt, np.eye(n), atol=1e-8)
 
 
@@ -258,6 +258,10 @@ def test_flatten_linear_matches_basis_push(rng, fr, fc, f2, f3):
                 if fd.is_archimedean:
                     assert np.array_equal(got, want), (fd.kind, n)
                 else:
+                    # the integer triple (K, k, u) stands for K / (p^k u)
+                    K, k, u = got
+                    assert all(type(v) is int for row in K for v in row)
+                    got = tuple(tuple(Fraction(v, fd.p**k * u) for v in row) for row in K)
                     assert got == want, (fd.p, n)
                     assert all(type(v) is Fraction for row in got for v in row)
 

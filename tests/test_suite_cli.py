@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radonfourier import complex_field, fourier, function_from_json, real_field, space_X
+from radonfourier import complex_field, fourier, function_from_json, padic_field, real_field, space_X
 from radonfourier.cli import main
+from radonfourier.geometry import mdet
+from radonfourier.sampling import default_a_grid
 from radonfourier.suite import (
     CHECKS,
     SuiteConfig,
@@ -47,6 +49,18 @@ def test_unknown_check_rejected():
         run_suite(small_cfg(checks=("bogus",)))
     with pytest.raises(ValueError):
         SuiteConfig.from_json({"field": "r", "nope": 1})
+
+
+def test_default_a_grid_square_and_invertible():
+    """Every grid matrix is n x n and invertible for n = 1..4, and the
+    unitarity check runs on the grid at n = 3 over R and C."""
+    for fd in (real_field(), complex_field(), padic_field(2)):
+        for n in range(1, 5):
+            for a in default_a_grid(n, fd):
+                assert np.shape(a) == (n, n) and mdet(a, fd) != 0
+    for field in ("r", "c"):
+        rep = run_suite(SuiteConfig(field=field, n=3, samples=2, checks=("unitarity",)))
+        assert rep["pass"], rep["checks"][0].get("error")
 
 
 def test_determinism_byte_identical_samples():
