@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .fields import padic_valuation
+from .fields import p_split, padic_valuation
 
 
 def mat(rows):
@@ -160,15 +160,6 @@ def rank(A):
 # ---------------------------------------------------------------------
 # Normal forms over the localization Z_(p)
 # ---------------------------------------------------------------------
-
-
-def p_split(x: int, p: int):
-    """(v, u) with x = p^v u and p not dividing u, for a nonzero integer x."""
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v, x
 
 
 def p_scaled(rows, p: int):

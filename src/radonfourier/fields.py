@@ -93,20 +93,21 @@ def padic_field(p: int) -> FieldDescriptor:
     return FieldDescriptor(PADIC, p)
 
 
+def p_split(x: int, p: int):
+    """(v, u) with x = p^v u and p not dividing u, for a nonzero integer x."""
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v, x
+
+
 def padic_valuation(x: Fraction | int, p: int) -> int:
     """v_p(x) for a nonzero rational x."""
     x = Fraction(x)
     if x == 0:
         raise ZeroDivisionError("valuation of 0 is undefined")
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return p_split(x.numerator, p)[0] - p_split(x.denominator, p)[0]
 
 
 def abs_norm(s, fd: FieldDescriptor):

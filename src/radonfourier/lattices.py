@@ -11,11 +11,11 @@ over p^k u (p not dividing u) as ``xl.p_scaled`` writes them; ``Fraction``s
 are built only by ``Lattice.basis`` and ``Coset.center``, for output.
 
 Everything needed by the Schwartz-Bruhat function class lives here: duals,
-sums, intersections, affine preimages, coset intersection with witnesses,
-quotient enumeration, and coordinate projections with exact Fubini volume
-factors.  Volumes, quotients and granularity are read off the HNF, a
-projection and its fiber are its two diagonal blocks once the kept
-coordinates come first, and the rest comes from one transformed HNF.
+affine preimages, intersections (preimages under the diagonal), quotient
+enumeration, and coordinate projections with exact Fubini volume factors.
+Volumes, quotients and granularity are read off the HNF, a projection and
+its fiber are its two diagonal blocks once the kept coordinates come first,
+and an affine preimage comes from one transformed HNF.
 """
 
 from __future__ import annotations
@@ -169,10 +169,6 @@ class Lattice:
         """Smallest g with p^g Z_p^d in the lattice: the radius of the dual."""
         return xl.lowest_terms(*_dual(self.N, self.e, self.p), self.p)[1]
 
-    def radius_exponent(self) -> int:
-        """Smallest R with the lattice in p^(-R) Z_p^d: e, N / p^e being in lowest terms."""
-        return self.e
-
 
 class Coset:
     """center + lattice, with the center canonically reduced mod the lattice
@@ -225,13 +221,11 @@ class Coset:
     def intersect(self, other: "Coset"):
         """Intersection coset, or None when disjoint.
 
-        Nonempty iff center difference lies in the lattice sum.  When one
-        lattice contains the other, the sum is the larger and the meet is the
-        smaller coset itself.  Otherwise one transformed HNF of the
-        concatenated bases, [L1 | L2] @ U = [H | 0] with U unimodular over
-        Z_(p), gives both: the last d columns of U span the integral relations
-        L1 u1 + L2 u2 = 0, so the last d columns of L1 @ U[:d] span the meet,
-        and the first d carry coordinates over H to their L1 part.
+        When one lattice contains the other, the meet is the smaller coset
+        itself if the center difference lies in the larger lattice, and empty
+        otherwise.  Otherwise the intersection is the preimage of the product
+        coset under the diagonal x -> (x, x); the two canonical forms side by
+        side, at a common exponent, are the product lattice's canonical form.
         """
         L1, L2 = self.lattice, other.lattice
         p, d = self.p, self.dim
@@ -240,22 +234,13 @@ class Coset:
             return other if L1._coords(*diff) is not None else None
         if L2.contains_lattice(L1):
             return self if L2._coords(*diff) is not None else None
-        e = max(L1.e, L2.e)
-        cols = [[x * p ** (e - L.e) for x in col] for L in (L1, L2) for col in zip(*L.N)]
-        H, h, U, w = xl.hnf_zp(cols, e, p, transform=True)
-        Hlat = Lattice(p, H, h, _canonical=True)
-        t = Hlat._coords(*diff)
-        if t is None:
-            return None
-        # diff = [L1 | L2] @ U' @ t, U'_j = U_j / w_j (j < d), t integral; its
-        # L1 part N1 @ U' @ t / p^e1, added to our center, is a witness: over
-        # W = prod w_j, sum_j t_j (W / w_j) N1 @ U_j[:d] / (W p^e1)
-        LU = [[_dot(row, col) for row in L1.N] for col in U]
-        W = prod(w)
-        f = [tj * (W // wj) for tj, wj in zip(t, w)]
-        step = [_dot(f, row) for row in zip(*LU[:d])]
-        meet = Lattice(p, LU[d:], L1.e)
-        return Coset(meet, *_plus(p, [W * x for x in self.c], self.a, step, L1.e), W)
+        e, zero = max(L1.e, L2.e), (0,) * d
+        N = [tuple(x * p ** (e - L.e) for x in row) for L in (L1, L2) for row in L.N]
+        N = tuple(row + zero if i < d else zero + row for i, row in enumerate(N))
+        center = _plus(p, self.c + zero, self.a, zero + other.c, other.a)
+        product = Coset(Lattice(p, N, e, _canonical=True), *center)
+        eye = [[int(i == j) for j in range(d)] for i in range(d)]
+        return product.affine_preimage(([0] * 2 * d, 0, 1), (eye + eye, 0, 1))
 
     def affine_preimage(self, offset, C):
         """Preimage {z : offset + C @ z in self} for an injective d x m map.

@@ -29,7 +29,7 @@ from . import __version__, sampling
 from . import exactlinalg as xl
 from .fields import FieldDescriptor, complex_field, padic_field, padic_valuation, real_field
 from .functions import GaussianForm, SBFunction
-from .geometry import as_scalar, base_point_y, fiber_param, rho_weight, rho_weight_exponents, space_X
+from .geometry import base_point_y, fiber_param, rho_weight, rho_weight_exponents, space_X
 from .hilbert import decay_bound_check, truncation_sequence
 from .lattices import Coset, Lattice
 from .transforms import (
@@ -366,14 +366,10 @@ def _check_fiber(cfg: SuiteConfig) -> dict:
     rows = []
     ok = True
     count = min(20, cfg.samples)
-    factor = cfg.perturb.get("fiber_measure_factor", 1)
     for _ in range(count):
         y = sampling.rand_regular_point(rng, X.transpose_space())
         base = intertwine_I(f, y, fiber=fiber_param(y, cfg.n, fd))
         vals = [intertwine_I(f, y, fiber=fiber_param(y, cfg.n, fd, rng=rng)) for _ in range(5)]
-        if factor != 1:  # the measure knob scales both sides alike
-            c = as_scalar(factor, fd)
-            base, vals = base * c, [val * c for val in vals]
         verdicts = [sides_agree(fd, val, base, 1e-10) for val in vals]
         good = all(agree for agree, _ in verdicts)
         if fd.is_archimedean:

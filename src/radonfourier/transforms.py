@@ -285,9 +285,9 @@ def compose_shell_stabilized(f: SBFunction, y, k_max: int = 8):
     g0 = 0
     rf = 0
     for _, coset in f.terms:
-        # the coset lies in p^(-R) Z_p^d, R = max(lattice radius, center exponent)
+        # the coset lies in p^(-R) Z_p^d, R = max(e, a), both in lowest terms
         g0 = max(g0, coset.lattice.granularity_exponent())
-        rf = max(rf, coset.lattice.radius_exponent(), coset.a)
+        rf = max(rf, coset.lattice.e, coset.a)
     ry = max(
         (max(0, -padic_valuation(e, p)) for row in y for e in row if e != 0),
         default=0,

@@ -47,14 +47,11 @@ def _inverse(B):
     return [row[n:] for row in M]
 
 
-def _integral(rows, p) -> bool:
-    return all(x.denominator % p for row in rows for x in row)
-
-
 def _contains(L1, L2) -> bool:
     """L2 inside L1: basis1^(-1) basis2 is integral over Z_p."""
-    inv, B2 = _inverse(L1.basis), L2.basis
-    return _integral([[sum(a * b for a, b in zip(row, col)) for col in zip(*B2)] for row in inv], L1.p)
+    inv = _inverse(L1.basis)
+    return all(sum(a * b for a, b in zip(row, col)).denominator % L1.p
+               for row in inv for col in zip(*L2.basis))
 
 
 def _members(coset, Y, D):

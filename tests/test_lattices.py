@@ -117,13 +117,32 @@ def test_coset_intersection_witness(rng):
             assert got.lattice == dual_formula_intersection(c1.lattice, c2.lattice)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_block_diagonal_of_canonical_forms_is_canonical(rng, p):
+    """``Coset.intersect`` marks L1 x L2 canonical when it writes the two
+    canonical forms side by side at a common exponent: the Hermite form of
+    the same columns is that block matrix, exponent and hash included."""
+    exponents = set()
+    for d in range(1, 7):
+        for _ in range(4):
+            L1, L2 = rand_lattice(rng, p, d), rand_lattice(rng, p, d)
+            e, zero = max(L1.e, L2.e), (0,) * d
+            N = tuple(tuple(x * p ** (e - L1.e) for x in row) + zero for row in L1.N) + tuple(
+                zero + tuple(x * p ** (e - L2.e) for x in row) for row in L2.N
+            )
+            block, built = Lattice(p, N, e, _canonical=True), Lattice(p, tuple(zip(*N)), e)
+            assert (built.N, built.e, hash(built)) == (block.N, block.e, hash(block))
+            exponents.add(L1.e == L2.e)
+    assert exponents == {False, True}  # one side rescaled, and neither
+
+
 def test_disjoint_cosets_intersect_to_none(rng):
     for p in (2, 3, 5):
         for d in range(1, 5):
             for _ in range(5):
                 L1, L2 = rand_lattice(rng, p, d), rand_lattice(rng, p, d)
                 # L1 + L2 sits in p^(-R) Z_p^d, so p^(-R-1) e_0 is outside it
-                R = lattice_sum(L1, L2).radius_exponent()
+                R = lattice_sum(L1, L2).e
                 c1 = Coset(L1, tuple(rand_fraction(rng, p, -1, 2) for _ in range(d)))
                 shift = (Fraction(p) ** (-R - 1),) + (Fraction(0),) * (d - 1)
                 c2 = Coset(L2, xl.vec_add(c1.center, shift))
@@ -314,7 +333,7 @@ def test_granularity_and_radius():
     p = 3
     L = Lattice(p, [[Fraction(1, 3), 0], [0, Fraction(9)]])
     assert L.granularity_exponent() == 2  # need p^2 to fall inside 9 Z_p
-    assert L.radius_exponent() == 1  # contains vectors of size p
+    assert L.e == 1  # contains vectors of size p
 
 
 def test_lattice_and_coset_methods():

@@ -95,6 +95,16 @@ def test_negative_control_fiber_measure():
     assert not rep["pass"]
 
 
+@pytest.mark.parametrize("field, p", [("r", None), ("c", None), ("qp", 2)])
+def test_fiber_check_does_not_read_the_measure_knob(field, p):
+    """The fiber check compares intertwine_I over two parametrizations of one
+    fiber; scaling both by the knob would test nothing, so its records stay
+    those of the clean run, and the slice check is the knob's catcher."""
+    cfg = dict(field=field, p=p, n=1, seed=7, samples=4, checks=["fiber"])
+    clean = _check_records(SuiteConfig(**cfg))
+    assert _check_records(SuiteConfig(**cfg, perturb={"fiber_measure_factor": 3})) == clean
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="slice at Q_2 n=2 draws only y with F f(y) = 0, so it passes on nothing; "

@@ -8,7 +8,9 @@ own ``src/``:
 
 * ``radonfourier verify`` on the five north-star configs (the default
   battery, ``--field c``, ``--field r --n 2``, ``--field qp --p 2 --n 2``
-  and ``--field qp --p 5``) at seeds 7 and 8;
+  and ``--field qp --p 5``) and on ``--field qp --p 3 --n 2`` at seeds 7
+  and 8: with Q_2, it is the n = 2 battery whose coset intersections are
+  not all nested;
 * ``radonfourier compute`` ``fourier``, ``intertwine`` and ``inner-product``
   on the CI workflow's specs in ``tests/data/compute/``.
 
@@ -47,6 +49,7 @@ VERIFY = {
     "c": ["--field", "c"],
     "r-n2": ["--field", "r", "--n", "2"],
     "qp2-n2": ["--field", "qp", "--p", "2", "--n", "2"],
+    "qp3-n2": ["--field", "qp", "--p", "3", "--n", "2"],
     "qp5": ["--field", "qp", "--p", "5"],
 }
 # the CI workflow's compute specs; SHA256SUMS beside them lists the digests
