@@ -8,6 +8,11 @@ center) has no denominator divisible by p.  The inverse is a ``Fraction``
 Gauss-Jordan in this file; only ``.basis``, ``.center`` and the coefficients
 of a result are read, so a defect of the lattice layer (its normal forms,
 duals, preimages or membership) is not shared by this test.
+
+The operators built on that layer are checked the same way: a left translate
+by an integer unimodular matrix is a permutation of G, and at n = 1 the
+intertwining integral and the composition's inner integral over M_1 are
+finite sums over points of G, with characters as exact roots of unity.
 """
 
 import itertools
@@ -17,8 +22,12 @@ from math import lcm
 import numpy as np
 import pytest
 
-from radonfourier import Coset, Lattice, SBFunction, padic_field, pointwise_mul
+from radonfourier import (
+    Coset, ExactValue, Lattice, SBFunction, add_char, bbar_map, compose_shell_stabilized,
+    fiber_param, intertwine_I, padic_field, pointwise_mul, translate_group,
+)
 from radonfourier.geometry import MatrixSpace
+from radonfourier.transforms import _shell_points
 
 # (p, d, K, J): cosets in p^(-J) Z_p^d of lattices between p^K Z_p^d and
 # p^(-J) Z_p^d, J <= K
@@ -168,3 +177,84 @@ def test_partial_integral_matches_oracle(rng, p, d, K, J):
         vals = np.transpose(vals, [sorted(keep).index(i) for i in keep]).reshape(-1)
         want = [x * Fraction(1, p ** (K * (d - k))) for x in vals]
         assert list(_table(h, _grid(p, k, K), p**K)) == want
+
+
+@pytest.mark.parametrize("p, d, K, J", CASES)
+def test_translate_left_matches_oracle(rng, p, d, K, J):
+    """x -> f(m x) for an integer m of determinant 1 permutes G: in row-major
+    coordinates of the (n+1) x n matrices x, m x is (m kron I_n) x."""
+    n = {2: 1, 6: 2}[d]
+    X = MatrixSpace(padic_field(p), n + 1, n)
+    grid = _grid(p, d, K)
+    for _ in range(2):
+        f = _rand_function(rng, X, K, J)
+        m = _rand_unimodular(rng, p, n + 1)
+        Y = grid @ np.kron(np.array(m, dtype=np.int64), np.eye(n, dtype=np.int64)).T
+        got = _table(translate_group(f, m, side="left"), grid, p**K)
+        assert list(got) == list(_table(f, Y, p**K))
+
+
+def _unimodular_unit_corner(rng, p):
+    """An integer m of determinant 1 whose corner m[0][1] is a p-unit."""
+    while True:
+        m = _rand_unimodular(rng, p, 2)
+        if m[0][1] % p:
+            return m
+
+
+@pytest.mark.parametrize("p, d, K, J", [c for c in CASES if c[1] == 2])
+def test_intertwine_I_matches_oracle(rng, p, d, K, J):
+    """At n = 1, I(f)(y) for y = bbar(m) is the integral of f(m [1; z]) dz:
+    m [1; z] lies in p^(-J) Z_p^2 only for z in p^(-J) Z_p, and f(m [1; z])
+    is constant on cosets of p^K Z_p, so it is a sum over the p^(K+J) points
+    z = Z / p^J of G, each weighted by p^(-K)."""
+    fd = padic_field(p)
+    X = MatrixSpace(fd, 2, 1)
+    Z = np.arange(p ** (K + J), dtype=np.int64) * p ** (K - J)
+    for _ in range(3):
+        f = _rand_function(rng, X, K, J)
+        m = np.array(_rand_unimodular(rng, p, 2), dtype=np.int64)
+        # p^K m [1; z] as integer rows
+        Y = np.stack([m[:, 0] * p**K + m[:, 1] * zz for zz in Z])
+        want = sum(_table(f, Y, p**K)) * Fraction(1, p**K)
+        assert intertwine_I(f, bbar_map(m.tolist(), 1, fd)) == want
+
+
+def _point_value(f, x, k, K, J):
+    """integral over b in Q_p of f(x b) chi(b) db at a column x with |x| = p^k
+    (k >= 0): f(x b) needs b in p^(-J) Z_p and is constant on cosets of
+    p^(K + k) Z_p, as is chi, so it is a sum over b = B / p^J, B modulo
+    p^(J + K + k), with cells of volume p^(-(K + k)).  Points x b are the
+    integer rows B (L x) over L p^J, L a common denominator of x."""
+    p = f.p
+    L = lcm(*(e.denominator for e in x))
+    B = np.arange(p ** (J + K + k), dtype=np.int64)
+    vals = _table(f, B[:, None] * np.array([int(e * L) for e in x], dtype=np.int64), L * p**J)
+    # chi(B / p^J) depends on B modulo p^J only
+    sums = vals.reshape(-1, p**J).sum(axis=0)
+    total = sum(s * add_char(Fraction(r, p**J), f.space.fd) for r, s in enumerate(sums))
+    return total * Fraction(1, p ** (K + k))
+
+
+@pytest.mark.parametrize("p, K, J", [(2, 1, 1), (3, 1, 1), (2, 2, 2)])
+def test_composition_shells_match_oracle(rng, p, K, J):
+    """Each shell contribution of the p-adic composition at y = bbar(m) is the
+    sum over the shell points z of the inner integral at x = g [1; z], g the
+    package's completion of y, times the cell volume p^(-s).  With m[0][1] a
+    unit, g lies in SL_2(Z_p), so |g [1; z]| = |z| on the shells k >= 1."""
+    fd = padic_field(p)
+    X = MatrixSpace(fd, 2, 1)
+    for _ in range(2):
+        f = _rand_function(rng, X, K, J)
+        y = bbar_map(_unimodular_unit_corner(rng, p), 1, fd)
+        fib = fiber_param(y, 1, fd)
+        g = [[*ra, *rc] for ra, rc in zip(fib.A, fib.c)]
+        _, cert = compose_shell_stabilized(f, y, k_max=2)
+        s = cert["granularity_exponent"]
+        for shell in cert["shells"]:
+            k = shell["k"]
+            want = sum(
+                _point_value(f, [g[0][0] + g[0][1] * z, g[1][0] + g[1][1] * z], k, K, J)
+                for (z,) in _shell_points(p, 1, k, s)
+            ) * Fraction(1, p**s)
+            assert ExactValue.from_cyclo(p, want).to_json() == shell["contribution"]

@@ -45,7 +45,10 @@ from radonfourier.sampling import (
     rand_sb_function,
     rand_sl,
 )
-from radonfourier.transforms import integrate_against_trace_character, pairing_matrix, slice_family
+from radonfourier.suite import SuiteConfig, _rng_for, _unit_row_sample
+from radonfourier.transforms import (
+    _shell_points, integrate_against_trace_character, pairing_matrix, slice_family,
+)
 from basis import basis_matrices
 from slice_quadrature import quadrature_slice_verify, slice_transform
 
@@ -504,6 +507,31 @@ def test_compose_shell_inconclusive_ball(f3):
         assert sh["contribution"]["cyclotomic"]["coeffs"] == ["2/3"]
     fallback = fourier_slice_verify(ball, [y])
     assert fallback["pass"]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("seed", [7, 8])
+def test_compose_shells_match_pointwise_route(p, seed):
+    """Every shell contribution of the composition, on the pairs that the
+    suite's composition check draws, is the sum over the shell points z of
+    C_gamma f(A + c z), each times the cell volume p^(-n s)."""
+    cfg = SuiteConfig(field="qp", p=p, seed=seed)
+    fd, n = cfg.fd, cfg.n
+    rng = _rng_for(cfg, "composition")
+    X = space_X(n, fd)
+    for _ in range(max(6, min(cfg.samples, 12))):
+        f = rand_sb_function(rng, X, terms=1, unit_leading_center=True)
+        y = _unit_row_sample(rng, n, p)
+        _, cert = compose_shell_stabilized(f, y, k_max=cfg.k_max)
+        s = cert["granularity_exponent"]
+        fib = fiber_param(y, n, fd)
+        A, c = fib.A, fib.c
+        for shell in cert["shells"]:
+            want = ExactValue.from_cyclo(p, 0)
+            for z in _shell_points(p, n, shell["k"], s):
+                x = [[a + ci * zj for a, zj in zip(ra, z)] for ra, (ci,) in zip(A, c)]
+                want = want + convolve_gamma(f, x) * Fraction(1, p ** (n * s))
+            assert want.to_json() == shell["contribution"]
 
 
 def test_compose_weighted_slice_on_nonunit_support(f2):
