@@ -32,7 +32,6 @@ from .functions import (  # noqa: F401
     translate_group,
 )
 from .geometry import (  # noqa: F401
-    Fiber,
     KAKFactors,
     MatrixSpace,
     b_map,
@@ -43,7 +42,6 @@ from .geometry import (  # noqa: F401
     rho_weight_exponents,
     space_L,
     space_X,
-    unimodular_completion,
 )
 from .hilbert import (  # noqa: F401
     LFunction,

@@ -37,7 +37,7 @@ from . import exactlinalg as xl
 from . import quadrature as quad
 from .cyclotomic import CyclotomicValue, ExactValue, _phi_prime_power, _power_of, as_exact
 from .fields import add_char
-from .geometry import MatrixSpace, flatten_linear, meye
+from .geometry import MatrixSpace, b_map, flatten_linear, meye
 from .lattices import Coset, Lattice, _dot, _plus
 
 
@@ -366,7 +366,7 @@ class SBFunction:
                 out.append((coeff, pre))
         return SBFunction(space, out)
 
-    def partial_integral(self, keep, space: MatrixSpace) -> "SBFunction":
+    def marginalize(self, keep, space: MatrixSpace) -> "SBFunction":
         """Integrate out the coordinates not in ``keep`` (exact Fubini),
         leaving a function on ``space``."""
         out = []
@@ -564,12 +564,14 @@ def pointwise_mul(f, g):
     raise TypeError(f"cannot multiply {type(f).__name__} by {type(g).__name__}")
 
 
-def fiber_restrict(f, fiber):
-    """Restrict a function on X to an affine fiber, as a function of z in F^n."""
+def fiber_restrict(f, g):
+    """Restrict a function on X to the fiber z -> g [I_n; z] = A + c z of a
+    completion g (``fiber_param``), A = b_map(g) and c the last column of g,
+    as a function of z in F^n."""
     require_test_function(f, "restrict")
-    fd = f.space.fd
-    M = flatten_linear(fiber.c, meye(fiber.n, fd), fd)
-    return f.pullback_affine(M, MatrixSpace(fd, 1, fiber.n), f.space.coords(fiber.A))
+    fd, n = f.space.fd, f.space.cols
+    M = flatten_linear([row[n:] for row in g], meye(n, fd), fd)
+    return f.pullback_affine(M, MatrixSpace(fd, 1, n), f.space.coords(b_map(g, n, fd)))
 
 
 def integrate(f, with_error: bool = False):

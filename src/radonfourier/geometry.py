@@ -188,17 +188,21 @@ def base_point_y(n: int, fd: FieldDescriptor):
 
 
 # ---------------------------------------------------------------------
-# Unimodular completion and fibers
+# Fibers: unimodular completions
 # ---------------------------------------------------------------------
 
 
-def unimodular_completion(y, n: int, fd: FieldDescriptor, rng=None):
-    """A determinant-one g with bbar_map(g) = y, for regular y.
+def fiber_param(y, n: int, fd: FieldDescriptor, rng=None):
+    """The fiber of the intertwining kernel over a regular y, as a
+    determinant-one completion g of y: bbar_map(g) = y.
 
-    Appends a row w to y with det([y; w]) = 1 and returns [y; w]^(-1).  The
-    deterministic choice scans standard basis rows (picking, archimedean, the
-    one maximizing |det| for stability); passing ``rng`` draws a random valid
-    completion instead, which is how completion-independence is exercised.
+    The fiber {x : y x = I_n} is the unipotent orbit z -> g [I_n; z] = A + c z,
+    with A = b_map(g) and c the last column of g, and carries Lebesgue
+    measure dz.  Appends a row w to y with det([y; w]) = 1 and returns
+    [y; w]^(-1).  The deterministic choice scans standard basis rows (picking,
+    archimedean, the one maximizing |det| for stability); passing ``rng``
+    draws a random valid completion instead, which is how
+    completion-independence is exercised.
     """
     if fd.is_archimedean:
         y_ = np.asarray(y)
@@ -226,8 +230,7 @@ def unimodular_completion(y, n: int, fd: FieldDescriptor, rng=None):
         if best is None or bestd <= 1e-10 * np.linalg.norm(y_) ** n:
             raise ValueError("could not complete to a unimodular matrix")
         d = np.linalg.det(np.vstack([y_, best[None, :]]))
-        g = np.linalg.inv(np.vstack([y_, (best / d)[None, :]]))
-        return g
+        return np.linalg.inv(np.vstack([y_, (best / d)[None, :]]))
     y_ = xl.mat(y)
     if xl.rank(y_) < n:
         raise ValueError("point is not regular (rank deficient)")
@@ -251,32 +254,6 @@ def unimodular_completion(y, n: int, fd: FieldDescriptor, rng=None):
     d = xl.det(rows)
     scaled = y_ + (tuple(x / d for x in rows[n]),)
     return xl.inv(scaled)
-
-
-@dataclass(frozen=True)
-class Fiber:
-    """Affine parametrization z -> A + c z of {x : y x = I_n}.
-
-    A is (n+1) x n with y A = I_n, c is a column with y c = 0, and z runs
-    through row vectors in F^n; the fiber measure is Lebesgue dz (transported
-    from the unipotent group through a unimodular completion).
-    """
-
-    A: object
-    c: object
-    n: int
-    fd: FieldDescriptor
-
-    def point(self, z):
-        """The p-adic fiber point A + c z for a flat row z of n rationals."""
-        return xl.mat_add(self.A, tuple(tuple(ci * zj for zj in z) for (ci,) in self.c))
-
-
-def fiber_param(y, n: int, fd: FieldDescriptor, rng=None) -> Fiber:
-    """Fiber of the intertwining kernel over a regular y."""
-    g = unimodular_completion(y, n, fd, rng=rng)
-    c = as_matrix([row[n:] for row in g], fd)
-    return Fiber(A=b_map(g, n, fd), c=c, n=n, fd=fd)
 
 
 # ---------------------------------------------------------------------

@@ -368,7 +368,7 @@ def _check_fiber(cfg: SuiteConfig) -> dict:
     count = min(20, cfg.samples)
     for _ in range(count):
         y = sampling.rand_regular_point(rng, X.transpose_space())
-        base = intertwine_I(f, y, fiber=fiber_param(y, cfg.n, fd))
+        base = intertwine_I(f, y)
         vals = [intertwine_I(f, y, fiber=fiber_param(y, cfg.n, fd, rng=rng)) for _ in range(5)]
         verdicts = [sides_agree(fd, val, base, 1e-10) for val in vals]
         good = all(agree for agree, _ in verdicts)

@@ -56,7 +56,6 @@ from .functions import (
     translate_group,
 )
 from .geometry import (
-    Fiber,
     MatrixSpace,
     as_scalar,
     det_power,
@@ -203,8 +202,10 @@ def kernel_identity_check(
 # ---------------------------------------------------------------------
 
 
-def intertwine_I(f, y, fiber: Fiber = None):
-    """The standard intertwining integral I(f)(y) = T(f)(y, I_n)."""
+def intertwine_I(f, y, fiber=None):
+    """The standard intertwining integral I(f)(y) = T(f)(y, I_n): the integral
+    of f(g [I_n; z]) dz over z in F^n, for the completion ``fiber`` = g of y
+    (``fiber_param``'s deterministic one by default)."""
     if fiber is None:
         fiber = fiber_param(y, f.space.cols, f.space.fd)
     return integrate(fiber_restrict(f, fiber))
@@ -213,23 +214,15 @@ def intertwine_I(f, y, fiber: Fiber = None):
 def slice_family(f, y):
     """T(f)(y, .) as a function on the n x n matrix space.
 
-    The left translate of f by [A | c] is [a; w] -> f(A a + c w) on the
-    (n+1) x n matrices (a bijection of coordinate spaces, since [A | c]
-    completes to determinant one); integrating out the w block, the last
-    coordinates, leaves T(f)(y, a): Gaussians by Schur complement,
+    The left translate of f by the completion g of y is [a; w] -> f(g [a; w])
+    = f(A a + c w) on the (n+1) x n matrices; marginalizing the w block, the
+    last coordinates, leaves T(f)(y, a): Gaussians by Schur complement,
     lattice-coset functions by exact Fubini.
     """
-    fd = f.space.fd
-    n = f.space.cols
-    fiber = fiber_param(y, n, fd)
-    g = translate_group(f, [[*ra, *rc] for ra, rc in zip(fiber.A, fiber.c)], side="left")
+    fd, n = f.space.fd, f.space.cols
     Lsp = space_L(n, fd)
-    keep = list(range(Lsp.dim))
-    if isinstance(g, GaussianForm):
-        return g.marginalize(keep, Lsp)
-    if isinstance(g, SBFunction):
-        return g.partial_integral(keep, Lsp)
-    raise TypeError("slice family needs a Gaussian or Schwartz-Bruhat input")
+    fg = translate_group(f, fiber_param(y, n, fd), side="left")
+    return fg.marginalize(list(range(Lsp.dim)), Lsp)
 
 
 def trace_form_coords(n: int, fd: FieldDescriptor):
@@ -257,17 +250,20 @@ def integrate_against_trace_character(g):
 # ---------------------------------------------------------------------
 
 
-def compose_shell_stabilized(f: SBFunction, y, k_max: int = 8):
+def compose_shell_stabilized(f: SBFunction, y, k_max: int):
     """p-adic composition I(C_gamma f)(y) over growing fiber balls.
 
     The fiber integral of z -> C_gamma f(A + c z) is accumulated over the
-    balls ||z|| <= p^k.  Each shell is split into cosets fine enough that the
-    inner character sum is constant on each (the modulus comes from an
-    ultrametric bound on the support, so the decomposition is rigorous), and
-    the shell contribution is an exact cyclotomic sum.  Once two consecutive
-    shells vanish identically the value is declared stable and compared
-    against the Fourier transform; otherwise the result is inconclusive and
-    the caller falls back to the Fourier-slice identity.
+    balls ||z|| <= p^k.  With A + c z = g [I_n; z] for the completion g of y,
+    (A + c z) b = g [b; z b]: f is translated along g once, and each shell
+    point translates that along the unipotent [I_n; z].  Each shell is split
+    into cosets fine enough that the inner character sum is constant on each
+    (the modulus comes from an ultrametric bound on the support, so the
+    decomposition is rigorous), and the shell contribution is an exact
+    cyclotomic sum.  Once two consecutive shells vanish identically the value
+    is declared stable and compared against the Fourier transform; otherwise
+    the result is inconclusive and the caller falls back to the Fourier-slice
+    identity.
 
     Returns (value or None, certificate dict).
     """
@@ -277,7 +273,8 @@ def compose_shell_stabilized(f: SBFunction, y, k_max: int = 8):
         raise ValueError("shell stabilization is a p-adic operation")
     p = fd.p
     n = space.cols
-    fiber = fiber_param(y, n, fd)
+    g = fiber_param(y, n, fd)
+    fg = translate_group(f, g, side="left")
 
     # rigorous local-constancy modulus: perturbing z by p^s changes x b by
     # c dz b; bounding b through the left inverse y of x = A + c z keeps all
@@ -292,15 +289,15 @@ def compose_shell_stabilized(f: SBFunction, y, k_max: int = 8):
         (max(0, -padic_valuation(e, p)) for row in y for e in row if e != 0),
         default=0,
     )
-    vc = min(padic_valuation(fiber.c[i][0], p) for i in range(n + 1) if fiber.c[i][0] != 0)
+    vc = min(padic_valuation(row[n], p) for row in g if row[n] != 0)
     s = max(g0 + rf + ry - vc, 0)
 
     lam = trace_form_coords(n, fd)
+    eye = meye(n, fd)
 
     def inner_value(z_vec):
         # C_gamma f(x) = integral over M_n of f(x b) chi(Tr b) db at x = A + c z
-        g = translate_group(f, fiber.point(tuple(z_vec)), side="left")
-        return g.integrate_against_character(lam)
+        return translate_group(fg, (*eye, z_vec), side="left").integrate_against_character(lam)
 
     total = ExactValue.from_cyclo(p, 0)
     shells = []
@@ -400,7 +397,7 @@ def fourier_equivariance_check(
     lhs_fun = fourier(translate_group(f, minv(a, fd), side="right"))
     rhs_fun = fourier(f)
     mod_lhs = fourier(act_module_X(f, a))
-    mod_rhs = act_module_Xbar(fourier(f), a)
+    mod_rhs = act_module_Xbar(rhs_fun, a)
     scale = det_power(a, exponent_sign * (n + 1), fd)
     rows = []
     ok = True

@@ -1,25 +1,29 @@
 """The slice identity's right side by pointwise quadrature: a cross-check
 independent of the closed forms that ``fourier_slice_verify`` uses.
 
-The slice T(f)(y, a) = I(f)(y; Fiber(A a, c)) integrates f over the affine
-fiber {x : y x = a}, shifted from the fiber (A, c) of y.  For a real input
-with n = 1 the a-integral of T(f)(y, a) chi(a) goes to ``integrate`` as an
-``Evaluable``, under the slice family's Gaussian envelope, and comes back
-with a two-order error estimate.
+The slice T(f)(y, a) integrates f over the affine fiber {x : y x = a}, the
+orbit z -> A a + c z, where z -> g [I_n; z] = A + c z is the fiber of y
+through its completion g = [A | c].  For a real input with n = 1 the
+a-integral of T(f)(y, a) chi(a) goes to ``integrate`` as an ``Evaluable``,
+under the slice family's Gaussian envelope, and comes back with a two-order
+error estimate.
 """
 
 import numpy as np
 
-from radonfourier import Evaluable, Fiber, add_char, fiber_param, fourier, integrate, intertwine_I
-from radonfourier.geometry import mmul
+from radonfourier import Evaluable, add_char, b_map, fiber_param, fourier, integrate, intertwine_I
+from radonfourier.geometry import as_matrix, mmul
 from radonfourier.transforms import slice_family
 
 
-def slice_transform(f, y, a, fiber=None):
-    """T(f)(y, a) over any field: I(f) on the fiber (A a, c) of {x : y x = a}."""
+def slice_transform(f, y, a, g=None):
+    """T(f)(y, a) over any field: I(f) on the fiber [A a | c] of {x : y x = a},
+    for the completion g = [A | c] of y."""
     fd, n = f.space.fd, f.space.cols
-    fiber = fiber or fiber_param(y, n, fd)
-    return intertwine_I(f, y, fiber=Fiber(A=mmul(fiber.A, a, fd), c=fiber.c, n=n, fd=fd))
+    if g is None:
+        g = fiber_param(y, n, fd)
+    Aa = mmul(b_map(g, n, fd), a, fd)
+    return intertwine_I(f, y, fiber=as_matrix([[*ra, *row[n:]] for ra, row in zip(Aa, g)], fd))
 
 
 def quadrature_slice_verify(f, y_samples, tol):

@@ -171,7 +171,7 @@ def test_partial_integral_matches_oracle(rng, p, d, K, J):
         f = _rand_function(rng, X, K, J)
         k = int(rng.integers(1, d))
         keep = tuple(int(i) for i in rng.permutation(d)[:k])
-        h = f.partial_integral(keep, MatrixSpace(fd, 1, k))
+        h = f.marginalize(keep, MatrixSpace(fd, 1, k))
         vals = _table(f, grid, p**K).reshape((side,) * d)
         vals = vals.sum(axis=tuple(i for i in range(d) if i not in keep))
         vals = np.transpose(vals, [sorted(keep).index(i) for i in keep]).reshape(-1)
@@ -247,8 +247,7 @@ def test_composition_shells_match_oracle(rng, p, K, J):
     for _ in range(2):
         f = _rand_function(rng, X, K, J)
         y = bbar_map(_unimodular_unit_corner(rng, p), 1, fd)
-        fib = fiber_param(y, 1, fd)
-        g = [[*ra, *rc] for ra, rc in zip(fib.A, fib.c)]
+        g = fiber_param(y, 1, fd)
         _, cert = compose_shell_stabilized(f, y, k_max=2)
         s = cert["granularity_exponent"]
         for shell in cert["shells"]:

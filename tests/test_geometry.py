@@ -14,7 +14,6 @@ from radonfourier import (
     rho_weight,
     rho_weight_exponents,
     space_X,
-    unimodular_completion,
 )
 from radonfourier import exactlinalg as xl
 from radonfourier.geometry import (
@@ -119,48 +118,48 @@ def test_bbar_map(rng, fr):
 
 
 def test_unimodular_completion_examples(fr, f3):
-    g = unimodular_completion(np.array([[1.0, 0.0]]), 1, fr)
+    g = fiber_param(np.array([[1.0, 0.0]]), 1, fr)
     assert np.allclose(g, np.eye(2))
-    gp = unimodular_completion(xl.mat([[Fraction(1, 3), 0]]), 1, f3)
+    gp = fiber_param(xl.mat([[Fraction(1, 3), 0]]), 1, f3)
     assert gp == xl.mat([[3, 0], [0, Fraction(1, 3)]])
     with pytest.raises(ValueError):
-        unimodular_completion(xl.mat([[0, 0]]), 1, f3)
+        fiber_param(xl.mat([[0, 0]]), 1, f3)
     # regularity is judged relative to the scale of y: 1e-11 * e_1 is regular
     y = np.array([[1e-11, 0.0]])
-    g = unimodular_completion(y, 1, fr)
+    g = fiber_param(y, 1, fr)
     assert abs(np.linalg.det(g) - 1) < 1e-9 and np.allclose(bbar_map(g, 1, fr), y, rtol=1e-12, atol=0)
     for y in (np.zeros((1, 2)), np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])):
         with pytest.raises(ValueError, match="not regular"):
-            unimodular_completion(y, len(y), fr)
+            fiber_param(y, len(y), fr)
 
 
 def test_unimodular_completion_random(rng, fr, f3):
     for _ in range(100):
         y = rand_regular_point(rng, space_X(2, fr).transpose_space())
-        g = unimodular_completion(y, 2, fr, rng=rng)
+        g = fiber_param(y, 2, fr, rng=rng)
         assert abs(np.linalg.det(g) - 1) < 1e-9
         assert np.allclose(bbar_map(g, 2, fr), y, atol=1e-8)
     for _ in range(30):
         y = rand_regular_point(rng, space_X(2, f3).transpose_space())
-        g = unimodular_completion(y, 2, f3, rng=rng)
+        g = fiber_param(y, 2, f3, rng=rng)
         assert xl.det(g) == 1
         assert bbar_map(g, 2, f3) == y
 
 
 def test_fiber_param(rng, fr, f3):
-    fib = fiber_param(np.array([[1.0, 0.0]]), 1, fr)
-    assert np.allclose(fib.A, np.array([[1.0], [0.0]]))
-    assert np.allclose(fib.c, np.array([[0.0], [1.0]]))
-    fibp = fiber_param(xl.mat([[Fraction(1, 3), 0]]), 1, f3)
-    assert fibp.A == ((Fraction(3),), (Fraction(0),))
-    assert fibp.c == ((Fraction(0),), (Fraction(1, 3),))
-    # postcondition y (A + c z) = I_n on random fibers
+    g = fiber_param(np.array([[1.0, 0.0]]), 1, fr)
+    assert np.allclose(b_map(g, 1, fr), np.array([[1.0], [0.0]]))
+    assert np.allclose(g[:, 1:], np.array([[0.0], [1.0]]))
+    gp = fiber_param(xl.mat([[Fraction(1, 3), 0]]), 1, f3)
+    assert b_map(gp, 1, f3) == ((Fraction(3),), (Fraction(0),))
+    assert tuple(row[1:] for row in gp) == ((Fraction(0),), (Fraction(1, 3),))
+    # postcondition y (A + c z) = y g [I_n; z] = I_n on random fibers
     for _ in range(20):
         n = 2
         y = rand_regular_point(rng, space_X(n, fr).transpose_space())
-        fib = fiber_param(y, n, fr)
+        g = fiber_param(y, n, fr)
         z = rng.standard_normal(n)
-        pt = fib.A + fib.c @ z[None, :]
+        pt = g @ np.vstack([np.eye(n), z[None, :]])
         assert np.allclose(np.asarray(y) @ pt, np.eye(n), atol=1e-8)
 
 

@@ -16,6 +16,7 @@ from radonfourier import (
     act_g,
     act_module_X,
     add_char,
+    b_map,
     compose_shell_stabilized,
     fiber_param,
     fourier,
@@ -524,8 +525,8 @@ def test_compose_shells_match_pointwise_route(p, seed):
         y = _unit_row_sample(rng, n, p)
         _, cert = compose_shell_stabilized(f, y, k_max=cfg.k_max)
         s = cert["granularity_exponent"]
-        fib = fiber_param(y, n, fd)
-        A, c = fib.A, fib.c
+        g = fiber_param(y, n, fd)
+        A, c = b_map(g, n, fd), [row[n:] for row in g]
         for shell in cert["shells"]:
             want = ExactValue.from_cyclo(p, 0)
             for z in _shell_points(p, n, shell["k"], s):
