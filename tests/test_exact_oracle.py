@@ -10,12 +10,15 @@ of a result are read, so a defect of the lattice layer (its normal forms,
 duals, preimages or membership) is not shared by this test.
 
 The operators built on that layer are checked the same way: a left translate
-by an integer unimodular matrix is a permutation of G, and at n = 1 the
-intertwining integral and the composition's inner integral over M_1 are
-finite sums over points of G, with characters as exact roots of unity.
+by an integer unimodular matrix is a permutation of G, the Fourier transform
+is a finite DFT on G (so Plancherel is an identity of two sums over G), and
+at n = 1 the intertwining integral and the composition's inner integral over
+M_1 are finite sums over points of G, with characters as exact roots of
+unity.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -24,10 +27,12 @@ import pytest
 
 from radonfourier import (
     Coset, ExactValue, Lattice, SBFunction, add_char, bbar_map, compose_shell_stabilized,
-    fiber_param, intertwine_I, padic_field, pointwise_mul, translate_group,
+    fiber_param, fourier, intertwine_I, padic_field, pointwise_mul, space_X, translate_group,
 )
 from radonfourier.geometry import MatrixSpace
 from radonfourier.transforms import _shell_points
+
+from basis import inverse
 
 # (p, d, K, J): cosets in p^(-J) Z_p^d of lattices between p^K Z_p^d and
 # p^(-J) Z_p^d, J <= K
@@ -42,23 +47,9 @@ def _v(n: int, p: int) -> int:
     return v
 
 
-def _inverse(B):
-    n = len(B)
-    M = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(B)]
-    for c in range(n):
-        r = next(i for i in range(c, n) if M[i][c])
-        M[c], M[r] = M[r], M[c]
-        M[c] = [x / M[c][c] for x in M[c]]
-        for i in range(n):
-            if i != c and M[i][c]:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
-    return [row[n:] for row in M]
-
-
 def _contains(L1, L2) -> bool:
     """L2 inside L1: basis1^(-1) basis2 is integral over Z_p."""
-    inv = _inverse(L1.basis)
+    inv = inverse(L1.basis)
     return all(sum(a * b for a, b in zip(row, col)).denominator % L1.p
                for row in inv for col in zip(*L2.basis))
 
@@ -68,7 +59,7 @@ def _members(coset, Y, D):
     numerators M (q Y - D C) of basis^(-1) (y - C / q), M / m = basis^(-1),
     vanish modulo p^(v(m D q)); they are computed modulo that power."""
     p = coset.p
-    inv = _inverse(coset.lattice.basis)
+    inv = inverse(coset.lattice.basis)
     m = lcm(*(x.denominator for row in inv for x in row))
     M = [[int(x * m) for x in row] for row in inv]
     q = lcm(*(x.denominator for x in coset.center))
@@ -86,12 +77,14 @@ def _rational(coeff) -> Fraction:
     return coeff.cyc.rational_value()
 
 
-def _table(f, Y, D):
-    """Values of f at the points Y / D, summed term by term."""
-    vals = np.full(len(Y), Fraction(0), dtype=object)
+def _table(f, Y, D, exact=False):
+    """Values of f at the points Y / D, summed term by term: ``Fraction``s of
+    rational coefficients, or ``ExactValue``s with ``exact``."""
+    zero = ExactValue.from_cyclo(f.p, 0) if exact else Fraction(0)
+    vals = np.full(len(Y), zero, dtype=object)
     for coeff, coset in f.terms:
         mask = _members(coset, Y, D)
-        vals[mask] = vals[mask] + _rational(coeff)
+        vals[mask] = vals[mask] + (coeff if exact else _rational(coeff))
     return vals
 
 
@@ -192,6 +185,66 @@ def test_translate_left_matches_oracle(rng, p, d, K, J):
         Y = grid @ np.kron(np.array(m, dtype=np.int64), np.eye(n, dtype=np.int64)).T
         got = _table(translate_group(f, m, side="left"), grid, p**K)
         assert list(got) == list(_table(f, Y, p**K))
+
+
+def _pairing_perm(n: int):
+    """Tr(y x) = sum over k of y_k x_perm[k], in row-major coordinates of the
+    n x (n+1) matrix y and the (n+1) x n matrix x: y_ij pairs with x_ji."""
+    return [j * n + i for i in range(n) for j in range(n + 1)]
+
+
+def _dft(vals, grid, Y, perm, K, sign, fd):
+    """p^(-Kd) times the sum over x = X / p^K in G of f(x) psi(sign <x, y>) at
+    y = Y / p^K, for integer values f(x); the character depends on <X, Y>
+    modulo p^(2K) only, so the values are summed per residue first."""
+    p, q = fd.p, fd.p ** (2 * K)
+    sums = np.zeros(q, dtype=np.int64)
+    np.add.at(sums, (grid[:, perm] @ Y) % q, vals)
+    total = sum(int(s) * add_char(Fraction(sign * k, q), fd) for k, s in enumerate(sums) if s)
+    return ExactValue.from_cyclo(p, total * Fraction(1, p ** (K * len(Y))))
+
+
+@pytest.mark.parametrize("p, d, K, J", CASES + [(5, 2, 1, 1)])
+def test_fourier_matches_oracle(rng, p, d, K, J):
+    """F f(y) = integral of f(x) psi(<x, y>) dx with <x, y> = Tr(y x).  f is
+    constant on the cells of p^K Z_p^d, over which the character integrates
+    to p^(-Kd) for y in p^(-K) Z_p^d and to 0 otherwise: at y = Y / p^K the
+    transform is a finite DFT on G, and it vanishes off p^(-K) Z_p^d.  The
+    pairing of either sign: the transform and the inverse kernel."""
+    n = {2: 1, 6: 2}[d]
+    fd = padic_field(p)
+    X = space_X(n, fd)
+    perm = _pairing_perm(n)
+    minus = tuple(tuple(-int(perm[k] == j) for j in range(d)) for k in range(d))
+    grid = _grid(p, d, K)
+    far = np.array([[1] + [0] * (d - 1)], dtype=np.int64)  # 1 / p^(K+1) in the first entry
+    nonzero = 0
+    for _ in range(2):
+        f = _rand_function(rng, X, K, J)
+        vals = np.array([int(v) for v in _table(f, grid, p**K)], dtype=np.int64)
+        for fhat, sign in ((fourier(f), 1), (f.fourier(minus, X.transpose_space()), -1)):
+            Ys = rng.integers(0, p ** (2 * K), size=(4, d))
+            got = list(_table(fhat, Ys, p**K, exact=True))
+            assert got == [_dft(vals, grid, Y, perm, K, sign, fd) for Y in Ys]
+            assert _table(fhat, far, p ** (K + 1), exact=True)[0].is_zero()
+            nonzero += sum(not v.is_zero() for v in got)
+    assert nonzero
+
+
+@pytest.mark.parametrize("p, d, K, J", CASES)
+def test_plancherel_matches_oracle(rng, p, d, K, J):
+    """||f||_2 = ||F f||_2, both squared norms as sums over G weighted by the
+    cell volume p^(-Kd): F f lives on p^(-K) Z_p^d and is constant on the
+    cosets of p^J Z_p^d, so it is a function on G as well."""
+    n = {2: 1, 6: 2}[d]
+    fd = padic_field(p)
+    X = space_X(n, fd)
+    grid = _grid(p, d, K)
+    for _ in range(2):
+        f = _rand_function(rng, X, K, J)
+        hat = Counter(_table(fourier(f), grid, p**K, exact=True))
+        want = sum(x * x for x in _table(f, grid, p**K))
+        assert sum(v * v.conjugate() * count for v, count in hat.items()) == want
 
 
 def _unimodular_unit_corner(rng, p):
