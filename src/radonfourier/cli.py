@@ -39,8 +39,15 @@ from .transforms import fourier, intertwine_I
 EXIT_PASS, EXIT_FAIL, EXIT_CONFIG = 0, 1, 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Flag errors are config errors: one line and exit 2 (``-h`` is not one)."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="radonfourier",
         description="verification engine for matrix Fourier / Radon-type "
         "intertwining integrals over local fields",
@@ -51,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("checks", nargs="*", help=f"checks to run (default: full battery); available: {', '.join(sorted(CHECKS))}")
     # unset flags stay None, so SuiteConfig's defaults apply
     v.add_argument("--field", choices=["r", "c", "qp"])
-    for flag in ("--p", "--n", "--seed", "--samples", "--k-max", "--m-max"):
+    for flag in ("--p", "--n", "--seed", "--samples"):
         v.add_argument(flag, type=int)
     v.add_argument("--tol", type=float)
     v.add_argument("--config", default=None, help="JSON config file; use it alone (only --out combines with it)")
@@ -204,7 +211,11 @@ def cmd_explain(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     if args.command == "verify":
         return cmd_verify(args)
     if args.command == "compute":

@@ -31,20 +31,6 @@ def mat(rows):
     )
 
 
-def identity(n: int):
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
-
-
-def transpose(A):
-    return tuple(zip(*A))
-
-
-def mat_add(A, B):
-    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
 def _scaled(rows):
     """(N, D): integer rows N and a common denominator D with rows = N / D."""
     D = lcm(*(x.denominator for row in rows for x in row))
@@ -62,17 +48,6 @@ def matmul(A, B):
         tuple(Fraction(sum(map(int.__mul__, row, col)), D) for col in cols)
         for row in NA
     )
-
-
-def matvec(A, v):
-    NA, da = _scaled(A)
-    (nv,), dv = _scaled((v,))
-    D = da * dv
-    return tuple(Fraction(sum(map(int.__mul__, row, nv)), D) for row in NA)
-
-
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def trace(A):
@@ -272,8 +247,8 @@ def smith_zp(A, p: int):
     """
     m, n = len(A), len(A[0])
     S = [list(row) for row in A]
-    U = [list(row) for row in identity(m)]
-    V = [list(row) for row in identity(n)]
+    U = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    V = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     exps = []
     for t in range(min(m, n)):
         pivots = [(padic_valuation(x, p), i, j) for i in range(t, m) for j, x in enumerate(S[i]) if j >= t and x]

@@ -38,7 +38,7 @@ from . import quadrature as quad
 from .cyclotomic import CyclotomicValue, ExactValue, _phi_prime_power, _power_of, as_exact
 from .fields import add_char
 from .geometry import MatrixSpace, b_map, flatten_linear, meye
-from .lattices import Coset, Lattice, _dot, _plus
+from .lattices import Coset, Lattice, _dot
 
 
 # ---------------------------------------------------------------------
@@ -336,14 +336,6 @@ class SBFunction:
         c = as_exact(c, self.p)
         return SBFunction(self.space, [(coeff * c, k) for coeff, k in self.terms])
 
-    def __add__(self, other: "SBFunction") -> "SBFunction":
-        if other.space.dim != self.space.dim:
-            raise ValueError("spaces do not match")
-        return SBFunction(self.space, self.terms + other.terms)
-
-    def __sub__(self, other: "SBFunction") -> "SBFunction":
-        return self + other.scale(Fraction(-1))
-
     def product(self, other: "SBFunction") -> "SBFunction":
         out = []
         for c1, k1 in self.terms:
@@ -374,35 +366,6 @@ class SBFunction:
             proj, vol = coset.project(keep)
             out.append((coeff * vol, proj))
         return SBFunction(space, out)
-
-    def refine(self, lattice: Lattice) -> "SBFunction":
-        """Rewrite every term over cosets of the given common sublattice."""
-        out = []
-        for coeff, coset in self.terms:
-            if not coset.lattice.contains_lattice(lattice):
-                raise ValueError("refinement lattice is not a common sublattice")
-            for rep in coset.lattice.quotient_representatives(lattice):
-                center = _plus(self.p, coset.c, coset.a, rep, coset.lattice.e)
-                out.append((coeff, Coset(lattice, *center)))
-        return SBFunction(self.space, out)
-
-    def is_zero_function(self) -> bool:
-        """Exact decision: is the function identically zero?
-
-        Indicators of distinct cosets of one common lattice are linearly
-        independent, so refining to the intersection of all term lattices
-        and merging decides the question.
-        """
-        if not self.terms:
-            return True
-        zero = tuple(Fraction(0) for _ in range(self.space.dim))
-        common = Coset(self.terms[0][1].lattice, zero)
-        for _, coset in self.terms[1:]:
-            common = common.intersect(Coset(coset.lattice, zero))
-        return not self.refine(common.lattice).terms
-
-    def equals(self, other: "SBFunction") -> bool:
-        return (self - other).is_zero_function()
 
     def integrate_against_character(self, lam) -> ExactValue:
         """Exact value of integral f(v) chi(<lam, v>) dv for rational lam."""

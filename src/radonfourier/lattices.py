@@ -112,10 +112,6 @@ class Lattice:
             t.append(q)
         return t
 
-    def contains(self, vec) -> bool:
-        (R,), a, _ = xl.p_scaled(xl.mat((vec,)), self.p)
-        return self._coords(R, a) is not None
-
     def contains_lattice(self, other: "Lattice") -> bool:
         return all(self._coords(col, other.e) is not None for col in zip(*other.N))
 

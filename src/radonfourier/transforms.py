@@ -71,7 +71,8 @@ from .hilbert import (
     _mat_json, act_g, act_module_X, act_module_Xbar, inner_X, inner_Xbar,
 )
 
-# passing sample rows a kernel-check report keeps (failing rows are all kept)
+# passing sample rows a gamma-kernel or rho-chain record keeps (failing
+# rows are all kept)
 _KERNEL_ROWS = 10
 
 
@@ -261,9 +262,9 @@ def compose_shell_stabilized(f: SBFunction, y, k_max: int):
     (the modulus comes from an ultrametric bound on the support, so the
     decomposition is rigorous), and the shell contribution is an exact
     cyclotomic sum.  Once two consecutive shells vanish identically the value
-    is declared stable and compared against the Fourier transform; otherwise
-    the result is inconclusive and the caller falls back to the Fourier-slice
-    identity.
+    is declared stable; a caller compares it against the Fourier transform.
+    Without two such shells by k_max the result is inconclusive: None, with
+    the certificate of the shells that were summed.
 
     Returns (value or None, certificate dict).
     """

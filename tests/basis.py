@@ -55,3 +55,15 @@ def brute_value(f, v):
         if all(x.denominator % f.p for x in t):
             total = coeff + total
     return total
+
+
+def identity(n):
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+
+
+def matvec(A, v):
+    return tuple(sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in A)
+
+
+def vec_add(u, v):
+    return tuple(a + b for a, b in zip(u, v))

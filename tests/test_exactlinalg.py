@@ -7,6 +7,8 @@ from radonfourier import exactlinalg as xl
 from radonfourier import padic_frac_part
 from radonfourier.sampling import rand_fraction, rand_gl_zp
 
+from basis import identity, matvec
+
 
 def rand_rational_matrix(rng, m, n, denom=6):
     return tuple(
@@ -41,16 +43,15 @@ def test_det_inv_solve_against_numpy(rng):
         if d == 0:
             continue
         Ai = xl.inv(A)
-        assert xl.matmul(A, Ai) == xl.identity(n)
+        assert xl.matmul(A, Ai) == identity(n)
         b = tuple(Fraction(int(rng.integers(-5, 6))) for _ in range(n))
-        x = xl.matvec(Ai, b)
-        assert xl.matvec(A, x) == b
+        assert matvec(A, matvec(Ai, b)) == b
 
 
 def test_rank(rng):
     A = xl.mat([[1, 2, 3], [2, 4, 6]])
     assert xl.rank(A) == 1
-    assert xl.rank(xl.identity(3)) == 3
+    assert xl.rank(identity(3)) == 3
 
 
 def ref_det_rank(A):
@@ -211,10 +212,6 @@ def ref_matmul(A, B):
     )
 
 
-def ref_matvec(A, v):
-    return tuple(sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in A)
-
-
 def ref_inv(A):
     """Gauss-Jordan on [A | I] in Fractions."""
     n = len(A)
@@ -253,11 +250,8 @@ def test_scaled_kernels_match_fraction_reference(rng):
                 A = rand_mixed_matrix(rng, p, n, n)
                 k = int(rng.integers(1, 8))
                 B = rand_mixed_matrix(rng, p, n, k)
-                v = rand_mixed_matrix(rng, p, 1, n)[0]
                 AB = xl.matmul(A, B)
                 assert AB == ref_matmul(A, B) and all_fractions(AB)
-                Av = xl.matvec(A, v)
-                assert Av == ref_matvec(A, v) and all_fractions([Av])
                 try:
                     want = ref_inv(A)
                 except ZeroDivisionError:
@@ -266,7 +260,7 @@ def test_scaled_kernels_match_fraction_reference(rng):
                     continue
                 Ai = xl.inv(A)
                 assert Ai == want and all_fractions(Ai)
-                assert xl.matmul(A, Ai) == xl.identity(n)
+                assert xl.matmul(A, Ai) == identity(n)
 
 
 def test_inv_singular_raises(rng):

@@ -2,14 +2,18 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from radonfourier import complex_field, fourier, function_from_json, padic_field, real_field, space_X
+from radonfourier import (
+    complex_field, fourier, function_from_json, intertwine_I, padic_field, real_field, space_X,
+)
+from radonfourier import suite
 from radonfourier.cli import main
-from radonfourier.geometry import mdet
+from radonfourier.geometry import as_matrix, mdet, mmul
 from radonfourier.sampling import default_a_grid
 from radonfourier.suite import (
     CHECKS,
@@ -124,25 +128,89 @@ def test_negative_control_equivariance_sign():
     assert not rep["pass"]
 
 
-def test_composition_fails_without_a_stabilized_pair():
-    """k_max = 1 leaves no room for two empty shells: every pair falls back to
-    the slice identity, which passes, yet the record tests no composition."""
-    rep = run_suite(SuiteConfig(field="qp", p=3, checks=["composition"], k_max=1))
+def test_composition_fails_without_a_stabilized_pair(monkeypatch):
+    """Shells cut at k = 1 leave no room for two empty shells: no pair
+    stabilizes, each is recorded with its certificate alone, and the record,
+    which then tests no composition, fails.  With every other pair cut, the
+    stabilized half decides: each of its pairs matches, so the record passes."""
+    real = suite.compose_shell_stabilized
+
+    def cut(every):
+        calls = []
+
+        def compose(f, y, k_max):
+            calls.append(None)
+            return real(f, y, 1 if len(calls) % every == 0 else k_max)
+        return compose
+
+    monkeypatch.setattr(suite, "compose_shell_stabilized", cut(1))
+    rep = run_suite(SuiteConfig(field="qp", p=3, checks=["composition"]))
     rec = rep["checks"][0]
     assert not rep["pass"] and not rec["pass"]
     assert rec["stabilized_matches"] == 0 and len(rec["samples"]) == 12
     for row in rec["samples"]:
-        assert row["stabilized"] is False and row["fallback_slice_pass"] is True
+        assert set(row) == {"pair", "stabilized", "certificate"} and row["stabilized"] is False
         cert = row["certificate"]
         assert not cert["stabilized"] and cert["stabilization_radius"] is None
         assert [shell["k"] for shell in cert["shells"]] == [0, 1]
+    monkeypatch.setattr(suite, "compose_shell_stabilized", cut(2))
+    rec = run_suite(SuiteConfig(field="qp", p=3, checks=["composition"]))["checks"][0]
+    assert rec["pass"] and rec["stabilized_matches"] == 6
+    assert [row["stabilized"] for row in rec["samples"]] == [True, False] * 6
+
+
+def test_rho_chain_keeps_failing_rows(monkeypatch):
+    """A weight off by 1 % at the 37th sample fails the record, and its row is
+    kept beyond the first ten, marked with the failing comparison; the passing
+    rows stay those of the clean run."""
+    cfg = SuiteConfig(field="qp", p=3, checks=["rho-chain"])
+    clean = run_suite(cfg)["checks"][0]
+    real = suite.rho_weight
+    calls = []
+
+    def skewed(diag, n, fd):
+        calls.append(None)
+        return real(diag, n, fd) * (1.01 if len(calls) == 37 else 1)
+
+    monkeypatch.setattr(suite, "rho_weight", skewed)
+    rec = run_suite(cfg)["checks"][0]
+    assert clean["pass"] and len(clean["samples"]) == 10
+    assert not rec["pass"] and rec["samples"][:10] == clean["samples"]
+    (bad,) = rec["samples"][10:]
+    assert bad["chain_ok"] is True and bad["weight_ok"] is False
+    assert bad["weight"] == pytest.approx(1.01 * bad["weight_expected"], rel=1e-9)
+
+
+@pytest.mark.parametrize("field, p", [("r", None), ("qp", 2)])
+def test_fiber_failing_rows_carry_the_input(monkeypatch, field, p):
+    """Completions of determinant 2 (or p) rescale the fiber measure: the
+    rows that then fail name their sampled y, and replaying I(f)(y) on the
+    two completions shows the disagreement.  Clean rows carry no input."""
+    cfg = SuiteConfig(field=field, p=p, samples=4, checks=["fiber"])
+    fd = cfg.fd
+    clean = run_suite(cfg)["checks"][0]
+    scale = as_matrix([[1, 0], [0, fd.p or 2]], fd)
+    real = suite.fiber_param
+
+    def skewed(y, n, fd, rng=None):
+        return mmul(real(y, n, fd, rng=rng), scale, fd)
+
+    monkeypatch.setattr(suite, "fiber_param", skewed)
+    rec = run_suite(cfg)["checks"][0]
+    assert clean["pass"] and all("input" not in row for row in clean["samples"])
+    assert not rec["pass"]
+    f = suite._default_function(cfg)
+    failing = [row for row in rec["samples"] if "input" in row]
+    assert failing
+    for row in failing:
+        y = as_matrix([[Fraction(e) if p else e for e in r] for r in row["input"]], fd)
+        base, other = intertwine_I(f, y), intertwine_I(f, y, fiber=skewed(y, 1, fd))
+        assert (abs(other - base) > 1e-10) if p is None else other != base
 
 
 def test_raising_check_is_a_failed_record(monkeypatch, capsys):
     """A check that raises becomes a failing record naming the exception; the
     other checks still run, and verify exits 1."""
-    import radonfourier.suite as suite
-
     def boom(cfg):
         raise RuntimeError("boom")
 
@@ -254,11 +322,21 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ["verify", "--seed", "-3"],
         ["verify", "--p", "5", "gamma-kernel"],
         ["verify", "gamma-kernel", "--field", "r", "--p", "5"],
+        # an unknown flag, a malformed flag value and a missing argument are
+        # config errors too
+        ["verify", "--bogus", "1"],
+        ["verify", "--n", "x"],
+        ["verify", "--field", "z"],
+        ["compute", "fourier"],
+        [],
     ):
         capsys.readouterr()
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1, argv
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "-h"])  # help is not an error
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage:")
     badcfg = tmp_path / "bad_size.json"
     for cfg in (
         {"field": "qp", "p": 3, "samples": 0},
@@ -292,7 +370,6 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         (["--p", "5"], "--p"),
         (["--n", "2"], "--n"),
         (["--tol", "1e-3"], "--tol"),
-        (["--k-max", "3", "--m-max", "4"], "--k-max, --m-max"),
         (["slice"], "check names"),
     ):
         capsys.readouterr()
