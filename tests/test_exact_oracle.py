@@ -4,10 +4,11 @@ A Schwartz-Bruhat function whose cosets lie between p^K Z_p^d and p^(-K)
 Z_p^d, with centers in p^(-K) Z^d, is a function on the finite group G =
 p^(-K) Z^d / p^K Z^d of p^(2Kd) points.  The oracle evaluates it there by
 brute membership: x lies in center + basis Z_p^d exactly when basis^(-1) (x -
-center) has no denominator divisible by p.  The inverse is a ``Fraction``
-Gauss-Jordan in this file; only ``.basis``, ``.center`` and the coefficients
-of a result are read, so a defect of the lattice layer (its normal forms,
-duals, preimages or membership) is not shared by this test.
+center) has no denominator divisible by p.  The inverse is the tests' own
+``Fraction`` Gauss-Jordan (``basis.inverse``); only ``.basis``, ``.center``
+and the coefficients of a result are read, so a defect of the lattice layer
+(its normal forms, duals, preimages or membership) is not shared by this
+test.
 
 The operators built on that layer are checked the same way: a left translate
 by an integer unimodular matrix is a permutation of G, the Fourier transform
