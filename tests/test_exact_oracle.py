@@ -12,8 +12,8 @@ test.
 
 The operators built on that layer are checked the same way: a left translate
 by an integer unimodular matrix is a permutation of G, the Fourier transform
-is a finite DFT on G (so Plancherel is an identity of two sums over G), and
-at n = 1 the intertwining integral and the composition's inner integral over
+is a finite DFT on G (so Plancherel is an identity of two sums over G), the
+pairing <f, h>_X(a) is a sum over G of conj f(x) h(x a), and at n = 1 the intertwining integral and the composition's inner integral over
 M_1 are finite sums over points of G, with characters as exact roots of
 unity.
 """
@@ -28,7 +28,8 @@ import pytest
 
 from radonfourier import (
     Coset, ExactValue, Lattice, SBFunction, add_char, bbar_map, compose_shell_stabilized,
-    fiber_param, fourier, intertwine_I, padic_field, pointwise_mul, space_X, translate_group,
+    fiber_param, fourier, inner_X, intertwine_I, padic_field, pointwise_mul, space_X,
+    translate_group,
 )
 from radonfourier.geometry import MatrixSpace
 from radonfourier.transforms import _shell_points
@@ -311,3 +312,44 @@ def test_composition_shells_match_oracle(rng, p, K, J):
                 for (z,) in _shell_points(p, 1, k, s)
             ) * Fraction(1, p**s)
             assert ExactValue.from_cyclo(p, want).to_json() == shell["contribution"]
+
+
+@pytest.mark.parametrize("p, n, K, J, k", [
+    (2, 1, 2, 2, 1), (2, 1, 2, 2, -1), (3, 1, 1, 1, 1), (3, 1, 1, 1, -1), (2, 2, 1, 1, 0),
+])
+def test_inner_X_matches_oracle(rng, p, n, K, J, k):
+    """<f, h>_X(a) = |det a|^((n+1)/2) times the integral of conj f(x) h(x a).
+    At n = 1, a = u p^k with u a unit, and x -> h(x a) lives on p^(-J-k) Z_p^2
+    and is constant on cosets of p^(K-k) Z_p^2; at n = 2, a is an integer of
+    determinant 1 and x a permutes G.  On the grid X / p^A, X modulo
+    p^(A+B), fine enough for f and for x -> h(x a), the integral is the sum
+    times the cell volume p^(-Bd).  A root of unity in a coefficient of f
+    makes the conjugation visible."""
+    fd = padic_field(p)
+    X = space_X(n, fd)
+    d = X.dim
+    A, B = max(J, J + k), max(K, K - k)
+    grid = np.array(list(itertools.product(range(p ** (A + B)), repeat=d)), dtype=np.int64)
+    assert len(grid) <= 4096
+    root = ExactValue.from_cyclo(p, add_char(Fraction(1, p * p), fd))
+    nonzero = 0
+    for _ in range(3):
+        f, h = (_rand_function(rng, X, K, J) for _ in range(2))
+        f = SBFunction(X, [(c * root, coset) if i == 0 else (c, coset)
+                           for i, (c, coset) in enumerate(f.terms)])
+        if n == 1:
+            u = int(rng.choice([u for u in range(1, 2 * p) if u % p]))
+            a = [[Fraction(u) * Fraction(p) ** k]]
+            # x a = u p^k X / p^A as integer rows over a power of p
+            Y, D = grid * u * p ** max(k, 0), p ** (A + max(-k, 0))
+            scale = Fraction(p) ** -k
+        else:
+            a = _rand_unimodular(rng, p, n)
+            Y, D = grid @ np.kron(np.eye(n + 1, dtype=np.int64), np.array(a, dtype=np.int64)), p**A
+            scale = Fraction(1)
+        fx, hxa = _table(f, grid, p**A, exact=True), _table(h, Y, D, exact=True)
+        total = sum((v.conjugate() * w for v, w in zip(fx, hxa)), ExactValue.from_cyclo(p, 0))
+        want = total * (scale * Fraction(1, p ** (B * d)))
+        assert inner_X(f, h)(a) == want
+        nonzero += not want.is_zero()
+    assert nonzero
