@@ -108,36 +108,33 @@ def _parse_matrix(obj, fd, rows, cols, name):
     return m
 
 
-def cmd_verify(args) -> int:
+def _configs(args) -> list:
+    """The suite configs that ``verify``'s flags, or its --config file, name."""
     keys = {f.name for f in fields(SuiteConfig)}
     given = {k: v for k, v in vars(args).items() if k in keys and v not in (None, [])}
-    try:
-        _check_out(args.out)
-        if args.config:
-            if given:
-                named = ["check names" if k == "checks" else "--" + k.replace("_", "-") for k in sorted(given)]
-                raise ValueError(f"--config cannot be combined with {', '.join(named)}")
-            cfg_obj = _load_json(args.config)
-            specs = cfg_obj if isinstance(cfg_obj, list) else [cfg_obj]
-            if not specs:
-                raise ValueError("--config holds an empty list; give at least one suite config")
-            configs = [SuiteConfig.from_json(c) for c in specs]
-        else:
-            # without --field and --p: the default battery, real n=1 plus
-            # p-adic n=1 at p = 2 and 3
-            battery = [{"field": "r"}, {"field": "qp", "p": 2}, {"field": "qp", "p": 3}]
-            targets = [{}] if "field" in given or "p" in given else battery
-            configs = [SuiteConfig(**given, **t) for t in targets]
-    except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    if args.config:
+        if given:
+            named = ["check names" if k == "checks" else "--" + k.replace("_", "-") for k in sorted(given)]
+            raise ValueError(f"--config cannot be combined with {', '.join(named)}")
+        cfg_obj = _load_json(args.config)
+        specs = cfg_obj if isinstance(cfg_obj, list) else [cfg_obj]
+        if not specs:
+            raise ValueError("--config holds an empty list; give at least one suite config")
+        return [SuiteConfig.from_json(c) for c in specs]
+    # without --field and --p: the default battery, real n=1 plus p-adic n=1
+    # at p = 2 and 3
+    battery = [{"field": "r"}, {"field": "qp", "p": 2}, {"field": "qp", "p": 3}]
+    targets = [{}] if "field" in given or "p" in given else battery
+    return [SuiteConfig(**given, **t) for t in targets]
 
+
+def cmd_verify(configs, out: str | None) -> int:
     reports = [run_suite(cfg) for cfg in configs]
     payload = reports[0] if len(reports) == 1 else {
         "suites": reports,
         "pass": all(r["pass"] for r in reports),
     }
-    _emit(report_to_json(payload), args.out)
+    _emit(report_to_json(payload), out)
     for rep in reports:
         for check in rep["checks"]:
             status = "PASS" if check.get("pass") else "FAIL"
@@ -147,18 +144,6 @@ def cmd_verify(args) -> int:
                 file=sys.stderr,
             )
     return EXIT_PASS if payload["pass"] else EXIT_FAIL
-
-
-def cmd_compute(args) -> int:
-    try:
-        _check_out(args.out)
-        result = _compute(args.operation, _load_json(args.input))
-    except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
-        msg = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-        print(f"config error: {msg}", file=sys.stderr)
-        return EXIT_CONFIG
-    _emit(report_to_json(result), args.out)
-    return EXIT_PASS
 
 
 def _compute(operation: str, spec: dict) -> dict:
@@ -213,14 +198,23 @@ def cmd_explain(args) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        if args.command == "explain":
+            return cmd_explain(args)
+        _check_out(args.out)
+        if args.command == "verify":
+            configs = _configs(args)
+        else:
+            result = _compute(args.operation, _load_json(args.input))
+    except (ValueError, TypeError, KeyError, OSError) as exc:
+        # json.JSONDecodeError is a ValueError; a KeyError is a missing
+        # ``compute`` spec key
+        msg = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        print(f"config error: {msg}", file=sys.stderr)
         return EXIT_CONFIG
     if args.command == "verify":
-        return cmd_verify(args)
-    if args.command == "compute":
-        return cmd_compute(args)
-    return cmd_explain(args)
+        return cmd_verify(configs, args.out)
+    _emit(report_to_json(result), args.out)
+    return EXIT_PASS
 
 
 if __name__ == "__main__":

@@ -70,12 +70,9 @@ class FieldDescriptor:
 
     @property
     def d_F(self) -> int:
-        """Real dimension: 1 for R, 2 for C, undefined for Q_p."""
-        if self.kind == REAL:
-            return 1
-        if self.kind == COMPLEX:
-            return 2
-        raise ValueError("d_F undefined for p-adic fields")
+        """Coordinates per scalar: 2 over C; 1 over R, and over Q_p, where a
+        scalar is one exact rational."""
+        return 2 if self.kind == COMPLEX else 1
 
     def __str__(self):
         return self.kind if self.is_archimedean else f"Q_{self.p}"

@@ -79,16 +79,6 @@ def det_power(a, s, fd: FieldDescriptor):
     return ExactValue(fd.p, -padic_valuation(d, fd.p) * Fraction(s), 1)
 
 
-def as_scalar(c, fd: FieldDescriptor):
-    """A real scalar in the field's representation: float, or exact Fraction."""
-    return float(c) if fd.is_archimedean else Fraction(c)
-
-
-def entry_dim(fd: FieldDescriptor) -> int:
-    """Flat coordinates per matrix entry: 2 over C, 1 over R and Q_p."""
-    return fd.d_F if fd.is_archimedean else 1
-
-
 def is_regular(x, fd: FieldDescriptor, tol: float = 1e-10) -> bool:
     """Full rank test: exact for p-adic; over R/C the smallest singular value
     must exceed ``tol`` times the largest, so the scale of x does not matter."""
@@ -114,8 +104,8 @@ class MatrixSpace:
 
     @property
     def dim(self) -> int:
-        """Real coordinate dimension (d_F per entry archimedean, 1 p-adic)."""
-        return self.rows * self.cols * entry_dim(self.fd)
+        """Flat coordinate dimension: d_F coordinates per entry."""
+        return self.rows * self.cols * self.fd.d_F
 
     @property
     def shape(self):
@@ -198,62 +188,40 @@ def fiber_param(y, n: int, fd: FieldDescriptor, rng=None):
 
     The fiber {x : y x = I_n} is the unipotent orbit z -> g [I_n; z] = A + c z,
     with A = b_map(g) and c the last column of g, and carries Lebesgue
-    measure dz.  Appends a row w to y with det([y; w]) = 1 and returns
-    [y; w]^(-1).  The deterministic choice scans standard basis rows (picking,
-    archimedean, the one maximizing |det| for stability); passing ``rng``
-    draws a random valid completion instead, which is how
-    completion-independence is exercised.
+    measure dz.  Appends a row w to y with d = det([y; w]) != 0 and returns
+    [y; w / d]^(-1).  The candidates for w are the standard basis rows, or,
+    with ``rng``, random draws, which is how completion-independence is
+    exercised.  Over R and C the best-conditioned of the unit rows or of 8
+    unit draws wins (the largest |d|, the first on a tie); over Q_p the first
+    unit row, or the first of up to 64 integer draws, with d != 0.
     """
-    if fd.is_archimedean:
-        y_ = np.asarray(y)
-        if not is_regular(y_, fd):
-            raise ValueError("point is not regular (rank deficient)")
-        candidates = []
-        if rng is None:
-            for j in range(n + 1):
-                w = np.zeros(n + 1, dtype=y_.dtype)
-                w[j] = 1
-                candidates.append(w)
-        else:
-            # a handful of draws, keeping the best-conditioned one
-            for _ in range(8):
-                w = rng.standard_normal(n + 1)
-                if fd.kind == "complex":
-                    w = w + 1j * rng.standard_normal(n + 1)
-                candidates.append(w / np.linalg.norm(w))
-        best, bestd = None, 0.0
-        for w in candidates:
-            d = np.linalg.det(np.vstack([y_, w[None, :]]))
-            if abs(d) > bestd:
-                best, bestd = w, abs(d)
-        # |det [y; w]| scales as |y|^n for unit w
-        if best is None or bestd <= 1e-10 * np.linalg.norm(y_) ** n:
-            raise ValueError("could not complete to a unimodular matrix")
-        d = np.linalg.det(np.vstack([y_, best[None, :]]))
-        return np.linalg.inv(np.vstack([y_, (best / d)[None, :]]))
-    y_ = xl.mat(y)
-    if xl.rank(y_) < n:
+    y_ = as_matrix(y, fd)
+    if not is_regular(y_, fd):
         raise ValueError("point is not regular (rank deficient)")
-    rows = None
-    if rng is None:
-        for j in range(n + 1):
-            w = tuple(Fraction(1) if k == j else Fraction(0) for k in range(n + 1))
-            cand = y_ + (w,)
-            if xl.det(cand) != 0:
-                rows = cand
-                break
+    if fd.is_archimedean:
+        rows = meye(n + 1, fd) if rng is None else [_unit_draw(rng, n + 1, fd) for _ in range(8)]
+        w = max(rows, key=lambda w: abs(mdet([*y_, w], fd)))
+        # |det [y; w]| scales as |y|^n for unit w
+        if abs(mdet([*y_, w], fd)) <= 1e-10 * np.linalg.norm(y_) ** n:
+            w = None
     else:
-        for _ in range(64):
-            w = tuple(Fraction(int(rng.integers(-9, 10))) for _ in range(n + 1))
-            cand = y_ + (w,)
-            if xl.det(cand) != 0:
-                rows = cand
-                break
-    if rows is None:
+        rows = meye(n + 1, fd) if rng is None else (
+            tuple(Fraction(int(rng.integers(-9, 10))) for _ in range(n + 1)) for _ in range(64)
+        )
+        w = next((w for w in rows if mdet([*y_, w], fd) != 0), None)
+    if w is None:
         raise ValueError("could not complete to a unimodular matrix")
-    d = xl.det(rows)
-    scaled = y_ + (tuple(x / d for x in rows[n]),)
-    return xl.inv(scaled)
+    d = mdet([*y_, w], fd)
+    return minv([*y_, [x / d for x in w]], fd)
+
+
+def _unit_draw(rng, size: int, fd: FieldDescriptor):
+    """A random unit vector over R or C: standard normal real parts, then
+    (over C) standard normal imaginary parts."""
+    w = rng.standard_normal(size)
+    if fd.kind == "complex":
+        w = w + 1j * rng.standard_normal(size)
+    return w / np.linalg.norm(w)
 
 
 # ---------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .functions import (
     require_test_function,
     translate_group,
 )
-from .geometry import KAKFactors, det_power, entry_dim, minv
+from .geometry import KAKFactors, det_power, minv
 
 # relative roundoff slack of the archimedean decay-bound comparison
 _DECAY_SLACK = 1e-9
@@ -147,7 +147,7 @@ def column_product_constant(f):
     else:
         raise ValueError("no product envelope for this function class")
     space = f.space
-    per = entry_dim(space.fd)
+    per = space.fd.d_F
     # coordinate i belongs to matrix column column[i]; i - column[i] * per is
     # the same coordinate of column 0
     column = [i // per % space.cols for i in range(space.dim)]
@@ -219,12 +219,20 @@ def decay_bound_check(f, samples) -> dict:
     return {"C": float(C), "pass": ok, "samples": rows}
 
 
-def _mat_json(m, fd: FieldDescriptor):
+def _input_json(m, fd: FieldDescriptor):
+    """A sampled matrix as a report writes it: rows of numbers over R and C,
+    rows of rational strings over Q_p."""
     if fd.is_archimedean:
-        return np.asarray(m).tolist() if fd.kind == "real" else [
-            [z.real, z.imag] for z in np.asarray(m).reshape(-1)
-        ]
-    return [[str(x) for x in row] for row in m]
+        return np.asarray(m).tolist()
+    return [[str(e) for e in row] for row in m]
+
+
+def _mat_json(m, fd: FieldDescriptor):
+    """``_input_json``, except that a complex matrix is one flat list of
+    [re, im] pairs."""
+    if fd.kind == "complex":
+        return [[z.real, z.imag] for z in np.asarray(m).reshape(-1)]
+    return _input_json(m, fd)
 
 
 def truncation_sequence(f: GaussianForm, m_max: int, a_grid) -> dict:

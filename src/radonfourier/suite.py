@@ -30,11 +30,10 @@ from . import exactlinalg as xl
 from .fields import FieldDescriptor, complex_field, padic_field, padic_valuation, real_field
 from .functions import GaussianForm, SBFunction
 from .geometry import base_point_y, fiber_param, rho_weight, rho_weight_exponents, space_X
-from .hilbert import decay_bound_check, truncation_sequence
+from .hilbert import _input_json, decay_bound_check, truncation_sequence
 from .lattices import Coset, Lattice
 from .transforms import (
     _KERNEL_ROWS,
-    _input_json,
     check_record,
     compose_shell_stabilized,
     fourier,
@@ -155,6 +154,8 @@ def _rng_for(cfg: SuiteConfig, check: str) -> np.random.Generator:
 
 
 def _default_function(cfg: SuiteConfig, shifted: bool = False):
+    """The standard Gaussian over R and C; over Q_p the indicator of Z_p^d,
+    or with ``shifted`` that of e_1 + p Z_p^d."""
     fd = cfg.fd
     X = space_X(cfg.n, fd)
     if fd.is_archimedean:
@@ -250,7 +251,7 @@ def _unit_row_sample(rng, n: int, p: int):
 def _check_unitarity(cfg: SuiteConfig) -> dict:
     fd = cfg.fd
     f = _default_function(cfg)
-    h = _default_function(cfg, shifted=True) if not fd.is_archimedean else f
+    h = _default_function(cfg, shifted=True)
     grid = sampling.default_a_grid(cfg.n, fd)
     return unitarity_verify(f, h, grid, tol=cfg.tol)
 

@@ -57,9 +57,7 @@ from .functions import (
 )
 from .geometry import (
     MatrixSpace,
-    as_scalar,
     det_power,
-    entry_dim,
     fiber_param,
     meye,
     minv,
@@ -68,7 +66,7 @@ from .geometry import (
     space_L,
 )
 from .hilbert import (
-    _mat_json, act_g, act_module_X, act_module_Xbar, inner_X, inner_Xbar,
+    _input_json, _mat_json, act_g, act_module_X, act_module_Xbar, inner_X, inner_Xbar,
 )
 
 # passing sample rows a gamma-kernel or rho-chain record keeps (failing
@@ -94,7 +92,7 @@ def pairing_matrix(yspace: MatrixSpace, xspace: MatrixSpace):
     """
     if yspace.cols != xspace.rows or yspace.rows != xspace.cols:
         raise ValueError("spaces do not pair")
-    d = entry_dim(yspace.fd)
+    d = yspace.fd.d_F
     # entry i*cols + j of y is y_ij; entry xk[i*cols + j] of x is x_ji
     xk = np.arange(xspace.rows * xspace.cols).reshape(xspace.shape).T.reshape(-1)
     yc, xc = d * np.arange(len(xk)), d * xk
@@ -194,7 +192,7 @@ def kernel_identity_check(
             ok = ok and good
             if good and len(rows) >= _KERNEL_ROWS:
                 continue
-            rows.append(_exact_row(a, lhs, rhs, good))
+            rows.append(_sides_row(fd, a, lhs, rhs, good, None))
     return check_record("gamma-kernel", fd, n, ok, rows)
 
 
@@ -376,7 +374,7 @@ def fourier_slice_verify(f, y_samples, tol: float = 1e-6, measure_factor=1) -> d
         lhs = fhat.value(y)
         rhs = integrate_against_trace_character(slice_family(f, y))
         if measure_factor != 1:
-            rhs = rhs * as_scalar(measure_factor, fd)
+            rhs = rhs * Fraction(measure_factor)
         good, err = sides_agree(fd, lhs, rhs, tol)
         rows.append(_sides_row(fd, y, lhs, rhs, good, err, rhs_quadrature_error=0.0))
         ok = ok and good
@@ -431,7 +429,8 @@ def intertwine_equivariance_check(f, g, a, y_samples, tol: float = 1e-6) -> dict
         g_good, g_err = sides_agree(fd, l1, r1, tol)
         a_good, a_err = sides_agree(fd, l2, r2, tol)
         if fd.is_archimedean:
-            row = {"g_side_err": g_err, "a_side_err": a_err}
+            row = {"g_lhs": _re_im(l1), "g_rhs": _re_im(r1), "g_side_err": g_err,
+                   "a_lhs": _re_im(l2), "a_rhs": _re_im(r2), "a_side_err": a_err}
         else:
             row = {"g_side_exact": g_good, "a_side_exact": a_good}
         rows.append({"input": _input_json(y, fd), **row})
@@ -452,10 +451,7 @@ def unitarity_verify(f, h, a_grid, tol: float = 1e-6) -> dict:
         lhs = lhs_fun(a)
         rhs = rhs_fun(a)
         good, err = sides_agree(fd, lhs, rhs, tol)
-        if fd.is_archimedean:
-            rows.append({"input": _input_json(a, fd), "abs_err": err})
-        else:
-            rows.append(_exact_row(a, lhs, rhs, good))
+        rows.append(_sides_row(fd, a, lhs, rhs, good, err))
         ok = ok and good
     return check_record("unitarity", fd, n, ok, rows)
 
@@ -475,30 +471,18 @@ def sides_agree(fd: FieldDescriptor, lhs, rhs, tol: float):
     return bool(lhs == rhs), None
 
 
-def _input_json(m, fd: FieldDescriptor):
-    """A sampled matrix as a report writes it: rows of numbers over R and C,
-    rows of rational strings over Q_p."""
-    if fd.is_archimedean:
-        return np.asarray(m).tolist()
-    return [[str(e) for e in row] for row in m]
+def _re_im(z) -> list:
+    """An archimedean value as a report writes it: [re, im]."""
+    z = complex(z)
+    return [z.real, z.imag]
 
 
 def _sides_row(fd: FieldDescriptor, m, lhs, rhs, good, err, **extra) -> dict:
-    """Report record of one sample of a two-sided identity: over R and C the
-    input, both sides as [re, im], the residual and the check's ``extra``
-    entries; over Q_p the exact row."""
+    """Report record of one sample of a two-sided identity: the input and
+    both sides, then over R and C the sides as [re, im], the residual and the
+    check's ``extra`` entries, over Q_p the exact sides and the verdict."""
     if not fd.is_archimedean:
-        return _exact_row(m, lhs, rhs, good)
-    lhs, rhs = complex(lhs), complex(rhs)
-    pairs = {"lhs": [lhs.real, lhs.imag], "rhs": [rhs.real, rhs.imag]}
-    return {"input": _input_json(m, fd), **pairs, "abs_err": err, **extra}
-
-
-def _exact_row(m, lhs, rhs, good) -> dict:
-    """Report record of one exact (p-adic) sample: input, both sides, verdict."""
-    return {
-        "input": [[str(e) for e in row] for row in m],
-        "lhs": lhs.to_json(),
-        "rhs": rhs.to_json(),
-        "exact_equal": bool(good),
-    }
+        return {"input": _input_json(m, fd), "lhs": lhs.to_json(), "rhs": rhs.to_json(),
+                "exact_equal": bool(good)}
+    return {"input": _input_json(m, fd), "lhs": _re_im(lhs), "rhs": _re_im(rhs),
+            "abs_err": err, **extra}

@@ -7,6 +7,7 @@ from radonfourier import (
     FieldDescriptor,
     abs_norm,
     add_char,
+    padic_field,
     padic_frac_part,
     padic_valuation,
 )
@@ -21,6 +22,13 @@ def test_descriptor_validation():
     with pytest.raises(ValueError):
         FieldDescriptor("quaternion")
     assert FieldDescriptor("complex").d_F == 2
+
+
+def test_d_F_counts_coordinates_per_scalar():
+    """R and C have real dimension 1 and 2; a Q_p scalar is one exact
+    rational, so it is one coordinate."""
+    assert [FieldDescriptor(kind).d_F for kind in ("real", "complex")] == [1, 2]
+    assert padic_field(2).d_F == padic_field(3).d_F == 1
 
 
 def test_abs_norm_examples(fr, fc, f3):

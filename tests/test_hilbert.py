@@ -19,7 +19,6 @@ from radonfourier import (
     truncation_sequence,
 )
 from radonfourier import exactlinalg as xl
-from radonfourier.geometry import entry_dim
 from radonfourier.hilbert import column_product_constant, decay_bound_check, exact_le
 from radonfourier.lattices import Coset, Lattice
 from radonfourier.quadrature import integrate_polar_2d
@@ -183,7 +182,7 @@ def _column_blocks(space, blocks):
     """The quadratic form that is ``blocks[j]`` on the entries of column j
     (a real block acts on real and imaginary parts alike over C) and zero
     across columns."""
-    column = np.arange(space.dim) // entry_dim(space.fd) % space.cols
+    column = np.arange(space.dim) // space.fd.d_F % space.cols
     Q = np.zeros((space.dim, space.dim))
     for j, B in enumerate(blocks):
         if space.fd.kind == "complex":

@@ -208,6 +208,44 @@ def test_fiber_failing_rows_carry_the_input(monkeypatch, field, p):
         assert (abs(other - base) > 1e-10) if p is None else other != base
 
 
+@pytest.mark.parametrize("field", ["r", "c"])
+def test_unitarity_failing_rows_carry_both_sides(monkeypatch, field):
+    """A doubled X-side pairing fails every archimedean unitarity row; each
+    row names its a and both sides as [re, im], which replay the failure
+    against the true pairing."""
+    from radonfourier import inner_X, transforms
+    from radonfourier.hilbert import LFunction
+
+    cfg = SuiteConfig(field=field, checks=["unitarity"])
+    real = transforms.inner_X
+
+    def doubled(f, h):
+        pairing = real(f, h)
+        return LFunction(lambda a: 2 * pairing(a), pairing.provenance)
+
+    monkeypatch.setattr(transforms, "inner_X", doubled)
+    rec = run_suite(cfg)["checks"][0]
+    assert not rec["pass"] and rec["samples"]
+    f = suite._default_function(cfg)
+    for row in rec["samples"]:
+        lhs, rhs = complex(*row["lhs"]), complex(*row["rhs"])
+        want = inner_X(f, f)(as_matrix(row["input"], cfg.fd))
+        assert lhs == pytest.approx(want, rel=1e-9) and rhs == pytest.approx(2 * want, rel=1e-9)
+        assert row["abs_err"] == pytest.approx(abs(lhs - rhs), rel=1e-12) and row["abs_err"] > cfg.tol
+
+
+@pytest.mark.parametrize("field", ["r", "c"])
+def test_intertwine_rows_name_both_sides(field):
+    """Each archimedean intertwine-equivariance row carries both sides of
+    both laws as [re, im], and each residual is their distance."""
+    rec = run_suite(SuiteConfig(field=field, samples=4, checks=["equivariance"]))["checks"][0]
+    (inter,) = [r for r in rec["samples"] if r["check"] == "intertwine-equivariance"]
+    for row in inter["samples"]:
+        for law in "ga":
+            lhs, rhs = complex(*row[f"{law}_lhs"]), complex(*row[f"{law}_rhs"])
+            assert row[f"{law}_side_err"] == pytest.approx(abs(lhs - rhs), rel=1e-12, abs=1e-300)
+
+
 def test_raising_check_is_a_failed_record(monkeypatch, capsys):
     """A check that raises becomes a failing record naming the exception; the
     other checks still run, and verify exits 1."""
