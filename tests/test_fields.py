@@ -21,12 +21,7 @@ def test_descriptor_validation():
         FieldDescriptor("real", 3)
     with pytest.raises(ValueError):
         FieldDescriptor("quaternion")
-    assert FieldDescriptor("complex").d_F == 2
-
-
-def test_d_F_counts_coordinates_per_scalar():
-    """R and C have real dimension 1 and 2; a Q_p scalar is one exact
-    rational, so it is one coordinate."""
+    # coordinates per scalar: a Q_p scalar is one exact rational
     assert [FieldDescriptor(kind).d_F for kind in ("real", "complex")] == [1, 2]
     assert padic_field(2).d_F == padic_field(3).d_F == 1
 

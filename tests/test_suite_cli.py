@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from radonfourier import (
-    complex_field, fourier, function_from_json, intertwine_I, padic_field, real_field, space_X,
+    LFunction, complex_field, fourier, function_from_json, inner_X, intertwine_I, padic_field,
+    real_field, space_X,
 )
-from radonfourier import suite
+from radonfourier import suite, transforms
 from radonfourier.cli import main
 from radonfourier.geometry import as_matrix, mdet, mmul
 from radonfourier.sampling import default_a_grid
@@ -213,9 +214,6 @@ def test_unitarity_failing_rows_carry_both_sides(monkeypatch, field):
     """A doubled X-side pairing fails every archimedean unitarity row; each
     row names its a and both sides as [re, im], which replay the failure
     against the true pairing."""
-    from radonfourier import inner_X, transforms
-    from radonfourier.hilbert import LFunction
-
     cfg = SuiteConfig(field=field, checks=["unitarity"])
     real = transforms.inner_X
 
