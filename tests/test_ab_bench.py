@@ -1,8 +1,11 @@
 """tools/ab_bench.py's summary of paired benchmark runs, on synthetic result
 lines: medians and quartiles per side, the change against the bound, and
-"unresolved" where the parent's own spread exceeds the bound."""
+"unresolved" where the parent's own spread exceeds the bound; and the passes
+per run, read from synthetic result files."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -87,3 +90,49 @@ def test_seed_reaches_every_run(ab_bench, monkeypatch, capsys, argv, seed):
     assert ab_bench.main(["HEAD", "--workload", "padic", "--pairs", "2", *argv]) == 0
     assert sorted(calls) == [(False, "padic", seed)] * 2 + [(True, "padic", seed)] * 2
     assert f"seed {seed}," in capsys.readouterr().out
+
+
+def _result(tree, workload, seed, passes):
+    path = tree / "bench" / "out" / f"result-{workload}-seed{seed}-trace0.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({"wall_s": {"median": 1.0, "n": passes}}))
+
+
+def test_passes_come_from_the_result_file(ab_bench, tmp_path):
+    # wall_s.n of the run's own result file; None when the run wrote none
+    _result(tmp_path, "padic", 7, 11)
+    _result(tmp_path, "padic", 8, 4)
+    assert ab_bench.read_passes(tmp_path, "padic", 7) == 11
+    assert ab_bench.read_passes(tmp_path, "padic", 8) == 4
+    assert ab_bench.read_passes(tmp_path, "arch-battery", 7) is None
+
+
+def test_run_bench_reads_only_its_own_result(ab_bench, tmp_path, monkeypatch):
+    # a result file left by an earlier run is removed before the run starts
+    _result(tmp_path, "padic", 7, 9)
+
+    def fake(argv, cwd, **kw):
+        if "--seed" in argv and argv[argv.index("--seed") + 1] == "7" and cwd == tmp_path:
+            assert not ab_bench.result_path(tmp_path, "padic", 7).exists()
+            _result(tmp_path, "padic", 7, 5)
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps({"correct": True}) + "\n")
+
+    monkeypatch.setattr(ab_bench.subprocess, "run", fake)
+    run = ab_bench.run_bench(tmp_path, "padic", 7, 1.0)
+    assert run == {"exit_code": 0, "line": {"correct": True}, "passes": 5}
+
+
+def test_passes_print_beside_peak_rss(ab_bench, monkeypatch, capsys):
+    monkeypatch.setattr(ab_bench, "extract", lambda rev, dest: None)
+    counts = iter([10, 12, 11, 13])
+
+    def fake_run(tree, workload, seed, seconds):
+        line = {"correct": True, "metrics": {"wall_s": {"value": 1.0}, "peak_rss_mb": {"value": 50.0}}}
+        return {"exit_code": 0, "line": line, "passes": next(counts)}
+
+    monkeypatch.setattr(ab_bench, "run_bench", fake_run)
+    assert ab_bench.main(["HEAD", "--workload", "padic", "--pairs", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    rss = next(i for i, line in enumerate(out) if line.startswith("peak_rss_mb"))
+    # pair 1 runs the parent first, pair 2 the change first
+    assert out[rss + 1].split() == ["passes", "per", "run:", "parent", "[10,", "13]", "change", "[12,", "11]"]

@@ -16,7 +16,10 @@ change was not written against.
 For each end-to-end metric of ``BENCHMARK.json`` it prints the median and
 quartiles on both sides, the relative change of the median (positive when
 worse, in the metric's ``better`` direction) beside the metric's bound, and
-how many pairs read better.  A metric is "unresolved" when the spread of
+how many pairs read better.  Beside ``peak_rss_mb`` it prints each run's
+count of timed passes, ``wall_s.n`` of the tree's
+``bench/out/result-W-seedS-trace0.json``: the worker keeps every pass's
+records, so an RSS change can come from a change in the pass count.  A metric is "unresolved" when the spread of
 REV's runs, IQR / median, exceeds its bound: the runs cannot tell a change
 of that size from noise.  Otherwise it is "worse" when the change exceeds
 the bound, else "ok".  Exits 0 when every run is correct and no metric is
@@ -39,8 +42,20 @@ sys.path.insert(0, str(ROOT / "tools"))
 from report_diff import extract  # noqa: E402
 
 
+def result_path(tree: Path, workload: str, seed: int) -> Path:
+    return tree / "bench" / "out" / f"result-{workload}-seed{seed}-trace0.json"
+
+
+def read_passes(tree: Path, workload: str, seed: int):
+    """The timed passes of ``tree``'s last run, or None without a result file."""
+    path = result_path(tree, workload, seed)
+    return json.loads(path.read_text())["wall_s"]["n"] if path.exists() else None
+
+
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in ``tree``: its exit code and final JSON line."""
+    """One benchmark run in ``tree``: its exit code, final JSON line and
+    number of timed passes."""
+    result_path(tree, workload, seed).unlink(missing_ok=True)
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -48,7 +63,7 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     )
     lines = proc.stdout.strip().splitlines()
     line = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else {}
-    return {"exit_code": proc.returncode, "line": line}
+    return {"exit_code": proc.returncode, "line": line, "passes": read_passes(tree, workload, seed)}
 
 
 def quartiles(values: list) -> tuple:
@@ -92,17 +107,20 @@ def summarize(parent: list, change: list, end_to_end: list) -> list:
     return rows
 
 
-def print_rows(rows: list) -> None:
+def print_rows(rows: list, passes: dict) -> None:
+    """The rows, with ``passes`` (side -> passes per run) below peak_rss_mb."""
     for r in rows:
         if not r["pairs"]:
             print(f"{r['metric']:<12} no runs reported it: unresolved")
-            continue
-        (pq1, pm, pq3), (cq1, cm, cq3) = r["parent"], r["change"]
-        print(f"{r['metric']:<12} parent {pm:.4g} [{pq1:.4g}, {pq3:.4g}]  "
-              f"change {cm:.4g} [{cq1:.4g}, {cq3:.4g}]  "
-              f"worse by {r['rel_change']:+.1%} (bound {r['bound']:.0%}, parent IQR/median "
-              f"{r['parent_spread']:.1%})  better in {r['better_pairs']}/{r['pairs']} pairs: "
-              f"{r['verdict']}")
+        else:
+            (pq1, pm, pq3), (cq1, cm, cq3) = r["parent"], r["change"]
+            print(f"{r['metric']:<12} parent {pm:.4g} [{pq1:.4g}, {pq3:.4g}]  "
+                  f"change {cm:.4g} [{cq1:.4g}, {cq3:.4g}]  "
+                  f"worse by {r['rel_change']:+.1%} (bound {r['bound']:.0%}, parent IQR/median "
+                  f"{r['parent_spread']:.1%})  better in {r['better_pairs']}/{r['pairs']} pairs: "
+                  f"{r['verdict']}")
+        if r["metric"] == "peak_rss_mb":
+            print(f"{'':<12} passes per run: parent {passes['parent']}  change {passes['change']}")
 
 
 def main(argv=None) -> int:
@@ -130,7 +148,7 @@ def main(argv=None) -> int:
           f"parent {args.rev}, change this checkout")
     rows = summarize([r["line"] for r in runs["parent"]], [r["line"] for r in runs["change"]],
                      spec["end_to_end"])
-    print_rows(rows)
+    print_rows(rows, {side: [r.get("passes") for r in rs] for side, rs in runs.items()})
     failed = [f"{side} run {i + 1}" for side, rs in runs.items() for i, r in enumerate(rs)
               if r["exit_code"] != 0 or not r["line"].get("correct")]
     for name in failed:
