@@ -23,7 +23,7 @@ import numpy as np
 
 from . import quadrature as quad
 from .cyclotomic import ExactValue
-from .fields import FieldDescriptor, abs_norm, padic_valuation
+from .fields import REAL, FieldDescriptor, abs_norm, padic_valuation
 from .functions import (
     GaussianForm,
     SBFunction,
@@ -238,8 +238,8 @@ def _mat_json(m, fd: FieldDescriptor):
 def truncation_sequence(f: GaussianForm, m_max: int, a_grid) -> dict:
     """Sup over the grid of phi_m = <f - f chi_m, f - f chi_m>_X, m = 1..m_max.
 
-    Archimedean only.  The difference f - f chi_m concentrates near the
-    singular set and in the far tail, so the two-dimensional case (n = 1)
+    On the two-dimensional real space (n = 1) only.  The difference
+    f - f chi_m concentrates near the singular set and in the far tail, so it
     integrates in polar panels with breakpoints at every cutoff feature
     radius; this keeps the quadrature honest at all scales down to 1/m^2.
     There chi_m depends on x through |x| alone, so the integrand
@@ -249,11 +249,9 @@ def truncation_sequence(f: GaussianForm, m_max: int, a_grid) -> dict:
     """
     space = f.space
     fd = space.fd
-    if not fd.is_archimedean:
-        raise ValueError("truncation diagnostics are archimedean")
+    if space.dim != 2 or fd.kind != REAL:
+        raise ValueError("truncation diagnostics run on the two-dimensional real space")
     n = space.cols
-    if space.dim != 2 or fd.kind != "real":
-        raise NotImplementedError("implemented for the two-dimensional real case")
     sups = []
     per_m = []
     # right multiplication by the 1x1 matrix a scales the point

@@ -22,6 +22,7 @@ import time
 import zlib
 from dataclasses import dataclass, field as dc_field, fields
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -173,16 +174,14 @@ def _default_function(cfg: SuiteConfig, shifted: bool = False):
 # ---------------------------------------------------------------------
 
 
-def _check_gamma_kernel(cfg: SuiteConfig) -> dict:
-    rng = _rng_for(cfg, "gamma-kernel")
+def _check_gamma_kernel(cfg: SuiteConfig, rng) -> dict:
     fd = cfg.fd
     samples = [sampling.rand_gl(rng, cfg.n, fd) for _ in range(cfg.samples)]
     shift = Fraction(str(cfg.perturb.get("gamma_exponent_shift", 0)))
     return kernel_identity_check(fd, cfg.n, samples, exponent_shift=shift)
 
 
-def _check_slice(cfg: SuiteConfig) -> dict:
-    rng = _rng_for(cfg, "slice")
+def _check_slice(cfg: SuiteConfig, rng) -> dict:
     fd = cfg.fd
     X = space_X(cfg.n, fd)
     f = _default_function(cfg)
@@ -194,15 +193,15 @@ def _check_slice(cfg: SuiteConfig) -> dict:
     return fourier_slice_verify(f, ys, tol=cfg.tol, measure_factor=factor)
 
 
-def _check_composition(cfg: SuiteConfig) -> dict:
-    fd = cfg.fd
-    if fd.is_archimedean:
-        na = "shell stabilization is a p-adic operation"
-        return check_record("composition", fd, cfg.n, True, [], not_applicable=na)
+def _composition_skip(cfg: SuiteConfig):
+    if cfg.fd.is_archimedean:
+        return "shell stabilization is a p-adic operation"
     if cfg.n > 1:
-        na = "shell enumeration grows like p^(n k); the suite exercises the n = 1 surface"
-        return check_record("composition", fd, cfg.n, True, [], not_applicable=na)
-    rng = _rng_for(cfg, "composition")
+        return "shell enumeration grows like p^(n k); the suite exercises the n = 1 surface"
+
+
+def _check_composition(cfg: SuiteConfig, rng) -> dict:
+    fd = cfg.fd
     X = space_X(cfg.n, fd)
     p = fd.p
     rows = []
@@ -248,7 +247,7 @@ def _unit_row_sample(rng, n: int, p: int):
     return tuple(row + (tail[i],) for i, row in enumerate(lead))
 
 
-def _check_unitarity(cfg: SuiteConfig) -> dict:
+def _check_unitarity(cfg: SuiteConfig, _rng) -> dict:
     fd = cfg.fd
     f = _default_function(cfg)
     h = _default_function(cfg, shifted=True)
@@ -256,8 +255,7 @@ def _check_unitarity(cfg: SuiteConfig) -> dict:
     return unitarity_verify(f, h, grid, tol=cfg.tol)
 
 
-def _check_equivariance(cfg: SuiteConfig) -> dict:
-    rng = _rng_for(cfg, "equivariance")
+def _check_equivariance(cfg: SuiteConfig, rng) -> dict:
     fd = cfg.fd
     X = space_X(cfg.n, fd)
     f = _default_function(cfg)
@@ -285,8 +283,7 @@ def _check_equivariance(cfg: SuiteConfig) -> dict:
     return check_record("equivariance", fd, cfg.n, all(r["pass"] for r in reports), reports)
 
 
-def _check_estimate(cfg: SuiteConfig) -> dict:
-    rng = _rng_for(cfg, "estimate")
+def _check_estimate(cfg: SuiteConfig, rng) -> dict:
     fd = cfg.fd
     f = _default_function(cfg)
     count = min(cfg.samples, 200)
@@ -295,8 +292,7 @@ def _check_estimate(cfg: SuiteConfig) -> dict:
     return check_record("estimate", fd, cfg.n, rep["pass"], rep["samples"], C=rep["C"])
 
 
-def _check_rho_chain(cfg: SuiteConfig) -> dict:
-    rng = _rng_for(cfg, "rho-chain")
+def _check_rho_chain(cfg: SuiteConfig, rng) -> dict:
     fd = cfg.fd
     n = cfg.n
     rows = []
@@ -331,11 +327,13 @@ def _check_rho_chain(cfg: SuiteConfig) -> dict:
     return check_record("rho-chain", fd, n, ok, rows)
 
 
-def _check_truncation(cfg: SuiteConfig) -> dict:
+def _truncation_skip(cfg: SuiteConfig):
+    if not (cfg.fd.kind == "real" and cfg.n == 1):
+        return "truncation diagnostics run on the real n=1 case"
+
+
+def _check_truncation(cfg: SuiteConfig, _rng) -> dict:
     fd = cfg.fd
-    if not (fd.kind == "real" and cfg.n == 1):
-        na = "truncation diagnostics run on the real n=1 case"
-        return check_record("truncation", fd, cfg.n, True, [], not_applicable=na)
     f = GaussianForm.standard(space_X(1, fd))
     grid = [float(a[0][0]) for a in sampling.default_a_grid(1, fd)]
     rep = truncation_sequence(f, 20, grid)
@@ -346,8 +344,7 @@ def _check_truncation(cfg: SuiteConfig) -> dict:
     )
 
 
-def _check_fiber(cfg: SuiteConfig) -> dict:
-    rng = _rng_for(cfg, "fiber")
+def _check_fiber(cfg: SuiteConfig, rng) -> dict:
     fd = cfg.fd
     X = space_X(cfg.n, fd)
     f = _default_function(cfg)
@@ -370,52 +367,46 @@ def _check_fiber(cfg: SuiteConfig) -> dict:
     return check_record("fiber", fd, cfg.n, ok, rows)
 
 
-CHECKS = {
-    "gamma-kernel": _check_gamma_kernel,
-    "slice": _check_slice,
-    "composition": _check_composition,
-    "unitarity": _check_unitarity,
-    "equivariance": _check_equivariance,
-    "estimate": _check_estimate,
-    "rho-chain": _check_rho_chain,
-    "truncation": _check_truncation,
-    "fiber": _check_fiber,
-}
+class Check(NamedTuple):
+    run: Callable  # (config, the check's own generator) -> record
+    explanation: str  # what the check verifies, as ``explain`` prints it
+    skip: Callable = lambda cfg: None  # config -> why the check does not run there, or None
 
-EXPLANATIONS = {
-    "gamma-kernel": (
+
+CHECKS = {
+    "gamma-kernel": Check(_check_gamma_kernel, (
         "Kernel identity |det a|^((1-n)/2) * gamma_n(a^(-1)) = chi(Tr a), the "
         "algebraic crux linking the normalizing weight to the additive "
         "character.  Exact over Q_p; magnitude and phase compared to 1e-12 "
         "relative over R and C."
-    ),
-    "slice": (
+    )),
+    "slice": Check(_check_slice, (
         "Fourier-slice identity F f(y) = int T(f)(y,a) chi(Tr a) da, the "
         "absolutely convergent face of the normalized-intertwiner "
         "composition.  Both sides computed along independent routes; exact "
         "p-adically, |lhs-rhs| <= tol (default 1e-6) archimedean."
-    ),
-    "composition": (
+    )),
+    "composition": Check(_check_composition, (
         "Shell-stabilized p-adic evaluation of the iterated composition "
         "I(C_gamma f)(y) over growing fiber balls, certified by exact "
         "vanishing of two consecutive shell character sums by k = 7, "
         "compared exactly against F f(y).  A pair that does not stabilize "
         "is recorded with its certificate and tests nothing; every "
         "stabilized pair must match, and a record with none fails."
-    ),
-    "unitarity": (
+    ), _composition_skip),
+    "unitarity": Check(_check_unitarity, (
         "Inner-product preservation <F f, F h>_Xbar(a) = <f, h>_X(a) on the "
         "default grid in GL(n): the transform extends to a unitary operator "
         "of the module pairings.  Exact p-adically, tol archimedean."
-    ),
-    "equivariance": (
+    )),
+    "equivariance": Check(_check_equivariance, (
         "Scaling law F(f^(a^(-1))) = |det a|^(n+1) * F f(a .) (corrected "
         "positive exponent, pinned by the discriminating Gaussian example), "
         "its module form F(f.a) = F(f).a, and the translation laws "
         "I(g.f)(y) = I(f)(y g), I(f.a)(y) = |det a|^((n+1)/2) I(f)(a y).  "
         "Both laws at tol (default 1e-6) archimedean, exact p-adic."
-    ),
-    "estimate": (
+    )),
+    "estimate": Check(_check_estimate, (
         "Decay estimate |<f,f>_X(k1 a k2)| <= C prod_i min(|a_i|,|a_i|^-1)"
         "^((n+1)/2) with the explicit constant C = prod ||f_i||_inf ||f_i||_1 "
         "from the per-column envelope (C = 1 for the standard Gaussian and "
@@ -423,33 +414,33 @@ EXPLANATIONS = {
         "f must be one block repeated down the columns of X (a Gaussian's "
         "form, a lattice's basis), so that the compact group acting on the "
         "right fixes f."
-    ),
-    "rho-chain": (
+    )),
+    "rho-chain": Check(_check_rho_chain, (
         "Spherical weight chain: prod |a_i|^(i-(n+1)/2) >= "
         "prod min(|a_i|,|a_i|^-1)^((n-1)/2) >= prod min(|a_i|,|a_i|^-1)"
         "^((n+1)/2), verified with exact rational arithmetic on logarithmic "
         "exponents."
-    ),
-    "truncation": (
+    )),
+    "truncation": Check(_check_truncation, (
         "Truncation diagnostics: phi_m = <f - f chi_m, f - f chi_m>_X over "
         "the default grid is nonincreasing in m and sup phi_m < 1e-3 by "
         "m = 20 for the standard Gaussian (real, n = 1), the computable "
         "surrogate for convergence of the cutoff approximations."
-    ),
-    "fiber": (
+    ), _truncation_skip),
+    "fiber": Check(_check_fiber, (
         "Well-definedness of the intertwining integral: I(f)(y) agrees "
         "across independently drawn unimodular completions of y (exact "
         "p-adically, 1e-10 archimedean), so the fiber measure does not "
         "depend on the completion."
-    ),
+    )),
 }
 
 
 def explain_check(name: str) -> str:
-    if name not in EXPLANATIONS:
-        avail = ", ".join(sorted(EXPLANATIONS))
+    if name not in CHECKS:
+        avail = ", ".join(sorted(CHECKS))
         raise KeyError(f"unknown check {name!r}; available: {avail}")
-    return EXPLANATIONS[name]
+    return CHECKS[name].explanation
 
 
 def run_suite(cfg: SuiteConfig) -> dict:
@@ -466,17 +457,20 @@ def run_suite(cfg: SuiteConfig) -> dict:
         "checks": checks,
         "pass": all(c.get("pass") for c in checks),
         "runtime_s": round(time.time() - t0, 3),
-        "versions": {
-            "radonfourier": __version__,
-            "numpy": np.__version__,
-        },
+        "versions": {"radonfourier": __version__, "numpy": np.__version__},
     }
 
 
 def _run_one(cfg: SuiteConfig, name: str) -> dict:
+    """Check ``name``'s record: not applicable where its ``skip`` says why."""
     t0 = time.time()
+    check = CHECKS[name]
     try:
-        rep = CHECKS[name](cfg)
+        reason = check.skip(cfg)
+        if reason:
+            rep = check_record(name, cfg.fd, cfg.n, True, [], not_applicable=reason)
+        else:
+            rep = check.run(cfg, _rng_for(cfg, name))
     except Exception as exc:  # noqa: BLE001 - failures must not abort the suite
         rep = check_record(name, cfg.fd, cfg.n, False, [], error=f"{type(exc).__name__}: {exc}")
     rep["runtime_s"] = round(time.time() - t0, 3)

@@ -247,10 +247,10 @@ def test_intertwine_rows_name_both_sides(field):
 def test_raising_check_is_a_failed_record(monkeypatch, capsys):
     """A check that raises becomes a failing record naming the exception; the
     other checks still run, and verify exits 1."""
-    def boom(cfg):
+    def boom(cfg, rng):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(suite.CHECKS, "rho-chain", boom)
+    monkeypatch.setitem(suite.CHECKS, "rho-chain", suite.CHECKS["rho-chain"]._replace(run=boom))
     rep = run_suite(small_cfg(checks=("gamma-kernel", "rho-chain", "unitarity")))
     by_name = {c["check"]: c for c in rep["checks"]}
     assert by_name["rho-chain"]["pass"] is False
@@ -264,11 +264,41 @@ def test_raising_check_is_a_failed_record(monkeypatch, capsys):
 
 
 def test_explain():
-    for name in CHECKS:
+    assert sorted(CHECKS) == [
+        "composition", "equivariance", "estimate", "fiber", "gamma-kernel", "rho-chain", "slice",
+        "truncation", "unitarity",
+    ]
+    for name, check in CHECKS.items():
         text = explain_check(name)
-        assert isinstance(text, str) and len(text) > 40
+        assert text == check.explanation and isinstance(text, str) and len(text) > 40
     with pytest.raises(KeyError):
         explain_check("nope")
+
+
+ARCH_PADIC = "shell stabilization is a p-adic operation"
+SHELLS_GROW = "shell enumeration grows like p^(n k); the suite exercises the n = 1 surface"
+REAL_N1 = "truncation diagnostics run on the real n=1 case"
+
+
+@pytest.mark.parametrize("field, p, n, composition, truncation", [
+    ("r", None, 1, ARCH_PADIC, None),
+    ("r", None, 2, ARCH_PADIC, REAL_N1),
+    ("c", None, 1, ARCH_PADIC, REAL_N1),
+    ("c", None, 2, ARCH_PADIC, REAL_N1),
+    ("qp", 2, 1, None, REAL_N1),
+    ("qp", 2, 2, SHELLS_GROW, REAL_N1),
+    ("qp", 3, 1, None, REAL_N1),
+    ("qp", 3, 2, SHELLS_GROW, REAL_N1),
+    ("qp", 5, 1, None, REAL_N1),
+], ids=["R", "R-n2", "C", "C-n2", "Q2", "Q2-n2", "Q3", "Q3-n2", "Q5"])
+def test_not_applicable_records(field, p, n, composition, truncation):
+    """Which composition and truncation records are not applicable, and why:
+    composition's archimedean reason comes before its n > 1 reason.  A check
+    that applies runs and passes, with no reason in its record."""
+    rep = run_suite(SuiteConfig(field=field, p=p, n=n, samples=6, checks=("composition", "truncation")))
+    for rec, reason in zip(rep["checks"], (composition, truncation)):
+        assert rec.get("not_applicable") == reason and rec["pass"] is True
+        assert (rec["samples"] == []) == (reason is not None)
 
 
 def test_report_serialization_stable():
