@@ -362,7 +362,8 @@ def fourier_slice_verify(f, y_samples, tol: float = 1e-6, measure_factor=1) -> d
     / exact integral against chi(Tr a).  The negative control
     ``measure_factor`` scales the right side, as a rescaled fiber measure
     would.  Archimedean rows keep ``rhs_quadrature_error`` at 0.0: the right
-    side is a closed form.
+    side is a closed form.  ``nonzero_lhs`` counts the samples where F f(y)
+    is not 0, the ones that can tell a wrong right side from a right one.
     """
     space = f.space
     fd = space.fd
@@ -370,15 +371,17 @@ def fourier_slice_verify(f, y_samples, tol: float = 1e-6, measure_factor=1) -> d
     fhat = fourier(f)
     rows = []
     ok = True
+    nonzero = 0
     for y in y_samples:
         lhs = fhat.value(y)
+        nonzero += lhs != 0
         rhs = integrate_against_trace_character(slice_family(f, y))
         if measure_factor != 1:
             rhs = rhs * Fraction(measure_factor)
         good, err = sides_agree(fd, lhs, rhs, tol)
         rows.append(_sides_row(fd, y, lhs, rhs, good, err, rhs_quadrature_error=0.0))
         ok = ok and good
-    return check_record("slice", fd, n, ok, rows)
+    return check_record("slice", fd, n, ok, rows, nonzero_lhs=nonzero)
 
 
 def fourier_equivariance_check(

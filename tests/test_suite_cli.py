@@ -794,3 +794,15 @@ def test_golden_report_complex():
     """The complex battery matches the stored records key by key, floats to 1e-12."""
     want = json.loads((DATA / "golden_c_seed7.json").read_text())
     _assert_close(_check_records(SuiteConfig(field="c", seed=7)), want)
+
+
+@pytest.mark.parametrize("field, p, n, count", [
+    ("qp", 2, 2, 0), ("qp", 2, 1, 3), ("qp", 3, 1, 3), ("r", None, 1, 20), ("c", None, 1, 20),
+])
+def test_slice_counts_nonzero_lhs(field, p, n, count):
+    """A slice record counts its samples with F f(y) != 0, as its rows show.
+    At Q_2 n = 2, seed 7, all 8 are 0; no verdict reads the count yet."""
+    (rec,) = _check_records(SuiteConfig(field=field, p=p, n=n, seed=7, checks=["slice"]))
+    exact_zero = {"cyclotomic": {"coeffs": ["0/1"], "conductor": 1}, "qexp": "0/1"}
+    assert rec["pass"] and rec["nonzero_lhs"] == count
+    assert count == sum(row["lhs"] not in (exact_zero, [0.0, 0.0]) for row in rec["samples"])
