@@ -16,12 +16,12 @@ change was not written against.
 For each end-to-end metric of ``BENCHMARK.json`` it prints the median and
 quartiles on both sides, the relative change of the median (positive when
 worse, in the metric's ``better`` direction) beside the metric's bound, and
-how many pairs read better.  Beside ``peak_rss_mb`` it prints each run's
+how many pairs read better.  Below ``peak_rss_mb`` it prints each run's
 count of timed passes, ``wall_s.n`` of the tree's
 ``bench/out/result-W-seedS-trace0.json``: the worker keeps every pass's
-records, so an RSS change can come from a change in the pass count.  A metric is "unresolved" when the spread of
-REV's runs, IQR / median, exceeds its bound: the runs cannot tell a change
-of that size from noise.  Otherwise it is "worse" when the change exceeds
+records, so an RSS change can come from a change in the pass count.  A
+metric is "unresolved" when the spread of REV's runs, IQR / median, exceeds
+its bound: the runs cannot tell a change of that size from noise.  Otherwise it is "worse" when the change exceeds
 the bound, else "ok".  Exits 0 when every run is correct and no metric is
 worse, 1 otherwise.
 """
