@@ -543,7 +543,9 @@ def integrate(f, with_error: bool = False):
     Gaussian and Schwartz-Bruhat inputs return their closed form or exact
     sum, which has no error to estimate.  Evaluables go through the
     envelope-driven quadrature engines at ``_DEFAULT_ORDERS``; ``with_error``
-    also returns a two-order difference as the error estimate.
+    also returns a two-order difference as the error estimate.  Like the
+    rounding error, it leaves out the Gauss-Hermite pruning bound, 1e-14 * C
+    * det(Q)^(-1/2), which is no larger than the sum's worst-case rounding.
     """
     if isinstance(f, (GaussianForm, SBFunction)):
         if with_error:
@@ -565,7 +567,10 @@ def _integrate_evaluable(f: Evaluable):
         raise ValueError(
             f"evaluable {f.label!r} has no declared decay; refusing to integrate"
         )
-    order = _DEFAULT_ORDERS.get(d, 10)
+    if d not in _DEFAULT_ORDERS:
+        raise ValueError(f"no default order for d = {d} (order^d nodes); choose one with "
+                         "quadrature.integrate_gauss_hermite(..., order=) or integrate_box")
+    order = _DEFAULT_ORDERS[d]
     bump = 6 if d <= 4 else 2
     if env.Q is not None:
         v1 = quad.integrate_gauss_hermite(f.fn, env.Q, env.center, order=order)

@@ -1,7 +1,8 @@
 """tools/ab_bench.py's summary of paired benchmark runs, on synthetic result
-lines: medians and quartiles per side, the change against the bound, and
-"unresolved" where the parent's own spread exceeds the bound; and the passes
-per run, read from synthetic result files."""
+lines: medians and quartiles per side, the change against the bound,
+"better" where the change wins 9 in 10 pairs by more than the parent's IQR,
+and "unresolved" where the parent's own spread exceeds the bound and the
+sides overlap; and the passes per run, read from synthetic result files."""
 
 import importlib.util
 import json
@@ -68,6 +69,41 @@ def test_wide_parent_spread_is_unresolved(ab_bench):
     change = lines([0.40] * 6)
     wall = by_metric(ab_bench.summarize(parent, change, END_TO_END))["wall_s"]
     assert wall["parent_spread"] > 0.25 and wall["verdict"] == "unresolved"
+
+
+PARENT_10 = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+
+
+@pytest.mark.parametrize(
+    "change, verdict",
+    [
+        ([0.75] * 9 + [1.05], "better"),  # 9 of 10 pairs won
+        ([0.75] * 9 + [0.98], "better"),  # 9 won, 1 tie
+        ([0.75] * 8 + [1.05, 1.05], "ok"),  # 8 of 10 won
+        ([0.75] * 8 + [1.02, 0.98], "ok"),  # 8 won, 2 ties: a tie is no win
+        ([p - 0.015 for p in PARENT_10], "ok"),  # 10 won, median gap below the IQR
+    ],
+)
+def test_better_needs_nine_wins_in_ten_beyond_the_parent_iqr(ab_bench, change, verdict):
+    wall = by_metric(ab_bench.summarize(lines(PARENT_10), lines(change), END_TO_END))["wall_s"]
+    assert wall["parent"][2] - wall["parent"][0] == pytest.approx(0.035)
+    assert wall["verdict"] == verdict
+
+
+def test_higher_is_better_metric_reads_better(ab_bench):
+    rows = by_metric(ab_bench.summarize(lines([1.0] * 10, 0.9), lines([1.0] * 10), END_TO_END))
+    assert rows["pass_ratio"]["verdict"] == "better" and rows["pass_ratio"]["better_pairs"] == 10
+
+
+def test_wide_parent_spread_resolves_when_every_change_run_wins(ab_bench):
+    # the parent's IQR/median 0.35 exceeds 0.25, but every change run beats
+    # every parent run: the gain is resolved
+    parent = lines([0.19, 0.30, 0.24, 0.34, 0.20, 0.29])
+    wall = by_metric(ab_bench.summarize(parent, lines([0.10] * 6), END_TO_END))["wall_s"]
+    assert wall["parent_spread"] > 0.25 and wall["verdict"] == "better"
+    # one change run at 0.20 is slower than the parent's fastest, 0.19
+    wall = by_metric(ab_bench.summarize(parent, lines([0.10] * 5 + [0.20]), END_TO_END))["wall_s"]
+    assert wall["verdict"] == "unresolved"
 
 
 def test_missing_metric_is_unresolved(ab_bench):

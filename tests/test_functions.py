@@ -380,6 +380,20 @@ def test_evaluable_requires_decay(fr):
         integrate(bad)
 
 
+def test_evaluable_beyond_default_orders_is_refused(fr):
+    # on space_X(3) over R (d = 12) an order of 10 would mean two grids of
+    # 10^12 nodes: integrate refuses before calling the integrand, under a
+    # Gaussian envelope and under a support radius
+    X = space_X(3, fr)
+    g = GaussianForm.standard(X)
+    calls = []
+    for env in (g.envelope(), Envelope(C=1.0, radius=1.0)):
+        ev = Evaluable(X, lambda p: calls.append(len(p)) or g.eval_coords(p), env, "d12")
+        with pytest.raises(ValueError, match=r"d = 12.*integrate_gauss_hermite\(\.\.\., order=\)"):
+            integrate(ev, with_error=True)
+    assert not calls
+
+
 def test_function_from_json(fr, f3):
     X = space_X(1, fr)
     f = function_from_json(

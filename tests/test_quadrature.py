@@ -143,10 +143,16 @@ def _check_each_node_once(calls, axis_nodes, to_axes, cap):
     pts = np.concatenate(calls)
     order, d = len(axis_nodes), pts.shape[1]
     assert len(pts) == order**d
+    flat = _grid_indices(pts, axis_nodes, to_axes)
+    assert np.array_equal(np.bincount(flat, minlength=order**d), np.ones(order**d, dtype=int))
+
+
+def _grid_indices(pts, axis_nodes, to_axes):
+    """Flat grid index of each point, each coordinate decoded to its node."""
+    order, d = len(axis_nodes), pts.shape[1]
     dist = np.abs(to_axes(pts)[:, :, None] - axis_nodes[None, None, :])
     assert np.max(np.min(dist, axis=2)) < 1e-9
-    flat = np.ravel_multi_index(tuple(np.argmin(dist, axis=2).T), (order,) * d)
-    assert np.array_equal(np.bincount(flat, minlength=order**d), np.ones(order**d, dtype=int))
+    return np.ravel_multi_index(tuple(np.argmin(dist, axis=2).T), (order,) * d)
 
 
 @pytest.mark.parametrize("chunk", [7, 50, 1000])
@@ -194,6 +200,37 @@ def test_box_engine_matches_brute_force(monkeypatch, chunk, d):
     _check_each_node_once(calls, t, lambda x: (x - lows) / half - 1.0, max(chunk, order))
 
 
+def test_gauss_hermite_skips_only_negligible_nodes():
+    # d = 4 at order 20: 160,000 nodes, of which the rule evaluates only
+    # those whose weight product reaches 1e-14 / 20^4; under the envelope
+    # (C = 1 here) the skipped terms sum to at most 1e-14 * det(Q)^(-1/2)
+    d, order = 4, 20
+    Q, center, ell = _random_gaussian_input(d)
+
+    def fn(pts):
+        z = pts - center
+        return np.exp(-np.pi * np.einsum("ni,ij,nj->n", z, Q, z) + 2j * np.pi * (pts @ ell))
+
+    calls = []
+    got = integrate_gauss_hermite(_recording(fn, calls), Q, center, order=order)
+
+    u, w = gauss_hermite_rule(order)
+    upper = np.linalg.cholesky(Q).T  # x = center + S u with S = upper^-1
+    grid = np.stack(np.meshgrid(*[np.arange(order)] * d, indexing="ij"), -1).reshape(-1, d)
+    kept = _grid_indices(np.concatenate(calls), u, lambda x: (x - center) @ upper.T)
+    assert len(kept) < order**d
+    counts = np.bincount(kept, minlength=order**d)
+    assert counts.max() == 1  # each kept node arrives once
+    weight = np.prod(w[grid], axis=1)
+    assert np.all(weight[counts == 0] < 1e-14 / order**d)
+
+    nodes = u[grid]
+    x = center + nodes @ np.linalg.inv(upper).T
+    jac = np.linalg.det(Q) ** -0.5
+    full = jac * np.sum(fn(x) * weight * np.exp(np.pi * np.sum(nodes**2, axis=1)))
+    assert abs(got - full) <= 1e-14 * jac + 1e-13 * abs(full)
+
+
 def test_engine_memory_stays_within_a_chunk(monkeypatch):
     # 6^6 = 46656 grid points in calls of at most 50: beside the block, no
     # array of more than max(_CHUNK, order) points may be built, neither of
@@ -217,7 +254,8 @@ def test_default_chunk_keeps_the_working_set_small():
     # at the default _CHUNK, one d = 6 integral at order 12 (the default
     # order at d = 6) keeps its traced peak allocation under 3 MB, so that a
     # call's working set fits in L2: with 65,536-point calls it was 11.1 MB,
-    # with 8,192-point calls it is 1.2 MB
+    # with 8,192-point calls it was 1.2 MB, and now that leading points of
+    # similar kept prefix fill each call to near _CHUNK it is 1.45 MB
     d, order = 6, 12
     Q, center, ell = _random_gaussian_input(d)
     fn = _smooth(center, ell)

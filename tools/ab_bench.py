@@ -19,11 +19,19 @@ worse, in the metric's ``better`` direction) beside the metric's bound, and
 how many pairs read better.  Below ``peak_rss_mb`` it prints each run's
 count of timed passes, ``wall_s.n`` of the tree's
 ``bench/out/result-W-seedS-trace0.json``: the worker keeps every pass's
-records, so an RSS change can come from a change in the pass count.  A
-metric is "unresolved" when the spread of REV's runs, IQR / median, exceeds
-its bound: the runs cannot tell a change of that size from noise.  Otherwise it is "worse" when the change exceeds
-the bound, else "ok".  Exits 0 when every run is correct and no metric is
-worse, 1 otherwise.
+records, so an RSS change can come from a change in the pass count.
+
+Each metric gets one verdict:
+
+* "unresolved" when the spread of REV's runs, IQR / median, exceeds its
+  bound and not every run of the change beats every run of REV: the runs
+  cannot tell a change of that size from noise;
+* "better" when the change wins at least 9 in 10 pairs (a tie counts for
+  neither side) and its median beats REV's by more than REV's IQR;
+* "worse" when the change of the median exceeds the bound;
+* "ok" otherwise.
+
+Exits 0 when every run is correct and no metric is worse, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -81,7 +89,8 @@ def summarize(parent: list, change: list, end_to_end: list) -> list:
     at index i on both sides; ``end_to_end`` is BENCHMARK.json's list of
     {"name", "better", "bound"}.  A row holds both sides' quartiles, the
     relative change of the median (positive when worse), the pairs that read
-    better, and the verdict "ok", "worse" or "unresolved".
+    better, and the verdict "better", "ok", "worse" or "unresolved" (see the
+    module docstring).
     """
     rows = []
     for metric in end_to_end:
@@ -98,11 +107,17 @@ def summarize(parent: list, change: list, end_to_end: list) -> list:
             rel = sign * (new[1] - old[1]) / abs(old[1])
         else:
             rel = 0.0 if new[1] == 0 else sign * float("inf")
-        verdict = "unresolved" if spread > bound else "worse" if rel > bound else "ok"
+        wins = sum(sign * (c - p) < 0 for p, c in pairs)
+        dominates = max(sign * c for _, c in pairs) < min(sign * p for p, _ in pairs)
+        better = 10 * wins >= 9 * len(pairs) and sign * (old[1] - new[1]) > old[2] - old[0]
+        if spread > bound and not dominates:
+            verdict = "unresolved"
+        else:
+            verdict = "better" if better else "worse" if rel > bound else "ok"
         rows.append({
             "metric": name, "bound": bound, "pairs": len(pairs),
             "parent": old, "change": new, "parent_spread": spread, "rel_change": rel,
-            "better_pairs": sum(sign * (c - p) < 0 for p, c in pairs), "verdict": verdict,
+            "better_pairs": wins, "verdict": verdict,
         })
     return rows
 
