@@ -28,6 +28,7 @@ import numpy as np
 
 from . import __version__, sampling
 from . import exactlinalg as xl
+from .cyclotomic import CyclotomicValue
 from .fields import FieldDescriptor, complex_field, padic_field, padic_valuation, real_field
 from .functions import GaussianForm, SBFunction
 from .geometry import base_point_y, fiber_param, rho_weight, rho_weight_exponents, space_X
@@ -169,6 +170,19 @@ def _default_function(cfg: SuiteConfig, shifted: bool = False):
     return SBFunction.indicator(X, Coset(Lattice.scaled_standard(fd.p, X.dim, 1), center))
 
 
+def _twisted_function(cfg: SuiteConfig):
+    """A complex-valued f on which a pairing that drops a conjugation shows:
+    over R and C the Gaussian with kappa = 0.5 + 0.75i and ell = 0.25 (1, ..., 1),
+    over Q_p 1_{Z_p^d} + zeta_{p^2} 1_{e_1 + p Z_p^d} (zeta_p is real at p = 2)."""
+    X = space_X(cfg.n, cfg.fd)
+    if cfg.fd.is_archimedean:
+        return GaussianForm(X, kappa=0.5 + 0.75j, ell=np.full(X.dim, 0.25))
+    p = cfg.fd.p
+    ball = _default_function(cfg).terms[0][1]
+    shifted = _default_function(cfg, shifted=True).terms[0][1]
+    return SBFunction(X, [(1, ball), (CyclotomicValue.root_of_unity(p, p * p, 1), shifted)])
+
+
 # ---------------------------------------------------------------------
 # Check runners
 # ---------------------------------------------------------------------
@@ -248,11 +262,13 @@ def _unit_row_sample(rng, n: int, p: int):
 
 
 def _check_unitarity(cfg: SuiteConfig, _rng) -> dict:
-    fd = cfg.fd
-    f = _default_function(cfg)
+    """The default f, then the twisted f under ``twisted``, each against the
+    shifted default h; the record passes when both row sets do."""
     h = _default_function(cfg, shifted=True)
-    grid = sampling.default_a_grid(cfg.n, fd)
-    return unitarity_verify(f, h, grid, tol=cfg.tol)
+    grid = sampling.default_a_grid(cfg.n, cfg.fd)
+    rec, twisted = (unitarity_verify(f, h, grid, tol=cfg.tol)
+                    for f in (_default_function(cfg), _twisted_function(cfg)))
+    return {**rec, "pass": rec["pass"] and twisted["pass"], "twisted": twisted["samples"]}
 
 
 def _check_equivariance(cfg: SuiteConfig, rng) -> dict:
@@ -397,7 +413,12 @@ CHECKS = {
     "unitarity": Check(_check_unitarity, (
         "Inner-product preservation <F f, F h>_Xbar(a) = <f, h>_X(a) on the "
         "default grid in GL(n): the transform extends to a unitary operator "
-        "of the module pairings.  Exact p-adically, tol archimedean."
+        "of the module pairings.  Exact p-adically, tol archimedean.  Two "
+        "pairs run against the shifted default h: the default f, and under "
+        "'twisted' a complex-valued f (over R and C the Gaussian with kappa = "
+        "0.5 + 0.75i and ell = 0.25 (1, ..., 1), over Q_p 1_{Z_p^d} + "
+        "zeta_{p^2} 1_{e_1 + p Z_p^d}), on which a pairing that drops the "
+        "conjugation of f fails; the check passes when both pairs do."
     )),
     "equivariance": Check(_check_equivariance, (
         "Scaling law F(f^(a^(-1))) = |det a|^(n+1) * F f(a .) (corrected "

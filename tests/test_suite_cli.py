@@ -12,9 +12,10 @@ from radonfourier import (
     LFunction, complex_field, fourier, function_from_json, inner_X, intertwine_I, padic_field,
     real_field, space_X,
 )
-from radonfourier import suite, transforms
+from radonfourier import sampling, suite, transforms
 from radonfourier.cli import main
 from radonfourier.geometry import as_matrix, mdet, mmul
+from radonfourier.hilbert import _input_json
 from radonfourier.sampling import default_a_grid
 from radonfourier.suite import (
     CHECKS,
@@ -180,6 +181,74 @@ def test_rho_chain_keeps_failing_rows(monkeypatch):
     (bad,) = rec["samples"][10:]
     assert bad["chain_ok"] is True and bad["weight_ok"] is False
     assert bad["weight"] == pytest.approx(1.01 * bad["weight_expected"], rel=1e-9)
+
+
+@pytest.mark.parametrize("field, p, n, name", [("qp", 3, 1, "gamma_n"), ("r", None, 2, "abs_norm")])
+def test_gamma_kernel_keeps_failing_rows(monkeypatch, field, p, n, name):
+    """A left side doubled at the 37th sample fails the record, and that
+    sample's row is kept beyond the first ten; the passing rows stay those of
+    the clean run.  Over Q_3 the skew goes through gamma_n, over R through
+    the 37th |det a| (its exponent (1-n)/2 is 0 at n = 1, hence n = 2)."""
+    cfg = SuiteConfig(field=field, p=p, n=n, checks=["gamma-kernel"])
+    clean = run_suite(cfg)["checks"][0]
+    real = getattr(transforms, name)
+    calls = []
+
+    def skewed(*args):
+        calls.append(None)
+        return real(*args) * (2 if len(calls) == 37 else 1)
+
+    monkeypatch.setattr(transforms, name, skewed)
+    rec = run_suite(cfg)["checks"][0]
+    assert clean["pass"] and len(clean["samples"]) == 10
+    assert not rec["pass"] and rec["samples"][:10] == clean["samples"]
+    (bad,) = rec["samples"][10:]
+    rng = suite._rng_for(cfg, "gamma-kernel")
+    samples = [sampling.rand_gl(rng, n, cfg.fd) for _ in range(37)]
+    assert bad["input"] == _input_json(samples[36], cfg.fd)
+    if p is None:
+        lhs, rhs = complex(*bad["lhs"]), complex(*bad["rhs"])
+        assert bad["pass"] is False and abs(lhs) == pytest.approx(abs(rhs) / 2**0.5, rel=1e-9)
+    else:
+        assert bad["exact_equal"] is False
+
+
+@pytest.mark.parametrize("field, p", [("r", None), ("c", None), ("qp", 2), ("qp", 3)])
+@pytest.mark.parametrize("pairing", ["inner_X", "inner_Xbar"])
+def test_unitarity_sees_an_unconjugated_pairing(monkeypatch, field, p, pairing):
+    """A pairing that does not conjugate f, here the true one applied to
+    conj(f), fails unitarity through the twisted rows alone: the default f is
+    real, so its rows stay those of the clean run."""
+    cfg = SuiteConfig(field=field, p=p, checks=["unitarity"])
+    clean = run_suite(cfg)["checks"][0]
+    real = getattr(transforms, pairing)
+    monkeypatch.setattr(transforms, pairing, lambda f, h: real(f.conjugate(), h))
+    rec = run_suite(cfg)["checks"][0]
+    assert clean["pass"] and not rec["pass"] and rec["samples"] == clean["samples"]
+    failing = [row for row in rec["twisted"]
+               if row.get("exact_equal") is False or row.get("abs_err", 0) > cfg.tol]
+    assert failing and len(rec["twisted"]) == len(clean["twisted"])
+
+
+@pytest.mark.parametrize("field, p", [("r", None), ("qp", 2)])
+def test_equivariance_fails_on_the_module_form_alone(monkeypatch, field, p):
+    """F(f).a doubled mis-wires only the module form F(f.a) = F(f).a: the
+    scaling law's sides still agree in every row, and the rows fail through
+    the module form, over R by its residual, over Q_p by exact_equal."""
+    cfg = SuiteConfig(field=field, p=p, checks=["equivariance"])
+    assert run_suite(cfg)["pass"]
+    real = transforms.act_module_Xbar
+    monkeypatch.setattr(transforms, "act_module_Xbar", lambda f, a: real(f, a).scale(2))
+    rec = run_suite(cfg)["checks"][0]
+    laws = [r for r in rec["samples"] if r["check"] == "fourier-equivariance"]
+    assert not rec["pass"] and laws and not any(r["pass"] for r in laws)
+    rows = [row for r in laws for row in r["samples"]]
+    if p is None:
+        assert all(row["abs_err"] <= cfg.tol for row in rows)
+        assert any(row["module_form_err"] > cfg.tol for row in rows)
+    else:
+        assert all(row["lhs"] == row["rhs"] for row in rows)
+        assert any(row["exact_equal"] is False for row in rows)
 
 
 @pytest.mark.parametrize("field, p", [("r", None), ("qp", 2)])

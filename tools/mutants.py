@@ -6,12 +6,13 @@ Each entry of ``MUTANTS`` is one exact text replacement in one file of
 ``src/``, with the paper constant or convention that it breaks.  M1-M6
 mis-wire the Fourier transform and the pairing; O1-O5 are the exact layer's
 mutants that the oracle tests in ``tests/test_exact_oracle.py`` were shown to
-catch.  For each mutant the tool copies this checkout's ``src/`` (with
-``--tier1`` the whole checkout) to a temporary directory, applies the mutant
-there, and runs ``radonfourier verify`` at seed 7 on the five north-star
-configs (the default battery R, Q_2 and Q_3 at n = 1,
-``--field c``, ``--field r --n 2``, ``--field qp --p 2 --n 2`` and
-``--field qp --p 5``) plus C n = 2 and Q_3 n = 2.
+catch, and O6 is O5 on the opposite-side pairing.  For each mutant the tool
+copies this checkout's ``src/`` (with ``--tier1`` the whole checkout) to a
+temporary directory, applies the mutant there, and runs
+``radonfourier verify`` at seed 7 on the five north-star configs (the
+default battery R, Q_2 and Q_3 at n = 1, ``--field c``, ``--field r --n 2``,
+``--field qp --p 2 --n 2`` and ``--field qp --p 5``) plus C n = 2 and Q_3
+n = 2.
 
 It writes, per mutant, the failing checks of every suite that has one
 (keyed ``"<field> n=<n>"``, or by config name with the exit code when a run
@@ -74,6 +75,8 @@ MUTANTS = {
            "the weight |det a|^((n+1)/2) of the pairing <f, h>_X"),
     "O5": ("hilbert.py", "n = space.cols\n    fc = f.conjugate()", "n = space.cols\n    fc = f",
            "the pairing <f, h>_X conjugates f"),
+    "O6": ("hilbert.py", "n = space.rows\n    fc = f.conjugate()", "n = space.rows\n    fc = f",
+           "the pairing <f, h>_Xbar conjugates f"),
 }
 
 
