@@ -24,7 +24,6 @@ from .functions import (  # noqa: F401
     Evaluable,
     GaussianForm,
     SBFunction,
-    cutoff_chi,
     fiber_restrict,
     function_from_json,
     integrate,

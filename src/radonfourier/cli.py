@@ -1,7 +1,8 @@
 """Command line interface: verify / compute / explain.
 
     radonfourier verify [CHECK ...] --field {r|c|qp} [--p P] --n N
-                        --seed S --tol T [--out report.json]
+                        --seed S --tol T --samples K [--out report.json]
+    radonfourier verify --config config.json [--out report.json]
     radonfourier compute {fourier|intertwine|inner-product} --input spec.json
     radonfourier explain CHECK
 

@@ -223,17 +223,6 @@ class Envelope:
     def integrable(self) -> bool:
         return self.Q is not None or self.radius is not None
 
-    def bound_at(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        out = np.full(len(pts), self.C)
-        if self.Q is not None:
-            c = 0 if self.center is None else np.asarray(self.center)[None, :]
-            z = pts - c
-            out = out * np.exp(-np.pi * _quadratic_form(z, np.asarray(self.Q)))
-        if self.radius is not None:
-            out = out * (np.linalg.norm(pts, axis=1) <= self.radius)
-        return out
-
 
 class Evaluable:
     """An integrand for ``integrate``: ``fn`` maps an (N, d) array of flat
@@ -440,41 +429,15 @@ def _smoothstep(t):
     return t * t * (3.0 - 2.0 * t)
 
 
-def cutoff_chi(m: int, space: MatrixSpace) -> Evaluable:
-    """Smooth truncation approaching the indicator of regular points.
-
-    Equals 1 on {smallest singular value >= 1/m^2, norm <= m} and 0 on
-    {smallest singular value <= 1/(m+1)^2} and outside the ball of radius
-    m+1, with smoothstep ramps in between.  The shrinking neighborhoods of
-    the singular set are the sublevel sets {sigma_min < 1/m^2}; the quadratic
-    rate makes their measure fall like m^(-2*min(rows,cols)), fast enough for
-    the truncation diagnostics' tolerance.  A row or column has one singular
-    value, its norm, so vector shapes take that closed form and only true
-    matrices go through the SVD.
-    """
-    if m < 1:
-        raise ValueError("cutoff index must be >= 1")
-    fd = space.fd
-    rows, cols = space.shape
-
-    def fn(pts):
-        pts = np.atleast_2d(pts)
-        norm = np.linalg.norm(pts, axis=1)
-        if min(rows, cols) == 1:
-            smin = norm
-        else:
-            flat = pts[:, 0::2] + 1j * pts[:, 1::2] if fd.kind == "complex" else pts
-            smin = np.linalg.svd(flat.reshape(len(pts), rows, cols), compute_uv=False)[:, -1]
-        return cutoff_ramps(m, smin, norm).astype(complex)
-
-    return Evaluable(
-        space, fn, Envelope(C=1.0, radius=float(m + 1)), label=f"cutoff_chi({m})"
-    )
-
-
 def cutoff_ramps(m: int, smin, norm):
-    """Real value of ``cutoff_chi(m)`` from the smallest singular value and
-    the norm of each point: the inner ramp in smin times the outer in norm.
+    """The smooth truncation chi_m at points with smallest singular value
+    smin and norm ``norm``: the inner ramp in smin times the outer in norm.
+
+    chi_m is 1 where smin >= 1/m^2 and norm <= m, and 0 where
+    smin <= 1/(m+1)^2 or norm >= m+1, with smoothstep ramps in between.  The
+    neighborhoods {smin < 1/m^2} of the singular set shrink at the quadratic
+    rate, so their measure falls like m^(-2 min(rows, cols)), fast enough
+    for the truncation diagnostics' tolerance.
 
     On a row or column both are the radius, so ``cutoff_ramps(m, r, r)`` is
     the cutoff as a function of |x| alone.

@@ -183,16 +183,16 @@ def decay_bound_check(f, samples) -> dict:
     ``samples`` is a list of KAK triples (k1, diag, k2); the constant C is
     the explicit per-column product constant.  Archimedean comparisons allow
     the relative roundoff slack ``_DECAY_SLACK``; p-adic ones are exact.
-    Returns a report dict with per-sample rows and an overall flag.
+    Returns the ``estimate`` record, with C.
     """
     space = f.space
     fd = space.fd
     n = space.cols
     C = column_product_constant(f)
     pairing = inner_X(f, f)
-    rows = []
-    ok = True
-    for k1, diag, k2 in samples:
+
+    def judge(kak):
+        k1, diag, k2 = kak
         val = pairing(KAKFactors(k1, diag, k2, fd).reconstruct())
         if fd.is_archimedean:
             val = abs(val)
@@ -210,13 +210,10 @@ def decay_bound_check(f, samples) -> dict:
             good = exact_le(val, bound)
             val, bound = val.to_complex().real, bound.to_complex().real
         row = {"diag": [str(d) for d in diag], "value": val, "bound": bound}
-        if not good:
-            # failures echo the full decomposition for replay
-            row["k1"] = _mat_json(k1, fd)
-            row["k2"] = _mat_json(k2, fd)
-        rows.append(row)
-        ok = ok and good
-    return {"C": float(C), "pass": ok, "samples": rows}
+        # failures echo the full decomposition for replay
+        return good, row if good else {**row, "k1": _mat_json(k1, fd), "k2": _mat_json(k2, fd)}
+
+    return judged_record("estimate", fd, n, samples, judge, C=float(C))
 
 
 def _input_json(m, fd: FieldDescriptor):
@@ -235,6 +232,29 @@ def _mat_json(m, fd: FieldDescriptor):
     return _input_json(m, fd)
 
 
+# passing sample rows a gamma-kernel or rho-chain record keeps (failing
+# rows are all kept)
+_KERNEL_ROWS = 10
+
+
+def check_record(name: str, fd: FieldDescriptor, n: int, ok, samples, **extra) -> dict:
+    """Report record of one check: the shared header, then the check's own entries."""
+    return {"check": name, "field": str(fd), "n": n, "pass": ok, "samples": samples, **extra}
+
+
+def judged_record(name: str, fd: FieldDescriptor, n: int, samples, judge,
+                  keep=float("inf"), **extra) -> dict:
+    """Record of a check judged sample by sample: ``judge(m)`` gives the
+    verdict and the row of sample m, and the record passes when every sample
+    does.  All failing rows are kept, passing rows only up to ``keep``."""
+    rows, ok = [], True
+    for good, row in map(judge, samples):
+        ok = ok and good
+        if not (good and len(rows) >= keep):
+            rows.append(row)
+    return check_record(name, fd, n, ok, rows, **extra)
+
+
 def truncation_sequence(f: GaussianForm, m_max: int, a_grid) -> dict:
     """Sup over the grid of phi_m = <f - f chi_m, f - f chi_m>_X, m = 1..m_max.
 
@@ -246,6 +266,8 @@ def truncation_sequence(f: GaussianForm, m_max: int, a_grid) -> dict:
     conj(f(x)) f(x a) (1 - chi_m(x)) (1 - chi_m(x a)) is split: the Gaussian
     product, one closed-form Gaussian per a, is evaluated once per polar
     node and the cutoff factor, a function of the radius, once per radial node.
+    Returns the ``truncation`` record: it passes when the sups do not increase
+    in m and the last is below 1e-3.
     """
     space = f.space
     fd = space.fd
@@ -253,7 +275,6 @@ def truncation_sequence(f: GaussianForm, m_max: int, a_grid) -> dict:
         raise ValueError("truncation diagnostics run on the two-dimensional real space")
     n = space.cols
     sups = []
-    per_m = []
     # right multiplication by the 1x1 matrix a scales the point
     products = [
         (float(a), f.conjugate().product(f.pullback_affine(float(a) * np.eye(2), space)))
@@ -277,11 +298,7 @@ def truncation_sequence(f: GaussianForm, m_max: int, a_grid) -> dict:
             phi = float(abs_norm(av, fd)) ** ((n + 1) / 2.0) * val.real
             vals.append(abs(phi))
         sups.append(max(vals))
-        per_m.append({"m": m, "sup": max(vals)})
     monotone = all(b <= a * (1 + 1e-9) + 1e-15 for a, b in zip(sups, sups[1:]))
-    return {
-        "sup_values": sups,
-        "per_m": per_m,
-        "monotone": monotone,
-        "final_sup": sups[-1],
-    }
+    per_m = [{"m": m, "sup": sup} for m, sup in enumerate(sups, 1)]
+    return check_record("truncation", fd, n, monotone and sups[-1] < 1e-3, per_m,
+                        monotone=monotone, final_sup=sups[-1])

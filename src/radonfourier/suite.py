@@ -32,11 +32,11 @@ from .cyclotomic import CyclotomicValue
 from .fields import FieldDescriptor, complex_field, padic_field, padic_valuation, real_field
 from .functions import GaussianForm, SBFunction
 from .geometry import base_point_y, fiber_param, rho_weight, rho_weight_exponents, space_X
-from .hilbert import _input_json, decay_bound_check, truncation_sequence
+from .hilbert import (
+    _KERNEL_ROWS, _input_json, check_record, decay_bound_check, judged_record, truncation_sequence,
+)
 from .lattices import Coset, Lattice
 from .transforms import (
-    _KERNEL_ROWS,
-    check_record,
     compose_shell_stabilized,
     fourier,
     fourier_equivariance_check,
@@ -121,10 +121,11 @@ class SuiteConfig:
         self.fd = field_from_spec(self.field, self.p)
         if not isinstance(self.checks, (list, tuple)):
             raise ValueError(f"checks must be a list of check names, got {self.checks!r}")
-        self.checks = tuple(self.checks)
         unknown = [c for c in self.checks if not isinstance(c, str) or c not in CHECKS]
         if unknown:
             raise ValueError(f"unknown checks: {unknown}; available: {sorted(CHECKS)}")
+        # each name once, in the order first given
+        self.checks = tuple(dict.fromkeys(self.checks))
         if not isinstance(self.perturb, dict):
             raise ValueError(f"perturb must be an object, got {self.perturb!r}")
         for key, value in self.perturb.items():
@@ -217,34 +218,32 @@ def _composition_skip(cfg: SuiteConfig):
 def _check_composition(cfg: SuiteConfig, rng) -> dict:
     fd = cfg.fd
     X = space_X(cfg.n, fd)
-    p = fd.p
-    rows = []
-    ok = True
-    stabilized_matches = 0
-    for i in range(max(6, min(cfg.samples, 12))):
-        f = sampling.rand_sb_function(rng, X, terms=1, unit_leading_center=True)
-        y = _unit_row_sample(rng, cfg.n, p)
+    pairs = [
+        (sampling.rand_sb_function(rng, X, terms=1, unit_leading_center=True),
+         _unit_row_sample(rng, cfg.n, fd.p))
+        for _ in range(max(6, min(cfg.samples, 12)))
+    ]
+
+    def judge(pair):
+        i, (f, y) = pair
         val, cert = compose_shell_stabilized(f, y, 7)
         if val is None:
-            rows.append({"pair": i, "stabilized": False, "certificate": cert})
-            continue
+            return True, {"pair": i, "stabilized": False, "certificate": cert}
         expect = fourier(f).value(y)
         match = val == expect
-        stabilized_matches += 1 if match else 0
-        rows.append(
-            {
-                "pair": i,
-                "stabilized": True,
-                "stabilization_radius": cert["stabilization_radius"],
-                "value": val.to_json(),
-                "fourier": expect.to_json(),
-                "exact_equal": bool(match),
-            }
-        )
-        ok = ok and match
+        return match, {
+            "pair": i,
+            "stabilized": True,
+            "stabilization_radius": cert["stabilization_radius"],
+            "value": val.to_json(),
+            "fourier": expect.to_json(),
+            "exact_equal": bool(match),
+        }
+
+    rec = judged_record("composition", fd, cfg.n, enumerate(pairs), judge)
+    matches = sum(row.get("exact_equal", False) for row in rec["samples"])
     # a pair that never stabilizes tests nothing: at least one must match
-    ok = ok and stabilized_matches > 0
-    return check_record("composition", fd, cfg.n, ok, rows, stabilized_matches=stabilized_matches)
+    return {**rec, "pass": rec["pass"] and matches > 0, "stabilized_matches": matches}
 
 
 def _unit_row_sample(rng, n: int, p: int):
@@ -300,47 +299,40 @@ def _check_equivariance(cfg: SuiteConfig, rng) -> dict:
 
 
 def _check_estimate(cfg: SuiteConfig, rng) -> dict:
-    fd = cfg.fd
-    f = _default_function(cfg)
     count = min(cfg.samples, 200)
-    samples = [sampling.rand_kak_sample(rng, cfg.n, fd) for _ in range(count)]
-    rep = decay_bound_check(f, samples)
-    return check_record("estimate", fd, cfg.n, rep["pass"], rep["samples"], C=rep["C"])
+    samples = [sampling.rand_kak_sample(rng, cfg.n, cfg.fd) for _ in range(count)]
+    return decay_bound_check(_default_function(cfg), samples)
 
 
 def _check_rho_chain(cfg: SuiteConfig, rng) -> dict:
     fd = cfg.fd
     n = cfg.n
-    rows = []
-    ok = True
-    for _ in range(min(cfg.samples, 500)):
+    base = 2.0 if fd.is_archimedean else float(fd.p)
+
+    def draw():
+        # exponents e_1 >= ... >= e_n and the diagonal a with |a_i| = base^(e_i)
         if fd.is_archimedean:
-            exps = sorted(
-                (Fraction(int(rng.integers(-16, 17)), 4) * fd.d_F for _ in range(n)),
-                reverse=True,
-            )
-            diag = tuple(float(2.0 ** float(e / fd.d_F)) for e in exps)
-            base = 2.0
-        else:
-            exps = sorted(
-                (Fraction(-int(rng.integers(-4, 5))) for _ in range(n)), reverse=True
-            )
-            diag = tuple(Fraction(fd.p) ** int(-e) for e in exps)
-            base = float(fd.p)
+            exps = sorted((Fraction(int(rng.integers(-16, 17)), 4) * fd.d_F for _ in range(n)),
+                          reverse=True)
+            return exps, tuple(float(2.0 ** float(e / fd.d_F)) for e in exps)
+        exps = sorted((Fraction(-int(rng.integers(-4, 5))) for _ in range(n)), reverse=True)
+        return exps, tuple(Fraction(fd.p) ** int(-e) for e in exps)
+
+    def judge(sample):
+        exps, diag = sample
         rho, mid, low = rho_weight_exponents(exps, n)
         chain_ok = rho >= mid >= low
         w = rho_weight(diag, n, fd)
         want = base ** float(rho)
         weight_ok = abs(w - want) <= 1e-9 * max(1.0, abs(w))
-        ok = ok and chain_ok and weight_ok
-        if chain_ok and weight_ok and len(rows) >= _KERNEL_ROWS:
-            continue
         row = {"exponents": [str(e) for e in exps], "rho": str(rho), "mid": str(mid),
                "low": str(low), "chain_ok": chain_ok}
         if not weight_ok:
             row.update(weight_ok=False, weight=w, weight_expected=want)
-        rows.append(row)
-    return check_record("rho-chain", fd, n, ok, rows)
+        return chain_ok and weight_ok, row
+
+    samples = [draw() for _ in range(min(cfg.samples, 500))]
+    return judged_record("rho-chain", fd, n, samples, judge, keep=_KERNEL_ROWS)
 
 
 def _truncation_skip(cfg: SuiteConfig):
@@ -350,37 +342,32 @@ def _truncation_skip(cfg: SuiteConfig):
 
 def _check_truncation(cfg: SuiteConfig, _rng) -> dict:
     fd = cfg.fd
-    f = GaussianForm.standard(space_X(1, fd))
     grid = [float(a[0][0]) for a in sampling.default_a_grid(1, fd)]
-    rep = truncation_sequence(f, 20, grid)
-    ok = rep["monotone"] and rep["final_sup"] < 1e-3
-    return check_record(
-        "truncation", fd, cfg.n, ok, rep["per_m"],
-        monotone=rep["monotone"], final_sup=rep["final_sup"],
-    )
+    return truncation_sequence(GaussianForm.standard(space_X(1, fd)), 20, grid)
 
 
 def _check_fiber(cfg: SuiteConfig, rng) -> dict:
     fd = cfg.fd
-    X = space_X(cfg.n, fd)
+    Y = space_X(cfg.n, fd).transpose_space()
     f = _default_function(cfg)
-    rows = []
-    ok = True
-    count = min(20, cfg.samples)
-    for _ in range(count):
-        y = sampling.rand_regular_point(rng, X.transpose_space())
+
+    def draw():
+        y = sampling.rand_regular_point(rng, Y)
+        return y, [fiber_param(y, cfg.n, fd, rng=rng) for _ in range(5)]
+
+    def judge(sample):
+        y, completions = sample
         base = intertwine_I(f, y)
-        vals = [intertwine_I(f, y, fiber=fiber_param(y, cfg.n, fd, rng=rng)) for _ in range(5)]
-        verdicts = [sides_agree(fd, val, base, 1e-10) for val in vals]
+        verdicts = [sides_agree(fd, intertwine_I(f, y, fiber=g), base, 1e-10) for g in completions]
         good = all(agree for agree, _ in verdicts)
         if fd.is_archimedean:
             row = {"max_dev": max(err for _, err in verdicts)}
         else:
             row = {"exact_equal": good}
         # a failing row names its sample, so that it can be replayed
-        rows.append(row if good else {**row, "input": _input_json(y, fd)})
-        ok = ok and good
-    return check_record("fiber", fd, cfg.n, ok, rows)
+        return good, row if good else {**row, "input": _input_json(y, fd)}
+
+    return judged_record("fiber", fd, cfg.n, [draw() for _ in range(min(20, cfg.samples))], judge)
 
 
 class Check(NamedTuple):
@@ -472,7 +459,7 @@ def run_suite(cfg: SuiteConfig) -> dict:
     """
     names = cfg.checks or CHECKS
     t0 = time.time()
-    checks = [_run_one(cfg, name) for name in sorted(set(names))]
+    checks = [_run_one(cfg, name) for name in sorted(names)]
     return {
         "suite": cfg.to_json(),
         "checks": checks,

@@ -33,12 +33,12 @@ put the two sides together; the operators take none.
 
 One rule, ``sides_agree``, decides every two-sided identity: |lhs - rhs| at
 most tol over R and C, with the residual reported, and exact equality over
-Q_p.  One loop, ``sampled_identity``, judges, writes and keeps the sample rows
-of slice, Fourier-equivariance, unitarity and the exact kernel identity.
-Three keep their own row formats, which the benchmark's references pin: the
-intertwine laws (both laws per row), the suite's fiber rows (``max_dev``) and
-the batched archimedean kernel rows, whose relative magnitude and phase
-angle rule is the kernel identity's own.
+Q_p.  Each verifier states only the verdict and row of one sample; one loop,
+``hilbert.judged_record``, folds the verdicts and keeps the rows.
+``sampled_identity`` judges a plain two-sided identity (slice,
+Fourier-equivariance, unitarity, the exact kernel identity).  The intertwine
+laws (both laws per row) and the batched archimedean kernel rows, with the
+kernel identity's relative magnitude and phase angle rule, write their own.
 """
 
 from __future__ import annotations
@@ -70,12 +70,9 @@ from .geometry import (
     space_L,
 )
 from .hilbert import (
-    _input_json, _mat_json, act_g, act_module_X, act_module_Xbar, inner_X, inner_Xbar,
+    _KERNEL_ROWS, _input_json, _mat_json, act_g, act_module_X, act_module_Xbar, inner_X,
+    inner_Xbar, judged_record,
 )
-
-# passing sample rows a gamma-kernel or rho-chain record keeps (failing
-# rows are all kept)
-_KERNEL_ROWS = 10
 
 
 # ---------------------------------------------------------------------
@@ -178,13 +175,13 @@ def kernel_identity_check(
     mag_err = np.abs(np.abs(lhs) - np.abs(rhs)) / np.abs(rhs)
     ang = np.abs(np.angle(lhs / rhs))
     good = (mag_err <= tol) & (ang <= tol)
-    rows = []
-    for i in range(len(samples)):
-        if not (good[i] and len(rows) >= _KERNEL_ROWS):
-            rows.append({"input": _mat_json(samples[i], fd), "lhs": _re_im(lhs[i]),
-                         "rhs": _re_im(rhs[i]), "abs_err": float(abs(lhs[i] - rhs[i])),
-                         "pass": bool(good[i])})
-    return check_record("gamma-kernel", fd, n, bool(np.all(good)), rows)
+
+    def judge(i):
+        return bool(good[i]), {"input": _mat_json(samples[i], fd), "lhs": _re_im(lhs[i]),
+                               "rhs": _re_im(rhs[i]), "abs_err": float(abs(lhs[i] - rhs[i])),
+                               "pass": bool(good[i])}
+
+    return judged_record("gamma-kernel", fd, n, range(len(samples)), judge, keep=_KERNEL_ROWS)
 
 
 # ---------------------------------------------------------------------
@@ -400,9 +397,8 @@ def intertwine_equivariance_check(f, g, a, y_samples, tol: float = 1e-6) -> dict
     gf = act_g(f, g)
     fa = act_module_X(f, a)
     scale = det_power(a, Fraction(n + 1, 2), fd)
-    rows = []
-    ok = True
-    for y in y_samples:
+
+    def judge(y):
         l1 = intertwine_I(gf, y)
         r1 = intertwine_I(f, mmul(y, g, fd))
         l2 = intertwine_I(fa, y)
@@ -414,9 +410,9 @@ def intertwine_equivariance_check(f, g, a, y_samples, tol: float = 1e-6) -> dict
                    "a_lhs": _re_im(l2), "a_rhs": _re_im(r2), "a_side_err": a_err}
         else:
             row = {"g_side_exact": g_good, "a_side_exact": a_good}
-        rows.append({"input": _input_json(y, fd), **row})
-        ok = ok and g_good and a_good
-    return check_record("intertwine-equivariance", fd, n, ok, rows)
+        return g_good and a_good, {"input": _input_json(y, fd), **row}
+
+    return judged_record("intertwine-equivariance", fd, n, y_samples, judge)
 
 
 def unitarity_verify(f, h, a_grid, tol: float = 1e-6) -> dict:
@@ -427,30 +423,23 @@ def unitarity_verify(f, h, a_grid, tol: float = 1e-6) -> dict:
     return sampled_identity("unitarity", fd, n, a_grid, lambda a: (lhs_fun(a), rhs_fun(a)), tol)
 
 
-def check_record(name: str, fd: FieldDescriptor, n: int, ok, samples, **extra) -> dict:
-    """Report record of one check: the shared header, then the check's own entries."""
-    return {"check": name, "field": str(fd), "n": n, "pass": ok, "samples": samples, **extra}
-
-
 def sampled_identity(name: str, fd: FieldDescriptor, n: int, samples, sides, tol: float,
                      keep=float("inf"), **row) -> dict:
     """Record of a two-sided identity judged at each sample m by ``sides_agree``.
 
     ``sides(m)`` gives the two sides at m, then any further identity at m as
     (key, lhs, rhs), whose verdict folds into the row's and whose residual the
-    row keeps as ``key``; ``row`` holds entries that every row carries.  All
-    failing rows are kept, passing rows only up to ``keep``."""
-    rows, ok = [], True
-    for m in samples:
+    row keeps as ``key``; ``row`` holds entries that every row carries.
+    ``judged_record`` keeps the rows, passing ones only up to ``keep``."""
+    def judge(m):
         lhs, rhs, *more = sides(m)
         good, err = sides_agree(fd, lhs, rhs, tol)
         for key, more_lhs, more_rhs in more:
             more_good, row[key] = sides_agree(fd, more_lhs, more_rhs, tol)
             good = good and more_good
-        ok = ok and good
-        if not (good and len(rows) >= keep):
-            rows.append(_sides_row(fd, m, lhs, rhs, good, err, **row))
-    return check_record(name, fd, n, ok, rows)
+        return good, _sides_row(fd, m, lhs, rhs, good, err, **row)
+
+    return judged_record(name, fd, n, samples, judge, keep)
 
 
 def sides_agree(fd: FieldDescriptor, lhs, rhs, tol: float):

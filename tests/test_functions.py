@@ -12,7 +12,6 @@ from radonfourier import (
     GaussianForm,
     Lattice,
     SBFunction,
-    cutoff_chi,
     fiber_param,
     fiber_restrict,
     fourier,
@@ -31,6 +30,7 @@ from radonfourier.sampling import rand_fraction, rand_gaussian, rand_matrix, ran
 from radonfourier.transforms import pairing_matrix
 
 from basis import brute_value, inverse
+from cutoff import cutoff_chi
 
 
 def one(p):
@@ -349,7 +349,9 @@ def test_gaussian_envelope_bounds(rng, fr):
         g = rand_gaussian(rng, X)
         env = g.envelope()
         pts = rng.standard_normal((200, X.dim)) * 2
-        assert np.all(np.abs(g.eval_coords(pts)) <= env.bound_at(pts) * (1 + 1e-9))
+        center = 0 if env.center is None else np.asarray(env.center)
+        bound = env.C * np.exp(-np.pi * _quadratic_form(pts - center, np.asarray(env.Q)))
+        assert np.all(np.abs(g.eval_coords(pts)) <= bound * (1 + 1e-9))
 
 
 def test_fiber_restrict(fr, f3):

@@ -12,14 +12,14 @@ from radonfourier import (
     act_g,
     act_module_X,
     act_module_Xbar,
-    cutoff_chi,
     inner_X,
     inner_Xbar,
     space_X,
     truncation_sequence,
 )
 from radonfourier import exactlinalg as xl
-from radonfourier.hilbert import column_product_constant, decay_bound_check, exact_le
+from radonfourier import hilbert
+from radonfourier.hilbert import _mat_json, column_product_constant, decay_bound_check, exact_le
 from radonfourier.lattices import Coset, Lattice
 from radonfourier.quadrature import integrate_polar_2d
 from radonfourier.sampling import (
@@ -29,6 +29,7 @@ from radonfourier.sampling import (
     rand_kak_sample,
     rand_sl,
 )
+from cutoff import cutoff_chi
 
 
 def test_inner_X_closed_forms(fr, f3):
@@ -216,6 +217,28 @@ def test_decay_bound_refuses_unequal_column_blocks(rng, fr, fc, f3):
     assert inner_X(f, f)(a) == ExactValue.from_cyclo(3, 27 * Fraction(1, 108) * Fraction(1, 27))
 
 
+@pytest.mark.parametrize("field", ["r", "q3"])
+def test_decay_bound_keeps_failing_rows(monkeypatch, rng, fr, f3, field):
+    """A constant a quarter of the true one puts every sample above its bound
+    (over R |a|/(1+a^2) > min(|a|,|a|^-1)/4, over Q_3 the bound is attained):
+    the record fails, keeps every row, and each row carries k1 and k2 for
+    replay.  Clean rows carry neither."""
+    fd = fr if field == "r" else f3
+    X = space_X(1, fd)
+    f = GaussianForm.standard(X) if fd is fr else SBFunction.standard_ball(X)
+    samples = [rand_kak_sample(rng, 1, fd) for _ in range(6)]
+    clean = decay_bound_check(f, samples)
+    assert clean["pass"] and all(set(row) == {"diag", "value", "bound"} for row in clean["samples"])
+    real = hilbert.column_product_constant
+    monkeypatch.setattr(hilbert, "column_product_constant", lambda g: real(g) / 4)
+    rep = decay_bound_check(f, samples)
+    assert not rep["pass"] and len(rep["samples"]) == len(samples)
+    for (k1, _, k2), row, was in zip(samples, rep["samples"], clean["samples"]):
+        assert row["diag"] == was["diag"] and row["value"] == was["value"]
+        assert row["bound"] < row["value"]
+        assert row["k1"] == _mat_json(k1, fd) and row["k2"] == _mat_json(k2, fd)
+
+
 def test_decay_bound_equal_column_blocks(rng, fr, fc, f3):
     # C = |kappa|^2 det(Q)^(-1/2) with det(Q) = det(block)^(n d_F)
     for fd, want in ((fr, 0.461361014994233), (fc, 0.0532134965391272)):
@@ -286,8 +309,6 @@ def test_truncation_bump_vanishes(fr):
         return out
 
     f = Evaluable(X, bump, Envelope(C=1.0, radius=2.0), "bump")
-    from radonfourier import cutoff_chi
-
     for m in (3, 5):
         chi = cutoff_chi(m, X)
         diff_at = lambda pts: f.eval_coords(pts) * (1 - chi.eval_coords(pts))
@@ -342,7 +363,7 @@ def test_truncation_sequence_matches_pointwise_integrand(fr):
     gaussians, grid = _truncation_gaussians(fr)
     for f in gaussians:
         for av in grid:
-            sups = truncation_sequence(f, 7, [av])["sup_values"]
+            sups = [row["sup"] for row in truncation_sequence(f, 7, [av])["samples"]]
             for m in (1, 2, 7):
                 want = _truncation_reference(f, m, av)
                 assert abs(sups[m - 1] - want) <= 1e-13 * want, (m, av, sups[m - 1], want)
@@ -392,7 +413,7 @@ def test_truncation_sequence_decreases(fr):
     grid = [float(a[0][0]) for a in default_a_grid(1, fr)]
     rep = truncation_sequence(f, 6, grid)
     assert rep["monotone"]
-    sups = rep["sup_values"]
+    sups = [row["sup"] for row in rep["samples"]]
     assert sups[-1] < sups[0]
     # phi_m(1) is the squared L2 distance and it shrinks
-    assert rep["per_m"][-1]["sup"] < 0.01
+    assert rep["samples"][-1]["sup"] < 0.01

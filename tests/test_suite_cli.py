@@ -395,6 +395,19 @@ def test_cli_verify_named_check(tmp_path, capsys):
     assert rep["pass"]
 
 
+def test_cli_repeated_check_runs_once(tmp_path, capsys):
+    """A check named twice runs once, and the report's config names it once,
+    in the order first given."""
+    out = tmp_path / "rep.json"
+    argv = ["verify", "rho-chain", "fiber", "rho-chain", "--field", "qp", "--p", "2",
+            "--samples", "10", "--out", str(out)]
+    assert main(argv) == 0
+    rep = json.loads(out.read_text())
+    assert rep["suite"]["checks"] == ["rho-chain", "fiber"]
+    assert [c["check"] for c in rep["checks"]] == ["fiber", "rho-chain"]
+    assert SuiteConfig(checks=["slice", "slice"]).checks == ("slice",)
+
+
 def test_cli_unwritable_out(tmp_path, capsys, monkeypatch):
     """An --out in a missing directory, or one that is a directory, is a
     configuration error that names the path, before anything runs."""

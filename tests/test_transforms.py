@@ -35,7 +35,9 @@ from radonfourier import (
     unitarity_verify,
 )
 from radonfourier import exactlinalg as xl
+from radonfourier import transforms
 from radonfourier.functions import _json_exact, fiber_restrict
+from radonfourier.hilbert import _input_json
 from radonfourier.geometry import as_matrix, det_power, minv, mmul, mtrace, space_L
 from radonfourier.sampling import (
     rand_fraction,
@@ -365,6 +367,36 @@ def test_intertwine_equivariance(rng, fr, f3):
     ysp = [rand_regular_point(rng, space_X(1, f3).transpose_space()) for _ in range(3)]
     rep = intertwine_equivariance_check(fp, gp, ap, ysp)
     assert rep["pass"], rep
+
+
+@pytest.mark.parametrize("field", ["r", "q2"])
+def test_intertwine_failing_law_keeps_its_row(monkeypatch, rng, fr, f2, field):
+    """f.a doubled mis-wires the second law only: the record fails and keeps
+    every row with its input, over R with both laws' sides and residuals,
+    over Q_2 with both exact flags, the first law's still true."""
+    fd = fr if field == "r" else f2
+    X = space_X(1, fd)
+    Y = X.transpose_space()
+    if fd is fr:
+        f, g, a = GaussianForm.standard(X), rand_sl(rng, 2, fd), rand_gl(rng, 1, fd)
+    else:
+        f, g, a = SBFunction.standard_ball(X), _integral_unimodular_sl(rng, 2, 2), xl.mat([[2]])
+    ys = [rand_regular_point(rng, Y) for _ in range(4)]
+    assert intertwine_equivariance_check(f, g, a, ys)["pass"]
+    real = transforms.act_module_X
+    monkeypatch.setattr(transforms, "act_module_X", lambda h, b: real(h, b).scale(2))
+    rep = intertwine_equivariance_check(f, g, a, ys)
+    assert not rep["pass"] and len(rep["samples"]) == len(ys)
+    for y, row in zip(ys, rep["samples"]):
+        assert row["input"] == _input_json(y, fd)
+    if fd is fr:
+        keys = {"input", "g_lhs", "g_rhs", "g_side_err", "a_lhs", "a_rhs", "a_side_err"}
+        assert all(set(row) == keys for row in rep["samples"])
+        assert all(row["g_side_err"] <= 1e-6 < row["a_side_err"] for row in rep["samples"])
+    else:
+        assert all(set(row) == {"input", "g_side_exact", "a_side_exact"} for row in rep["samples"])
+        assert all(row["g_side_exact"] for row in rep["samples"])
+        assert any(row["a_side_exact"] is False for row in rep["samples"])
 
 
 def _integral_unimodular_sl(rng, size, p):
