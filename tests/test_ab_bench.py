@@ -2,7 +2,9 @@
 lines: medians and quartiles per side, the change against the bound,
 "better" where the change wins 9 in 10 pairs by more than the parent's IQR,
 and "unresolved" where the parent's own spread exceeds the bound and the
-sides overlap; and the passes per run, read from synthetic result files."""
+sides overlap; the passes per run, read from synthetic result files; and,
+with the runs faked, the order of the pair rounds and the file that
+``--out`` writes."""
 
 import importlib.util
 import json
@@ -131,16 +133,16 @@ def test_seed_reaches_every_run(ab_bench, monkeypatch, capsys, argv, seed):
 def _result(tree, workload, seed, passes):
     path = tree / "bench" / "out" / f"result-{workload}-seed{seed}-trace0.json"
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps({"wall_s": {"median": 1.0, "n": passes}}))
+    path.write_text(json.dumps({"wall_s": {"median": 1.0, "n": passes}, "environment": {"seed": seed}}))
 
 
 def test_passes_come_from_the_result_file(ab_bench, tmp_path):
-    # wall_s.n of the run's own result file; None when the run wrote none
+    # wall_s.n of the run's own result file; nothing when the run wrote none
     _result(tmp_path, "padic", 7, 11)
     _result(tmp_path, "padic", 8, 4)
-    assert ab_bench.read_passes(tmp_path, "padic", 7) == 11
-    assert ab_bench.read_passes(tmp_path, "padic", 8) == 4
-    assert ab_bench.read_passes(tmp_path, "arch-battery", 7) is None
+    assert ab_bench.read_result(tmp_path, "padic", 7)["wall_s"]["n"] == 11
+    assert ab_bench.read_result(tmp_path, "padic", 8)["wall_s"]["n"] == 4
+    assert ab_bench.read_result(tmp_path, "arch-battery", 7) == {}
 
 
 def test_run_bench_reads_only_its_own_result(ab_bench, tmp_path, monkeypatch):
@@ -155,7 +157,7 @@ def test_run_bench_reads_only_its_own_result(ab_bench, tmp_path, monkeypatch):
 
     monkeypatch.setattr(ab_bench.subprocess, "run", fake)
     run = ab_bench.run_bench(tmp_path, "padic", 7, 1.0)
-    assert run == {"exit_code": 0, "line": {"correct": True}, "passes": 5}
+    assert run == {"exit_code": 0, "line": {"correct": True}, "passes": 5, "environment": {"seed": 7}}
 
 
 def test_passes_print_beside_peak_rss(ab_bench, monkeypatch, capsys):
@@ -172,3 +174,70 @@ def test_passes_print_beside_peak_rss(ab_bench, monkeypatch, capsys):
     rss = next(i for i, line in enumerate(out) if line.startswith("peak_rss_mb"))
     # pair 1 runs the parent first, pair 2 the change first
     assert out[rss + 1].split() == ["passes", "per", "run:", "parent", "[10,", "13]", "change", "[12,", "11]"]
+
+
+def _fake_runs(ab_bench, monkeypatch, exit_code=lambda side, workload: 0):
+    """Route run_bench through a recorder of (side, workload); each run
+    exits with ``exit_code(side, workload)``, reports wall_s 1.0, and counts
+    its passes by its place in the call order."""
+    calls = []
+    monkeypatch.setattr(ab_bench, "extract", lambda rev, dest: "c0ffee")
+
+    def fake_run(tree, workload, seed, seconds):
+        side = "change" if tree == ab_bench.ROOT else "parent"
+        calls.append((side, workload))
+        code = exit_code(side, workload)
+        line = {"correct": code == 0, "metrics": {"wall_s": {"value": 1.0}, "peak_rss_mb": {"value": 50.0}}}
+        return {"exit_code": code, "line": line, "passes": len(calls), "environment": {"side": side}}
+
+    monkeypatch.setattr(ab_bench, "run_bench", fake_run)
+    return calls
+
+
+def test_every_workload_runs_in_each_pair_round(ab_bench, monkeypatch, capsys):
+    # without --workload each round runs BENCHMARK.json's workloads in turn,
+    # the parent first in odd rounds and the change first in even ones
+    calls = _fake_runs(ab_bench, monkeypatch)
+    names = [w["name"] for w in json.loads((ab_bench.ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert ab_bench.main(["HEAD", "--pairs", "2"]) == 0
+    assert calls == [(side, w) for w in names for side in ("parent", "change")] + \
+        [(side, w) for w in names for side in ("change", "parent")]
+    out = capsys.readouterr().out
+    assert [line.split(",")[0] for line in out.splitlines() if line.startswith("workload ")] == \
+        [f"workload {w}" for w in names]
+
+
+def test_out_records_every_run_and_verdict_row(ab_bench, monkeypatch, tmp_path):
+    _fake_runs(ab_bench, monkeypatch)
+    path = tmp_path / "BENCH_x.json"
+    assert ab_bench.main(["HEAD~1", "--workload", "padic", "--pairs", "2", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    assert (doc["rev"], doc["commit"], doc["seed"], doc["pairs"]) == ("HEAD~1", "c0ffee", 7, 2)
+    assert list(doc["workloads"]) == ["padic"]
+    runs = doc["workloads"]["padic"]["runs"]
+    # calls 1-4: parent, change, then change, parent
+    assert [r["passes"] for r in runs["parent"]] == [1, 4] and [r["passes"] for r in runs["change"]] == [2, 3]
+    for side, rs in runs.items():
+        assert all(r["exit_code"] == 0 and r["line"]["correct"] and r["environment"] == {"side": side}
+                   for r in rs)
+    spec = json.loads((ab_bench.ROOT / "BENCHMARK.json").read_text())
+    rows = doc["workloads"]["padic"]["verdicts"]
+    assert [r["metric"] for r in rows] == [m["name"] for m in spec["end_to_end"]]
+    assert {r["metric"]: r["verdict"] for r in rows}["wall_s"] == "ok"
+
+
+def test_nonzero_run_is_recorded_and_fails(ab_bench, monkeypatch, tmp_path, capsys):
+    _fake_runs(ab_bench, monkeypatch, lambda side, workload: 3 if side == "change" else 0)
+    path = tmp_path / "BENCH_x.json"
+    assert ab_bench.main(["HEAD", "--workload", "tensor-quadrature", "--pairs", "1", "--out", str(path)]) == 1
+    runs = json.loads(path.read_text())["workloads"]["tensor-quadrature"]["runs"]
+    assert [r["exit_code"] for r in runs["change"]] == [3] and [r["exit_code"] for r in runs["parent"]] == [0]
+    assert "not correct: change run 1" in capsys.readouterr().out
+
+
+def test_unknown_revision_exits_2(ab_bench, monkeypatch, capsys):
+    monkeypatch.setattr(ab_bench, "run_bench", lambda *args: pytest.fail("ran the benchmark"))
+    with pytest.raises(SystemExit) as exit_info:
+        ab_bench.main(["no-such-revision", "--pairs", "1"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.strip().splitlines() == ["unknown revision: no-such-revision"]

@@ -1,5 +1,6 @@
 """tools/report_diff.py on two synthetic trees of outputs: p-adic records must
-keep every byte, archimedean numbers must agree to 1e-9 relative."""
+keep every byte, archimedean numbers must agree to 1e-9 relative; and an
+unknown revision exits 2."""
 
 import copy
 import importlib.util
@@ -72,3 +73,11 @@ def test_missing_output_or_key_fails(report_diff, tmp_path):
     dropped = copy.deepcopy(ARCH)
     del dropped["report"]["checks"][0]["samples"][0]["rhs_quadrature_error"]
     assert _verdict(report_diff, tmp_path / "key", {"padic": PADIC, "arch": dropped}) == 1
+
+
+def test_unknown_revision_exits_2(report_diff, capsys):
+    # one line naming the revision, not git's traceback, and not exit 1
+    with pytest.raises(SystemExit) as exit_info:
+        report_diff.main(["no-such-revision"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.strip().splitlines() == ["unknown revision: no-such-revision"]

@@ -1,23 +1,24 @@
 """Run the benchmark on another revision and on this checkout in alternating
 pairs, and compare the end-to-end metrics.
 
-    python3 tools/ab_bench.py REV --workload W --pairs N [--seed S]
+    python3 tools/ab_bench.py REV [--workload W] [--pairs N] [--seed S] [--out FILE]
 
 Extracts REV's committed files (``git archive``) into a temporary directory.
-Each pair runs ``bench/run.py --workload W --seed S --seconds T --trace 0``,
-with T the ``run_seconds`` of ``BENCHMARK.json``, once in that tree and once
-in the checkout that holds this script, each tree with its own
+Each pair round runs every workload of ``BENCHMARK.json`` in turn, or W
+alone when given: ``bench/run.py --workload W --seed S --seconds T --trace
+0``, with T the ``run_seconds`` of ``BENCHMARK.json``, once in that tree and
+once in the checkout that holds this script, each tree with its own
 ``bench/run.py`` and ``src/``; odd pairs run REV first, even pairs this
 checkout first, so that a drift in host load falls on both sides.  S is 7
 unless given: the benchmark's default seed, whose references are
 committed.  Another seed checks that a claim holds on inputs that the
 change was not written against.
 
-For each end-to-end metric of ``BENCHMARK.json`` it prints the median and
-quartiles on both sides, the relative change of the median (positive when
-worse, in the metric's ``better`` direction) beside the metric's bound, and
-how many pairs read better.  Below ``peak_rss_mb`` it prints each run's
-count of timed passes, ``wall_s.n`` of the tree's
+For each workload and each end-to-end metric of ``BENCHMARK.json`` it
+prints the median and quartiles on both sides, the relative change of the
+median (positive when worse, in the metric's ``better`` direction) beside
+the metric's bound, and how many pairs read better.  Below ``peak_rss_mb``
+it prints each run's count of timed passes, ``wall_s.n`` of the tree's
 ``bench/out/result-W-seedS-trace0.json``: the worker keeps every pass's
 records, so an RSS change can come from a change in the pass count.
 
@@ -31,7 +32,14 @@ Each metric gets one verdict:
 * "worse" when the change of the median exceeds the bound;
 * "ok" otherwise.
 
-Exits 0 when every run is correct and no metric is worse, 1 otherwise.
+``--out FILE`` writes the evidence that a performance claim cites, as
+``BENCH_<label>.json``: the settings, REV's commit id, and per workload
+every run on both sides (exit code, final JSON line, timed passes and its
+result file's ``environment``: Python and numpy versions, nproc, threads,
+git commit) and each metric's verdict row.
+
+Exits 0 when every run is correct and no metric is worse, 1 otherwise, and
+2 when git cannot archive REV.
 """
 
 from __future__ import annotations
@@ -54,15 +62,15 @@ def result_path(tree: Path, workload: str, seed: int) -> Path:
     return tree / "bench" / "out" / f"result-{workload}-seed{seed}-trace0.json"
 
 
-def read_passes(tree: Path, workload: str, seed: int):
-    """The timed passes of ``tree``'s last run, or None without a result file."""
+def read_result(tree: Path, workload: str, seed: int) -> dict:
+    """``tree``'s last result file, or {} when there is none."""
     path = result_path(tree, workload, seed)
-    return json.loads(path.read_text())["wall_s"]["n"] if path.exists() else None
+    return json.loads(path.read_text()) if path.exists() else {}
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in ``tree``: its exit code, final JSON line and
-    number of timed passes."""
+    """One benchmark run in ``tree``: its exit code, final JSON line, number
+    of timed passes and environment block."""
     result_path(tree, workload, seed).unlink(missing_ok=True)
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
@@ -71,7 +79,9 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     )
     lines = proc.stdout.strip().splitlines()
     line = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else {}
-    return {"exit_code": proc.returncode, "line": line, "passes": read_passes(tree, workload, seed)}
+    result = read_result(tree, workload, seed)
+    return {"exit_code": proc.returncode, "line": line, "passes": result.get("wall_s", {}).get("n"),
+            "environment": result.get("environment")}
 
 
 def quartiles(values: list) -> tuple:
@@ -140,35 +150,46 @@ def print_rows(rows: list, passes: dict) -> None:
 
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in spec["workloads"]]
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("rev", help="revision to compare against, e.g. HEAD~1")
-    ap.add_argument("--workload", required=True, choices=[w["name"] for w in spec["workloads"]])
+    ap.add_argument("--workload", choices=names, help="run only this workload")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--out", type=Path, help="write every run and verdict row here, e.g. BENCH_<label>.json")
     args = ap.parse_args(argv)
     seconds = spec["run_seconds"]
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
-    runs = {"parent": [], "change": []}
+    workloads = [args.workload] if args.workload else names
+    runs = {w: {"parent": [], "change": []} for w in workloads}
     with tempfile.TemporaryDirectory(prefix="ab-bench-") as tmp:
         tree = Path(tmp) / "tree"
-        extract(args.rev, tree)
+        commit = extract(args.rev, tree)
         for i in range(1, args.pairs + 1):
             order = ("parent", "change") if i % 2 else ("change", "parent")
-            for side in order:
-                run = run_bench(tree if side == "parent" else ROOT, args.workload, args.seed, seconds)
-                runs[side].append(run)
-                print(f"pair {i}/{args.pairs} {side}: exit {run['exit_code']}", file=sys.stderr, flush=True)
-    print(f"workload {args.workload}, seed {args.seed}, {seconds:g} s a run, {args.pairs} pairs; "
-          f"parent {args.rev}, change this checkout")
-    rows = summarize([r["line"] for r in runs["parent"]], [r["line"] for r in runs["change"]],
-                     spec["end_to_end"])
-    print_rows(rows, {side: [r.get("passes") for r in rs] for side, rs in runs.items()})
-    failed = [f"{side} run {i + 1}" for side, rs in runs.items() for i, r in enumerate(rs)
-              if r["exit_code"] != 0 or not r["line"].get("correct")]
-    for name in failed:
-        print(f"not correct: {name}")
-    return 1 if failed or any(r["verdict"] == "worse" for r in rows) else 0
+            for w in workloads:
+                for side in order:
+                    run = run_bench(tree if side == "parent" else ROOT, w, args.seed, seconds)
+                    runs[w][side].append(run)
+                    print(f"pair {i}/{args.pairs} {w} {side}: exit {run['exit_code']}", file=sys.stderr, flush=True)
+    doc = dict(rev=args.rev, commit=commit, seed=args.seed, seconds=seconds, pairs=args.pairs, workloads={})
+    status = 0
+    for w, sides in runs.items():
+        print(f"workload {w}, seed {args.seed}, {seconds:g} s a run, {args.pairs} pairs; "
+              f"parent {args.rev}, change this checkout")
+        rows = summarize([r["line"] for r in sides["parent"]], [r["line"] for r in sides["change"]],
+                         spec["end_to_end"])
+        print_rows(rows, {side: [r.get("passes") for r in rs] for side, rs in sides.items()})
+        failed = [f"{side} run {i + 1}" for side, rs in sides.items() for i, r in enumerate(rs)
+                  if r["exit_code"] != 0 or not r["line"].get("correct")]
+        for name in failed:
+            print(f"not correct: {name}")
+        status |= bool(failed) or any(r["verdict"] == "worse" for r in rows)
+        doc["workloads"][w] = {"runs": sides, "verdicts": rows}
+    if args.out:
+        args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return int(status)
 
 
 if __name__ == "__main__":

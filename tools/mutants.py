@@ -9,7 +9,8 @@ mutants that the oracle tests in ``tests/test_exact_oracle.py`` were shown to
 catch, and O6 is O5 on the opposite-side pairing.  For each mutant the tool
 copies this checkout's ``src/`` (with ``--tier1`` the whole checkout) to a
 temporary directory, applies the mutant there, and runs
-``radonfourier verify`` at seed 7 on the five north-star configs (the
+``radonfourier verify`` through ``report_diff.run_verify`` (one BLAS
+thread) at seed 7 on the five north-star configs (the
 default battery R, Q_2 and Q_3 at n = 1, ``--field c``, ``--field r --n 2``,
 ``--field qp --p 2 --n 2`` and ``--field qp --p 5``) plus C n = 2 and Q_3
 n = 2.
@@ -38,7 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
-from report_diff import THREAD_VARS, VERIFY  # noqa: E402
+from report_diff import VERIFY, run_verify  # noqa: E402
 
 SEED = 7
 # report_diff's configs (the five north-star configs and Q_3 n = 2) plus C n = 2
@@ -104,20 +105,11 @@ def copy_tree(dest: Path, tier1: bool) -> None:
 
 def failing_checks(tree: Path, out: Path) -> dict:
     """The failing checks per suite over CONFIGS at SEED, in ``tree``."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), **{v: "1" for v in THREAD_VARS})
     fails = {}
-    for config, flags in CONFIGS.items():
-        report = out / f"{config}.json"
-        report.unlink(missing_ok=True)
-        proc = subprocess.run(
-            [sys.executable, "-m", "radonfourier.cli", "verify", *flags, "--seed", str(SEED),
-             "--out", str(report)],
-            cwd=tree, env=env, capture_output=True,
-        )
-        if not report.exists():
-            fails[config] = f"no report (exit {proc.returncode})"
+    for config, _, code, doc in run_verify(tree, CONFIGS, [SEED], out):
+        if doc is None:
+            fails[config] = f"no report (exit {code})"
             continue
-        doc = json.loads(report.read_text())
         for suite in doc.get("suites", [doc]):
             for rec in suite["checks"]:
                 if not rec["pass"]:

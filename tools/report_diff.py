@@ -22,7 +22,7 @@ under a p-adic record (``field`` ``Q_p`` or ``qp``) must be byte-identical
 well.  Prints the SHA-256 of each ``compute`` output, checked against
 ``tests/data/compute/SHA256SUMS`` where that lists it, then each differing
 path with both values; exits 0 when nothing differs and every listed digest
-holds, and 1 otherwise.
+holds, 1 otherwise, and 2 when git cannot archive REV.
 """
 
 from __future__ import annotations
@@ -65,35 +65,51 @@ COMPUTE = (
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def extract(rev: str, dest: Path) -> None:
-    """REV's committed files under ``dest``."""
-    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
-                         capture_output=True, check=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+def extract(rev: str, dest: Path) -> str:
+    """REV's committed files under ``dest``, and REV's commit id from the
+    archive's header; exits 2 when git cannot archive REV."""
+    proc = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev], capture_output=True)
+    if proc.returncode:
+        print(f"unknown revision: {rev}", file=sys.stderr)
+        raise SystemExit(2)
+    with tarfile.open(fileobj=io.BytesIO(proc.stdout)) as archive:
         # the "data" filter refuses links and paths that leave dest, where
         # this Python has it
         archive.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+        return archive.pax_headers.get("comment")
+
+
+def cli(tree: Path, argv: list) -> subprocess.CompletedProcess:
+    """``radonfourier.cli`` with ``argv`` on ``tree``'s own ``src/``, one thread."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), **{v: "1" for v in THREAD_VARS})
+    return subprocess.run([sys.executable, "-m", "radonfourier.cli", *argv],
+                          cwd=tree, env=env, capture_output=True)
+
+
+def run_verify(tree: Path, configs: dict, seeds, out: Path) -> list:
+    """(config, seed, exit code, report or None) of ``radonfourier verify`` in
+    ``tree`` on each of ``configs`` (name -> flags) at each seed, under ``out``."""
+    runs = []
+    for name, flags in configs.items():
+        for seed in seeds:
+            report = out / f"verify-{name}-seed{seed}.json"
+            report.unlink(missing_ok=True)
+            proc = cli(tree, ["verify", *flags, "--seed", str(seed), "--out", str(report)])
+            doc = json.loads(report.read_text()) if report.exists() else None
+            runs.append((name, seed, proc.returncode, doc))
+    return runs
 
 
 def run_tree(tree: Path, out: Path) -> None:
     """Every output of ``tree``'s package as ``out/<name>.json``, with its
     exit code, and each compute output's SHA-256 as ``out/<name>.sha256``."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), **{v: "1" for v in THREAD_VARS})
     out.mkdir(parents=True)
-
-    def cli(argv):
-        return subprocess.run([sys.executable, "-m", "radonfourier.cli", *argv],
-                              cwd=tree, env=env, capture_output=True)
-
-    for name, flags in VERIFY.items():
-        for seed in SEEDS:
-            report = out / f"verify-{name}-seed{seed}.json"
-            proc = cli(["verify", *flags, "--seed", str(seed), "--out", str(report)])
-            doc = json.loads(report.read_text()) if report.exists() else None
-            report.write_text(json.dumps({"exit_code": proc.returncode, "report": strip_timing(doc)}))
+    for name, seed, code, doc in run_verify(tree, VERIFY, SEEDS, out):
+        (out / f"verify-{name}-seed{seed}.json").write_text(
+            json.dumps({"exit_code": code, "report": strip_timing(doc)}))
     for op, stem in COMPUTE:
         name, spec_path = f"{op}-{stem}", SPECS / f"{stem}.json"
-        proc = cli(["compute", op, "--input", str(spec_path)])
+        proc = cli(tree, ["compute", op, "--input", str(spec_path)])
         doc = json.loads(proc.stdout) if proc.returncode == 0 else proc.stderr.decode()
         (out / f"compute-{name}.sha256").write_text(hashlib.sha256(proc.stdout).hexdigest())
         (out / f"compute-{name}.json").write_text(json.dumps(
